@@ -32,8 +32,7 @@
 // paper's synchronized k-walk. Instead of advancing one pointer-chasing
 // Walker at a time, the engine keeps walker positions in a flat []int32,
 // gives walker i the deterministic RNG stream (seed, i), and advances the
-// whole array in vectorized rounds over the graph's CSR adjacency —
-// sharded across a worker pool and synchronized at batch barriers. Results
+// whole array in vectorized rounds over the graph's CSR adjacency. Results
 // are bit-for-bit reproducible: for a fixed (graph, starts, seed, budget)
 // every option configuration returns the identical answer, and the engine
 // beats the legacy per-walker loop by ≥2x on the paper's families.
@@ -49,23 +48,25 @@
 // convenience one-shot form). The Monte Carlo estimators (CoverTime,
 // KCoverTime, HittingTime, PartialCoverTime, ...) all run on the engine
 // internally — and their trials are *fused*: every trial's walkers step
-// together as lanes of one wide engine pass, finished trials retire at
-// merge barriers so the heavy tail of slow trials costs only its own
-// rounds, and each per-trial sample stays bit-for-bit identical to a
-// sequential run of that trial. Single-walker estimators (hitting times,
+// together as lanes of one wide engine pass (sharded across a worker pool
+// by lane), finished trials retire at batch barriers so the heavy tail of
+// slow trials costs only its own rounds, and each per-trial sample stays
+// bit-for-bit identical to a single run of that trial. Single-walker estimators (hitting times,
 // k = 1 cover) gain the most — fusing their trials turns a latency-bound
 // chain of dependent steps into a throughput-bound batched pass,
 // measured 2-3x faster end to end.
 //
-// The engine has one run core and pluggable lenses: Engine.Run executes a
-// RunSpec (starts, seed, round budget, stop condition) against a set of
+// The engine has one run driver and pluggable lenses: Engine.Run executes
+// a RunSpec (starts, seed, round budget, stop condition) as a one-lane
+// pass of the same driver the estimators use, against a set of
 // Observers — cover bitset (NewCoverObserver), partial-cover thresholds
 // (NewPartialCoverObserver), first-visit log (NewFirstVisitObserver),
 // target-set hit (NewHitObserver, NewTargetSetObserver), and pairwise
 // meeting/pursuit/coalescence detection (NewMeetingObserver,
-// NewPursuitObserver, NewCoalescenceObserver). Observers see the walk
-// through shard-private scan hooks and exact round-ordered merges at the
-// batch barriers, so every observable inherits the determinism guarantee;
+// NewPursuitObserver, NewCoalescenceObserver). Each observable is
+// implemented once, as lane state updated after every round, and the stop
+// condition is evaluated after every round, so every observable inherits
+// the determinism guarantee;
 // stop conditions (StopWhenAll, StopWhenAny, RunToHorizon) combine
 // observers into one run. KCover, KHit, KHitTargets, PartialCoverCurve,
 // KMeetingTime and KCoalescenceTime are thin wrappers over this core, and

@@ -148,7 +148,7 @@ func RunAblationNonBacktracking(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		nb, err := walk.EstimateNBCoverTime(c.g, 0, c.k, opts)
+		nb, err := walk.EstimateKernelKCoverTime(c.g, walk.NoBacktrack(), 0, c.k, opts)
 		if err != nil {
 			return nil, err
 		}

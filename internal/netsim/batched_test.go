@@ -12,7 +12,7 @@ func TestBatchedWalkQueryFindsItem(t *testing.T) {
 	g := graph.Torus2D(8)
 	hasItem := make([]bool, g.N())
 	hasItem[35] = true
-	res := RunWalkQueryBatched(g, 0, 4, 4000, hasItem, 3)
+	res := RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), 0, 4, 4000, hasItem, 3)
 	if !res.Found {
 		t.Fatal("batched query should find the item within a generous TTL")
 	}
@@ -25,7 +25,7 @@ func TestBatchedWalkQueryOriginHit(t *testing.T) {
 	g := graph.Cycle(8)
 	hasItem := make([]bool, 8)
 	hasItem[0] = true
-	res := RunWalkQueryBatched(g, 0, 3, 100, hasItem, 1)
+	res := RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), 0, 3, 100, hasItem, 1)
 	if !res.Found || res.Rounds != 0 || res.Messages != 0 {
 		t.Fatalf("origin hit: %+v", res)
 	}
@@ -36,7 +36,7 @@ func TestBatchedWalkQueryTTLExhaustion(t *testing.T) {
 	g := graph.Path(5)
 	hasItem := make([]bool, 5)
 	hasItem[4] = true
-	res := RunWalkQueryBatched(g, 0, 1, 1, hasItem, 2)
+	res := RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), 0, 1, 1, hasItem, 2)
 	if res.Found {
 		t.Fatal("TTL 1 cannot reach distance 4")
 	}
@@ -49,8 +49,8 @@ func TestBatchedWalkQueryDeterministic(t *testing.T) {
 	g := graph.MargulisExpander(8)
 	hasItem := make([]bool, g.N())
 	hasItem[g.N()-1] = true
-	a := RunWalkQueryBatched(g, 0, 8, 1<<16, hasItem, 42)
-	b := RunWalkQueryBatched(g, 0, 8, 1<<16, hasItem, 42)
+	a := RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), 0, 8, 1<<16, hasItem, 42)
+	b := RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), 0, 8, 1<<16, hasItem, 42)
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}

@@ -48,7 +48,7 @@ func (q *walkQuery) Deliver(net *Network, node NodeID, msg Message) {
 //
 // This is the message-level reference simulator: every token hop is a
 // delivered Message. The production path for large fleets is
-// RunWalkQueryBatched, which drives the same protocol through the batched
+// RunWalkQueryEngine, which drives the same protocol through the batched
 // k-walk engine.
 func RunWalkQuery(g *graph.Graph, origin NodeID, k, ttl int, hasItem []bool, r *rng.Source) QueryResult {
 	q := &walkQuery{hasItem: hasItem}
@@ -145,59 +145,20 @@ func RunMembershipSampling(g *graph.Graph, origin NodeID, count, walkLen int, r 
 	return s.samples
 }
 
-// RunWalkQueryBatched answers the same query as RunWalkQuery but drives
-// the k tokens through the batched k-walk engine instead of per-message
-// delivery: the tokens are k synchronized walkers from origin, and the
-// query succeeds when any walker stands on a node with the item within ttl
-// rounds. Determinism comes from the engine's per-walker streams under
-// seed rather than a shared rng.Source.
+// RunWalkQueryEngine answers the same query as RunWalkQuery but drives
+// the k tokens through a caller-held batched k-walk engine instead of
+// per-message delivery: the tokens are k synchronized walkers from origin,
+// and the query succeeds when any walker stands on a node with the item
+// within ttl rounds. Determinism comes from the engine's per-walker
+// streams under seed rather than a shared rng.Source. It is
+// RunWalkQueriesEngine for one seed.
 //
 // Message accounting matches the synchronized protocol: every token
 // forwards once per round until the hit round (or TTL exhaustion), so the
 // query costs k messages per elapsed round. Unlike RunWalkQuery, Rounds
 // reports ttl (not 0) when the query fails.
-func RunWalkQueryBatched(g *graph.Graph, origin NodeID, k, ttl int, hasItem []bool, seed uint64) QueryResult {
-	if hasItem[origin] {
-		return QueryResult{Found: true, Rounds: 0, Messages: 0}
-	}
-	if g.Degree(origin) == 0 {
-		return noProgressResult(ttl)
-	}
-	return RunWalkQueryEngine(walk.NewEngine(g, walk.EngineOptions{}), origin, k, ttl, hasItem, seed)
-}
-
-// noProgressResult is the outcome of a walk query whose tokens cannot move:
-// an isolated origin pins every token, so the query fails after ttl rounds
-// having sent nothing.
-func noProgressResult(ttl int) QueryResult {
-	return QueryResult{Found: false, Rounds: ttl, Messages: 0}
-}
-
-// RunWalkQueryEngine is RunWalkQueryBatched on a caller-held engine, for
-// workloads that issue many queries against one topology and want to pay
-// the engine's table construction once. The query is one engine run: k
-// walkers from origin observed by a target-set HitObserver, stopped at the
-// exact hit round.
 func RunWalkQueryEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem []bool, seed uint64) QueryResult {
-	if hasItem[origin] {
-		return QueryResult{Found: true, Rounds: 0, Messages: 0}
-	}
-	if eng.Graph().Degree(origin) == 0 {
-		return noProgressResult(ttl)
-	}
-	starts := make([]int32, k)
-	for i := range starts {
-		starts[i] = origin
-	}
-	hit := walk.NewHitObserver(hasItem)
-	res, err := eng.Run(walk.RunSpec{Starts: starts, Seed: seed, MaxRounds: int64(ttl)}, hit)
-	if err != nil {
-		panic(err.Error()) // topology mismatch is a caller bug, as in RunWalkQuery
-	}
-	if res.Stopped {
-		return QueryResult{Found: true, Rounds: int(res.Rounds), Messages: int64(k) * res.Rounds}
-	}
-	return QueryResult{Found: false, Rounds: ttl, Messages: int64(k) * int64(ttl)}
+	return RunWalkQueriesEngine(eng, origin, k, ttl, hasItem, []uint64{seed})[0]
 }
 
 // RunWalkQueriesEngine answers one query per seed as a single trial-fused
@@ -218,16 +179,10 @@ func RunWalkQueriesEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem [
 		}
 		return out
 	}
-	if eng.Graph().Degree(origin) == 0 {
+	if ttl <= 0 {
+		// No round to spend: every query fails where it started.
 		for i := range out {
-			out[i] = noProgressResult(ttl)
-		}
-		return out
-	}
-	if int64(ttl) <= 0 || int64(ttl) > walk.MaxGroupedRounds {
-		// Outside the grouped driver's budget range: answer query by query.
-		for i, seed := range seeds {
-			out[i] = RunWalkQueryEngine(eng, origin, k, ttl, hasItem, seed)
+			out[i] = QueryResult{Found: false, Rounds: ttl, Messages: int64(k) * int64(ttl)}
 		}
 		return out
 	}

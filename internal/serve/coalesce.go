@@ -24,7 +24,7 @@ const maxConcurrentPasses = 4
 // bitset is compiled from. Everything else may differ per request: each
 // lane carries its own request's placement (GroupedRunSpec.StartsFor) and
 // its own engine seed (GroupedRunSpec.Seeds), derived exactly as the
-// sequential path derives them, so which requests share a pass can never
+// standalone path derives them, so which requests share a pass can never
 // change an answer. A walk query and a hitting-time estimate with the same
 // shape coalesce into the same pass; only their answer extraction differs.
 

@@ -7,11 +7,11 @@
 // aggregate process).
 //
 // The determinism contract is the whole point: every served answer is
-// bit-for-bit equal to the standalone sequential call for the same request
+// bit-for-bit equal to the standalone call for the same request
 // — netsim.RunWalkQueryEngine for walk queries, the per-trial
 // Engine.KHit/KCover/KMeetingTime loop with the MonteCarlo stream
 // derivation for estimates. Coalescing is pure batching: each request's
-// lanes carry engine seeds derived exactly as the sequential path derives
+// lanes carry engine seeds derived exactly as the standalone path derives
 // them (trial t of a request seeded s runs on rng.NewStream(s, t)'s first
 // draw), lanes never interact, and GroupedRunSpec.StartsFor gives every
 // lane its own request's placement. Which requests happen to share a pass
@@ -63,7 +63,7 @@ type Options struct {
 	// engine default). Results never depend on it.
 	Workers int
 	// NoCoalesce serves every request individually on the submitting
-	// goroutine through the sequential engine path — the naive
+	// goroutine through one standalone engine run per trial — the naive
 	// per-request dispatch the load generator compares against. Answers
 	// are identical either way.
 	NoCoalesce bool
@@ -80,7 +80,7 @@ const (
 // /v1/stats reports and the cluster router's load report consumes.
 type Stats struct {
 	Requests int64 `json:"requests"` // requests answered (errors included)
-	Naive    int64 `json:"naive"`    // requests served on the per-request sequential path
+	Naive    int64 `json:"naive"`    // requests served on the per-request NoCoalesce path
 	Passes   int64 `json:"passes"`   // grouped engine passes dispatched
 	Lanes    int64 `json:"lanes"`    // lanes folded into grouped passes
 	// EngineHits / EngineMisses count compiled-engine cache lookups: a miss
@@ -378,7 +378,7 @@ func (s *Server) WalkQuery(ctx context.Context, req WalkQueryRequest) (netsim.Qu
 	if err := checkVertices(ge.g, req.Targets...); err != nil {
 		return netsim.QueryResult{}, err
 	}
-	if s.opts.NoCoalesce || int64(req.TTL) > walk.MaxGroupedRounds {
+	if s.opts.NoCoalesce {
 		s.nNaive.Add(1)
 		eng := s.engineFor(ge, req.Kernel)
 		hasItem := markedOf(ge.g.N(), req.Targets)
@@ -431,7 +431,7 @@ func (s *Server) HittingTime(ctx context.Context, req HittingTimeRequest) (walk.
 		return walk.Estimate{}, err
 	}
 	targets := []int32{req.Target}
-	if s.opts.NoCoalesce || req.MaxSteps > walk.MaxGroupedRounds {
+	if s.opts.NoCoalesce {
 		s.nNaive.Add(1)
 		eng := s.engineFor(ge, req.Kernel)
 		marked := markedOf(ge.g.N(), targets)
@@ -499,7 +499,7 @@ func (s *Server) CoverTime(ctx context.Context, req CoverTimeRequest) (walk.Esti
 		return walk.Estimate{}, err
 	}
 	starts := commonStarts(req.Start, req.K)
-	if s.opts.NoCoalesce || req.MaxSteps > walk.MaxGroupedRounds {
+	if s.opts.NoCoalesce {
 		s.nNaive.Add(1)
 		eng := s.engineFor(ge, req.Kernel)
 		trial := func(seed uint64) (int64, bool) {
@@ -566,7 +566,7 @@ func (s *Server) MeetingTime(ctx context.Context, req MeetingTimeRequest) (walk.
 	if err != nil {
 		return walk.Estimate{}, err
 	}
-	if s.opts.NoCoalesce || req.MaxSteps > walk.MaxGroupedRounds {
+	if s.opts.NoCoalesce {
 		s.nNaive.Add(1)
 		eng := s.engineFor(ge, req.Kernel)
 		var trialErr error

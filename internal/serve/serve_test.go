@@ -322,15 +322,16 @@ func testNaiveMatchesCoalesced(t *testing.T, workers int) {
 	}
 }
 
-// TestOverCapBudgetFallsBackSequential: budgets beyond MaxGroupedRounds
-// cannot run grouped; the server must serve them on the sequential path
-// with the same per-trial samples a below-cap request yields when trials
-// finish well under either budget.
-func TestOverCapBudgetFallsBackSequential(t *testing.T) {
+// TestOverCapBudgetRunsCoalesced: budgets past the old 2^31-1 round cap
+// run as coalesced passes like any other request. Trials that finish well
+// under either budget give identical samples across the boundary; a
+// 2^40-round request is refused when the pending queue is full, and its
+// context cancels it.
+func TestOverCapBudgetRunsCoalesced(t *testing.T) {
 	s := newTestServer(t, Options{})
-	under := HittingTimeRequest{Graph: "complete16", Start: 0, Target: 8, Trials: 8, Seed: 3, MaxSteps: walk.MaxGroupedRounds}
+	under := HittingTimeRequest{Graph: "complete16", Start: 0, Target: 8, Trials: 8, Seed: 3, MaxSteps: 1<<31 - 1}
 	over := under
-	over.MaxSteps = walk.MaxGroupedRounds + 1 // == 1<<31, the boundary budget
+	over.MaxSteps = 1 << 31
 	a, err := s.HittingTime(context.Background(), under)
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +343,19 @@ func TestOverCapBudgetFallsBackSequential(t *testing.T) {
 	if a != b {
 		t.Fatalf("budget boundary changed finished-trial samples: under %+v over %+v", a, b)
 	}
-	if st := s.Stats(); st.Naive == 0 {
-		t.Fatalf("over-cap request did not take the sequential path: %+v", st)
+	if st := s.Stats(); st.Naive != 0 || st.Passes == 0 {
+		t.Fatalf("over-cap request did not run as a coalesced pass: %+v", st)
+	}
+
+	huge := CoverTimeRequest{Graph: "expander64", Start: 0, K: 2, Trials: 8, Seed: 4, MaxSteps: 1 << 40}
+	full := newTestServer(t, Options{MaxPending: 4})
+	if _, err := full.CoverTime(context.Background(), huge); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("2^40-round request past MaxPending: got %v, want ErrOverloaded", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.CoverTime(ctx, huge); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled 2^40-round request: got %v, want context.Canceled", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // first draw of rng.NewStream(seed, trial), the exact derivation a
 // standalone Engine.Run at that trial index would use — so the corpus bytes
 // are invariant to wave size, Workers, and batch partitioning, and every
-// recorded walk is bit-for-bit the sequential walk (pinned by
+// recorded walk is bit-for-bit that standalone walk (pinned by
 // TestCorpusMatchesSequentialWalks and TestCorpusDeterminism).
 
 // ---------------------------------------------------------------------------
@@ -136,63 +136,6 @@ func (o *GroupPathObserver) TrialPath(trial int) []int32 {
 }
 
 // ---------------------------------------------------------------------------
-// PathObserver (sequential)
-
-// PathObserver is the sequential counterpart of GroupPathObserver: it
-// records every walker's position after each round of one Engine.Run,
-// including the round-0 placement. Use with RunToHorizon and MaxRounds =
-// Length; it is never satisfied. Scans write disjoint walker-indexed
-// segments, so the recorded paths are independent of Workers and batching.
-// It is the reference implementation the corpus equivalence tests pin
-// GenerateCorpus against.
-type PathObserver struct {
-	Length int
-
-	k    int
-	path []int32 // (Length+1)*k vertices, time-major
-}
-
-// NewPathObserver returns a sequential path recorder for walks of length
-// rounds.
-func NewPathObserver(length int) *PathObserver { return &PathObserver{Length: length} }
-
-func (o *PathObserver) validate(n, k int) error {
-	if o.Length < 1 {
-		return fmt.Errorf("walk: path observer requires Length >= 1, got %d", o.Length)
-	}
-	return nil
-}
-
-func (o *PathObserver) reset(e *Engine, st *runState, starts []int32) {
-	o.k = len(starts)
-	o.path = growSlice(o.path, (o.Length+1)*o.k)
-	copy(o.path[:o.k], starts)
-}
-
-func (o *PathObserver) preBatch(*runState) {}
-
-func (o *PathObserver) scan(st *runState, ws *worker, _ int, t int64) {
-	if int(t) > o.Length {
-		return // overshoot past the horizon is discarded
-	}
-	copy(o.path[int(t)*o.k+ws.lo:int(t)*o.k+ws.hi], st.pos[ws.lo:ws.hi])
-}
-
-func (o *PathObserver) beginMerge(*runState, int, int64) {}
-func (o *PathObserver) mergeRound(*runState, int64)      {}
-func (o *PathObserver) endMerge(st *runState)            { st.resetLogs() }
-func (o *PathObserver) satisfiedAt() int64               { return -1 }
-
-// Path returns walker i's trajectory as a fresh slice of Length+1 vertices.
-func (o *PathObserver) Path(i int) []int32 {
-	out := make([]int32, o.Length+1)
-	for t := 0; t <= o.Length; t++ {
-		out[t] = o.path[t*o.k+i]
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
 // Corpus generation
 
 // CorpusFormat selects the corpus encoding.
@@ -246,6 +189,10 @@ const corpusBinaryMagic = uint32(0x7063776d)
 
 const corpusBinaryVersion = uint32(1)
 
+// maxCorpusHeaderWord bounds the header's n, walks-per-vertex and length
+// words; ScanCorpusBinary rejects anything larger.
+const maxCorpusHeaderWord = 1 << 30
+
 // GenerateCorpus runs spec's walks through the grouped engine in waves and
 // streams the encoded corpus to w, returning the walk and step counts. The
 // corpus never resides in memory: a wave of up to ~16k walks runs as trial
@@ -261,8 +208,8 @@ func (e *Engine) GenerateCorpus(spec CorpusSpec, w io.Writer) (CorpusStats, erro
 	if spec.Length < 1 {
 		return CorpusStats{}, fmt.Errorf("walk: corpus requires Length >= 1, got %d", spec.Length)
 	}
-	if int64(spec.Length) > MaxGroupedRounds {
-		return CorpusStats{}, fmt.Errorf("walk: corpus length %d exceeds %d rounds", spec.Length, MaxGroupedRounds)
+	if spec.Length > maxCorpusHeaderWord {
+		return CorpusStats{}, fmt.Errorf("walk: corpus length %d exceeds the format's %d-round cap", spec.Length, maxCorpusHeaderWord)
 	}
 	if spec.Format != CorpusText && spec.Format != CorpusBinary {
 		return CorpusStats{}, fmt.Errorf("walk: unknown corpus format %d", spec.Format)
@@ -415,7 +362,7 @@ func ScanCorpusBinary(r io.Reader, fn func(walk []int32) error) (CorpusHeader, e
 		if err != nil {
 			return CorpusHeader{}, err
 		}
-		if v > 1<<30 {
+		if v > maxCorpusHeaderWord {
 			return CorpusHeader{}, fmt.Errorf("walk: unreasonable corpus header word %d", v)
 		}
 		*dst = int(v)

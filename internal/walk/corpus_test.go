@@ -151,33 +151,21 @@ func int32Bytes(s []int32) []byte {
 	return out
 }
 
-// sequentialWalk reproduces global walk t through the standalone engine
-// path documented on CorpusSpec.Seed: one walker from the walk's vertex,
-// engine seed drawn from the walk's trial stream, run to the horizon.
+// sequentialWalk reproduces global walk t as the standalone walk
+// documented on CorpusSpec.Seed — one walker from the walk's vertex, engine
+// seed drawn from the walk's trial stream, run to the horizon — through the
+// independent draw-discipline replay.
 func sequentialWalk(t *testing.T, e *Engine, spec CorpusSpec, trial int64) []int32 {
 	t.Helper()
 	var src rng.Source
 	src.Reseed(rng.StreamSeed(spec.Seed, uint64(trial)))
 	engineSeed := src.Uint64()
 	v := int32(trial / int64(spec.WalksPerVertex))
-	obs := NewPathObserver(spec.Length)
-	res, err := e.Run(RunSpec{
-		Starts:    []int32{v},
-		Seed:      engineSeed,
-		MaxRounds: int64(spec.Length),
-		Stop:      RunToHorizon(),
-	}, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stopped || res.Rounds != int64(spec.Length) {
-		t.Fatalf("sequential walk %d ended (%d,%v), want the full horizon", trial, res.Rounds, res.Stopped)
-	}
-	return obs.Path(0)
+	return append([]int32{v}, replayKernelWalk(t, e, v, engineSeed, 0, int64(spec.Length))...)
 }
 
 // TestCorpusMatchesSequentialWalks pins every corpus walk against the
-// standalone Engine.Run walk with the same derivation — the bit-for-bit
+// replay of the standalone walk with the same derivation — the bit-for-bit
 // equivalence the corpus promises — for a uniform and a non-uniform kernel.
 func TestCorpusMatchesSequentialWalks(t *testing.T) {
 	for _, kc := range corpusTestKernels() {
@@ -190,7 +178,7 @@ func TestCorpusMatchesSequentialWalks(t *testing.T) {
 		for trial, walk := range walks {
 			want := sequentialWalk(t, seq, spec, int64(trial))
 			if !bytes.Equal(int32Bytes(walk), int32Bytes(want)) {
-				t.Fatalf("%s: corpus walk %d = %v, sequential = %v", kc.name, trial, walk, want)
+				t.Fatalf("%s: corpus walk %d = %v, replay = %v", kc.name, trial, walk, want)
 			}
 			if v := int32(trial / spec.WalksPerVertex); walk[0] != v {
 				t.Fatalf("%s: walk %d starts at %d, want vertex %d", kc.name, trial, walk[0], v)
@@ -201,7 +189,7 @@ func TestCorpusMatchesSequentialWalks(t *testing.T) {
 
 // TestCorpusMultiWave forces the wave loop to split (a long Length shrinks
 // the per-wave lane cap below the walk count) and checks the output is
-// byte-identical to the single-worker run and still matches the sequential
+// byte-identical to the single-worker run and still matches the replayed
 // walks across the wave boundary — wave size must never leak into the
 // corpus.
 func TestCorpusMultiWave(t *testing.T) {
@@ -224,7 +212,7 @@ func TestCorpusMultiWave(t *testing.T) {
 	for _, trial := range []int64{0, 30, 31, 61, 62, 63} {
 		want := sequentialWalk(t, seq, spec, trial)
 		if !bytes.Equal(int32Bytes(walks[trial]), int32Bytes(want)) {
-			t.Fatalf("walk %d differs from its sequential run at a wave boundary", trial)
+			t.Fatalf("walk %d differs from its replay at a wave boundary", trial)
 		}
 	}
 }
@@ -289,10 +277,10 @@ func TestScanCorpusBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestPathObserverMatchesGrouped cross-checks the sequential PathObserver
-// against GroupPathObserver for a multi-walker lane shape (k=3), the
-// configuration the corpus itself does not exercise.
-func TestPathObserverMatchesGrouped(t *testing.T) {
+// TestGroupPathObserverMatchesReplay checks GroupPathObserver for a
+// multi-walker lane shape (k=3), the configuration the corpus itself does
+// not exercise, against the independent draw-discipline replay.
+func TestGroupPathObserverMatchesReplay(t *testing.T) {
 	g := graph.MargulisExpander(4)
 	e := NewEngine(g, EngineOptions{Workers: 2})
 	const L = 21
@@ -307,16 +295,12 @@ func TestPathObserverMatchesGrouped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial, seed := range seeds {
-		sobs := NewPathObserver(L)
-		if _, err := e.Run(RunSpec{Starts: starts, Seed: seed, MaxRounds: L, Stop: RunToHorizon()}, sobs); err != nil {
-			t.Fatal(err)
-		}
 		got := gobs.TrialPath(trial)
-		for i := range starts {
-			want := sobs.Path(i)
+		for i, s := range starts {
+			want := append([]int32{s}, replayWalk(t, e, s, seed, i, L)...)
 			for tt := 0; tt <= L; tt++ {
 				if got[tt*len(starts)+i] != want[tt] {
-					t.Fatalf("trial %d walker %d round %d: grouped %d != sequential %d",
+					t.Fatalf("trial %d walker %d round %d: grouped %d != replay %d",
 						trial, i, tt, got[tt*len(starts)+i], want[tt])
 				}
 			}

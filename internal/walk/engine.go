@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 )
 
 // This file implements the batched k-walk engine, the hot path behind every
@@ -19,22 +17,14 @@ import (
 // paying a slice-header construction and a non-inlinable shared-RNG call
 // per step. The engine instead keeps all walker state in flat arrays —
 // positions in a []int32, one xoshiro256++ stream per walker in a
-// []rng.Source — and advances the whole walker array in *batches* of
-// rounds between synchronization barriers:
-//
-//  1. Step: each worker owns a contiguous shard of walkers and advances it
-//     strictly round-major (all walkers step round t before any steps
-//     t+1), which keeps the per-walker load chains independent so the CPU
-//     overlaps their cache misses. Each walker stretches one 64-bit
-//     xoshiro draw across a *group* of rounds through a per-walker bit
-//     reservoir (see the draw discipline below), so the generator state is
-//     loaded and stored once per group instead of once per step. Each
-//     worker marks a private visited set and appends (round, vertex) to a
-//     private log — naturally sorted by round — whenever it sees a vertex
-//     for the first time.
-//  2. Merge: at the batch barrier one pass sweeps the worker logs in round
-//     order, folding them into the shared visited set and detecting the
-//     exact round at which the stop condition fired, even mid-batch.
+// []rng.Source — and advances them strictly round-major (all walkers step
+// round t before any steps t+1), which keeps the per-walker load chains
+// independent so the CPU overlaps their cache misses. Each walker
+// stretches one 64-bit xoshiro draw across a *group* of rounds through a
+// per-walker bit reservoir (see the draw discipline below), so the
+// generator state is loaded and stored once per group instead of once per
+// step. Runs are driven by the trial-lane driver of grouped.go; a single
+// run is a pass of one lane.
 //
 // Draw discipline (pinned by TestEngineMatchesWalkerReplay against an
 // independent reimplementation): walker i consumes the stream
@@ -48,29 +38,26 @@ import (
 // reduced to [0,deg) by Lemire multiply-shift. A rejected lane — a padding
 // sentinel, or Lemire's low region (probability deg/2^32) — draws a fresh
 // Uint64 and retries with its low lane, leaving the reservoir intact.
-// Batches always span whole groups, so results are bit-for-bit identical
-// for a fixed (graph, starts, seed, budget) regardless of Workers and
-// BatchRounds. Walkers overshooting the stop round inside a batch are
-// simply discarded with the rest of the batch.
+// Results are therefore bit-for-bit identical for a fixed (graph, starts,
+// seed, budget) regardless of Workers and BatchRounds.
 
 // EngineOptions tunes the batched k-walk engine. Except for Kernel, the
 // zero value selects sensible defaults and no option affects results, only
 // performance. Kernel selects the step law (and so the simulated process);
 // its zero value is the paper's uniform walk.
 type EngineOptions struct {
-	// Workers caps the goroutines stepping walker shards concurrently.
-	// 0 or negative selects runtime.NumCPU(). A run never uses more than
-	// one worker per minShardWalkers walkers, so small k stays sequential.
+	// Workers caps the goroutines stepping the lane shards of a grouped
+	// pass (the default of GroupedRunSpec.Workers). 0 or negative selects
+	// runtime.NumCPU(). A single run (Run and the KCover/KHit/...
+	// wrappers) is one lane and steps on the calling goroutine.
 	Workers int
-	// BatchRounds is the number of rounds advanced between merge barriers,
+	// BatchRounds is the number of rounds advanced between barriers,
 	// rounded up to a whole number of draw groups (the rounds one 64-bit
 	// draw funds — 2 in CSR mode, 64/s for a padded table of stride 2^s,
 	// so up to 64; non-uniform kernels draw fresh every round, so their
-	// group is 1). 0 or negative selects the default: 64 for sharded
-	// runs, 16 for single-worker runs, whose merges are cheap and whose
-	// overshoot past the stop round is pure waste. Larger batches
-	// amortize the barrier but overshoot further; results are unaffected
-	// either way.
+	// group is 1). 0 or negative selects the default: 64 for multi-worker
+	// passes, 16 for single-worker passes and single runs. Larger batches
+	// amortize the barrier; results are unaffected either way.
 	BatchRounds int
 	// Kernel is the step law the engine compiles (see kernel.go). The
 	// zero value is Uniform(). Every kernel keeps the engine's
@@ -83,15 +70,15 @@ type EngineOptions struct {
 const (
 	defaultBatchRounds    = 64
 	defaultSeqBatchRounds = 16
-	// minShardWalkers is the smallest shard worth a goroutine; below this
-	// the barrier overhead dominates the stepping work.
-	minShardWalkers = 16
+	// maxWindowRounds bounds the rounds of one window: the cover cells and
+	// the fused pair loops hold rounds relative to a lane base in 32 bits,
+	// staged through signed arithmetic, so a window stays below 2^31.
+	maxWindowRounds = int64(1) << 30
 )
 
 // Engine is a batched simulator for the paper's synchronized k-walk on one
 // fixed graph. It is immutable after construction and safe for concurrent
-// use: every run allocates (or borrows from an internal pool) its own
-// walker state.
+// use: every run borrows its own walker state from an internal pool.
 type Engine struct {
 	// Hot step-path fields stay at the top of the struct so the per-round
 	// dispatch and table lookups share cache lines.
@@ -112,13 +99,13 @@ type Engine struct {
 	group    int           // rounds funded by one 64-bit draw; batches span whole groups
 	prog     kernelProgram // compiled step law: alias tables, lazy threshold, prev-lane flag
 	workers  int
-	batch    int // rounds per barrier for sharded (multi-worker) runs
-	seqBatch int // rounds per merge for single-worker runs (overshoot is pure waste there)
+	batch    int   // rounds per barrier for multi-worker passes
+	seqBatch int   // rounds per barrier for single-worker passes
+	window   int64 // rounds between lane-base moves: a multiple of group, at most maxWindowRounds
 	g        *graph.Graph
 	kernel   Kernel
-	pool     sync.Pool // *runState, reused across runs to cut allocation churn
-	gpool    sync.Pool // *groupState, reused across grouped (trial-fused) runs
-	pair     pairTable // lazily built two-step table for the fused grouped path
+	gpool    sync.Pool // *groupState, reused across passes
+	pair     pairTable // lazily built two-step table for the fused cover path
 }
 
 const (
@@ -149,8 +136,8 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	seqBatch := batch
 	if batch <= 0 {
 		// Unset: big batches amortize the multi-worker barrier, while a
-		// single-worker run merges cheaply and only wastes its overshoot
-		// past the stop round, so it prefers short batches.
+		// single-worker pass has no barrier to amortize and prefers the
+		// finer granularity of short batches.
 		batch, seqBatch = defaultBatchRounds, defaultSeqBatchRounds
 	}
 	kernel := KernelOrUniform(opts.Kernel)
@@ -192,10 +179,11 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 			}
 		}
 	}
-	// Batches must span whole groups so the reservoir never crosses a
-	// barrier.
+	// Batches and windows span whole groups, so every window edge falls on
+	// a batch boundary and a draw group never straddles a lane's base move.
 	roundUp := func(b int) int { return (b + e.group - 1) / e.group * e.group }
 	e.batch, e.seqBatch = roundUp(batch), roundUp(seqBatch)
+	e.window = maxWindowRounds / int64(e.group) * int64(e.group)
 	return e
 }
 
@@ -246,164 +234,6 @@ func reduce32(lane, deg uint32) (idx uint32, ok bool) {
 	return uint32(m >> 32), true
 }
 
-// visitEntry records a worker-locally new vertex and the round it was
-// reached.
-type visitEntry struct {
-	t int64
-	v int32
-}
-
-// worker is one shard's private visited state; log holds its first visits
-// in round order and cur is the merge sweep's cursor into it.
-type worker struct {
-	lo, hi int
-	seen   []uint64 // view: the private buf, or the run's merged set when sharing
-	buf    []uint64
-	log    []visitEntry
-	cur    int
-}
-
-// seenWords is the length of a word-packed visited bitset over n vertices.
-func seenWords(n int) int { return (n + 63) / 64 }
-
-// testAndSet marks vertex v in the word-packed set and reports whether it
-// was already marked.
-func testAndSet(seen []uint64, v int32) bool {
-	w := seen[uint32(v)>>6]
-	bit := uint64(1) << (uint(v) & 63)
-	seen[uint32(v)>>6] = w | bit
-	return w&bit != 0
-}
-
-// compileMarkedBitset packs a marked-vertex set into a word bitset (reusing
-// buf's capacity) and reports whether the set is empty — the shared
-// marked-set compile of the sequential and grouped hit observers.
-func compileMarkedBitset(marked []bool, buf []uint64) (bitset []uint64, none bool) {
-	words := seenWords(len(marked))
-	if cap(buf) < words {
-		buf = make([]uint64, words)
-	}
-	bitset = buf[:words]
-	clear(bitset)
-	none = true
-	for v, m := range marked {
-		if m {
-			bitset[v>>6] |= 1 << uint(v&63)
-			none = false
-		}
-	}
-	return bitset, none
-}
-
-// runState is the per-run mutable state; pooled because Monte Carlo
-// estimators start thousands of short runs on one engine.
-type runState struct {
-	k       int
-	batch   int
-	pos     []int32      // current vertex per walker
-	prev    []int32      // previous vertex per walker (-1 first), for prev-lane kernels
-	streams []rng.Source // one independent stream per walker
-	res     []uint64     // per-walker bit reservoir banking the rest of a group's draw
-	seen    []uint64     // merged (global) visited set for the cover observer,
-	// word-packed (1 bit per vertex): clears between pooled runs touch n/8
-	// bytes instead of n, and a whole shard copy in preBatch is a short
-	// word-sized memmove
-	probe []uint8 // lone-worker byte probe (see logNewVisitsBytes)
-	ws    []worker
-}
-
-// newRun borrows or allocates run state for k walkers placed at starts,
-// with walker i driven by the independent stream (seed, i). workers is the
-// shard count the run will use; needSeen provisions the pooled visited-set
-// storage a CoverObserver borrows. Starts must already be validated.
-func (e *Engine) newRun(starts []int32, seed uint64, workers int, needSeen bool) *runState {
-	k := len(starts)
-	n := e.g.N()
-	st, _ := e.pool.Get().(*runState)
-	if st == nil {
-		st = &runState{}
-	}
-	st.k = k
-	st.batch = e.batch
-	if workers == 1 {
-		st.batch = e.seqBatch
-	}
-	if cap(st.pos) < k {
-		st.pos = make([]int32, k)
-		st.streams = make([]rng.Source, k)
-		st.res = make([]uint64, k)
-	}
-	st.pos, st.streams, st.res = st.pos[:k], st.streams[:k], st.res[:k]
-	if e.prog.needPrev {
-		if cap(st.prev) < k {
-			st.prev = make([]int32, k)
-		}
-		st.prev = st.prev[:k]
-		for i := range st.prev {
-			st.prev[i] = -1
-		}
-	}
-	if needSeen {
-		words := seenWords(n)
-		if cap(st.seen) < words {
-			st.seen = make([]uint64, words)
-		}
-		st.seen = st.seen[:words]
-		clear(st.seen)
-		if workers == 1 {
-			if cap(st.probe) < n {
-				st.probe = make([]uint8, n)
-			}
-			st.probe = st.probe[:n]
-			clear(st.probe)
-		}
-	}
-	for i, s := range starts {
-		st.pos[i] = s
-		st.streams[i].Reseed(rng.StreamSeed(seed, uint64(i)))
-	}
-	if cap(st.ws) < workers {
-		st.ws = make([]worker, workers)
-	}
-	st.ws = st.ws[:workers]
-	chunk := (k + workers - 1) / workers
-	for w := range st.ws {
-		ws := &st.ws[w]
-		ws.lo = min(w*chunk, k)
-		ws.hi = min(ws.lo+chunk, k)
-		if needSeen {
-			if workers == 1 {
-				// A lone worker shares the merged set directly: no per-batch
-				// copy, and every logged entry is globally new by construction.
-				ws.seen = st.seen
-			} else {
-				words := seenWords(n)
-				if cap(ws.buf) < words {
-					ws.buf = make([]uint64, words)
-				}
-				ws.buf = ws.buf[:words]
-				ws.seen = ws.buf
-			}
-			if ws.log == nil {
-				ws.log = make([]visitEntry, 0, 128)
-			}
-		}
-	}
-	return st
-}
-
-// workersFor picks the shard count for k walkers.
-func (e *Engine) workersFor(k int) int {
-	w := e.workers
-	if limit := k / minShardWalkers; w > limit {
-		w = limit
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // The step kernels below advance one round for walkers [lo,hi), writing
 // only pos/streams/res — after a round-major step pass, pos[lo:hi] IS the
 // round's frontier, and the cover/hit bookkeeping runs as a separate tight
@@ -415,7 +245,7 @@ func (e *Engine) workersFor(k int) int {
 // stepRoundDrawPad: the first round of a group draws one Uint64, steps by
 // its low lane, and banks the remaining bits in the reservoir. Sentinel
 // slots redraw with a fresh Uint64's low lane, reservoir intact.
-func (e *Engine) stepRoundDrawPad(st *runState, lo, hi int) {
+func (e *Engine) stepRoundDrawPad(st *walkers, lo, hi int) {
 	pad, shift := e.pad, e.padShift
 	mask := uint64(1)<<shift - 1
 	pos := st.pos[lo:hi]
@@ -440,7 +270,7 @@ func (e *Engine) stepRoundDrawPad(st *runState, lo, hi int) {
 // stepRoundConsumePad: later rounds of a group shift the next lane out of
 // the reservoir, touching no RNG state at all unless a sentinel forces a
 // redraw.
-func (e *Engine) stepRoundConsumePad(st *runState, lo, hi int) {
+func (e *Engine) stepRoundConsumePad(st *walkers, lo, hi int) {
 	pad, shift := e.pad, e.padShift
 	mask := uint64(1)<<shift - 1
 	pos := st.pos[lo:hi]
@@ -465,7 +295,7 @@ func (e *Engine) stepRoundConsumePad(st *runState, lo, hi int) {
 // stepRoundDrawCSR / stepRoundConsumeCSR are the general-graph variants
 // (g = 2): the draw's low and high 32 bits are Lemire-reduced against the
 // packed (offset,degree) CSR metadata.
-func (e *Engine) stepRoundDrawCSR(st *runState, lo, hi int) {
+func (e *Engine) stepRoundDrawCSR(st *walkers, lo, hi int) {
 	vtx, adj := e.vtx, e.adj
 	pos := st.pos[lo:hi]
 	streams := st.streams[lo:hi]
@@ -487,7 +317,7 @@ func (e *Engine) stepRoundDrawCSR(st *runState, lo, hi int) {
 	}
 }
 
-func (e *Engine) stepRoundConsumeCSR(st *runState, lo, hi int) {
+func (e *Engine) stepRoundConsumeCSR(st *walkers, lo, hi int) {
 	vtx, adj := e.vtx, e.adj
 	pos := st.pos[lo:hi]
 	streams := st.streams[lo:hi]
@@ -512,7 +342,7 @@ func (e *Engine) stepRoundConsumeCSR(st *runState, lo, hi int) {
 // group's first round draws. Non-uniform kernels dispatch to their compiled
 // step function (kernelstep.go); the switch costs one predictable branch
 // per round per shard, which is noise next to the per-walker stepping work.
-func (e *Engine) stepRound(st *runState, lo, hi int, t int64) {
+func (e *Engine) stepRound(st *walkers, lo, hi int, t int64) {
 	switch e.prog.kind {
 	case progLazy:
 		if e.pad != nil {
@@ -544,301 +374,40 @@ func (e *Engine) stepRound(st *runState, lo, hi int, t int64) {
 	}
 }
 
-// logNewVisits folds one round's frontier into a shard's word-packed seen
-// set, logging first visits; it is the sharded cover observer's scan
-// kernel.
-func logNewVisits(pos []int32, seen []uint64, log []visitEntry, t int64) []visitEntry {
-	log = slices.Grow(log, len(pos))
-	buf := log[:cap(log)]
-	c := len(log)
-	for _, p := range pos {
-		w := seen[uint32(p)>>6]
-		bit := uint64(1) << (uint(p) & 63)
-		buf[c] = visitEntry{t: t, v: p}
-		c += int(w>>(uint(p)&63))&1 ^ 1
-		seen[uint32(p)>>6] = w | bit
+// Run executes one synchronized k-walk described by spec against the
+// given observers and returns the exact round the stop condition fired.
+// The run is a one-lane pass of the trial-lane driver: walker i is driven
+// by the independent stream (spec.Seed, i), and after every round the stop
+// condition is evaluated from the observers' satisfaction rounds, so the
+// run halts at the exact round it first held and every observer reports
+// its state at that round. Results are bit-for-bit identical for a fixed
+// (graph, kernel, spec, observers) regardless of Workers and BatchRounds.
+// A budget <= 0 observes only the round-0 placement.
+func (e *Engine) Run(spec RunSpec, observers ...Observer) (RunResult, error) {
+	if len(observers) == 0 {
+		return RunResult{}, fmt.Errorf("walk: run requires at least one observer")
 	}
-	return buf[:c]
-}
-
-// logNewVisitsBytes is the lone-worker variant of logNewVisits probing a
-// byte array. The loop is branchless — the entry is written unconditionally
-// and the cursor advances by the complement of the seen byte — because
-// mid-coverage the "already seen?" branch is a coin flip and the
-// mispredictions would dominate the scan. Byte probes beat word-packed
-// probes here: consecutive walkers landing in the same 64-vertex word chain
-// read-modify-write stalls that byte-granular stores sidestep (measured
-// ~25% slower end-to-end on the k=64 expander cover when this loop probes
-// the packed set directly), so the lone worker keeps a flat byte probe and
-// the word-packed set stays the merge-side representation.
-func logNewVisitsBytes(pos []int32, probe []uint8, log []visitEntry, t int64) []visitEntry {
-	log = slices.Grow(log, len(pos))
-	buf := log[:cap(log)]
-	c := len(log)
-	for _, p := range pos {
-		buf[c] = visitEntry{t: t, v: p}
-		c += 1 - int(probe[p])
-		probe[p] = 1
-	}
-	return buf[:c]
-}
-
-// scanMarked returns the in-shard index of the first walker standing on a
-// marked vertex this round, or -1; it is the hit observer's scan kernel.
-func scanMarked(pos []int32, marked []uint64) int {
-	for ii, p := range pos {
-		if marked[p>>6]&(1<<uint(p&63)) != 0 {
-			return ii
-		}
-	}
-	return -1
-}
-
-func (st *runState) resetLogs() {
-	for w := range st.ws {
-		st.ws[w].log = st.ws[w].log[:0]
-	}
-}
-
-// each runs fn over the run's workers — concurrently when the run is
-// sharded. It is the only synchronization point of a run: everything fn
-// touches is shard-private, and the merges after the barrier see every
-// shard's whole batch.
-func (st *runState) each(fn func(w int, ws *worker)) {
-	if len(st.ws) == 1 {
-		fn(0, &st.ws[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for w := range st.ws {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w, &st.ws[w])
-		}()
-	}
-	wg.Wait()
-}
-
-// validateSpec checks a run's shape up front so out-of-range vertex ids
-// surface as descriptive errors instead of index panics inside the hot
-// loop, and fills the spec's defaults.
-func (e *Engine) validateSpec(spec *RunSpec, obs []Observer) error {
-	if len(obs) == 0 {
-		return fmt.Errorf("walk: run requires at least one observer")
-	}
-	k := len(spec.Starts)
-	if k == 0 {
-		return fmt.Errorf("walk: k-walk requires at least one walker")
-	}
-	n := e.g.N()
-	for i, s := range spec.Starts {
-		if s < 0 || int(s) >= n {
-			return fmt.Errorf("walk: start[%d] = %d out of range [0,%d)", i, s, n)
-		}
-	}
+	lanes := make([]GroupObserver, len(observers))
 	covers := 0
-	for _, o := range obs {
-		if err := o.validate(n, k); err != nil {
-			return err
-		}
+	for i, o := range observers {
+		lanes[i] = o.laneObserver()
 		if _, ok := o.(*CoverObserver); ok {
 			covers++
 		}
 	}
 	if covers > 1 {
-		return fmt.Errorf("walk: at most one CoverObserver per run (it owns the pooled visited set)")
+		return RunResult{}, fmt.Errorf("walk: at most one CoverObserver per run")
 	}
-	if spec.Stop == nil {
-		spec.Stop = StopWhenAll()
+	stop := spec.Stop
+	if stop == nil {
+		stop = StopWhenAll()
 	}
-	return nil
-}
-
-// Run executes one synchronized k-walk described by spec against the
-// given observers and returns the exact round the stop condition fired.
-// Walker i is driven by the independent stream (spec.Seed, i), scans are
-// shard-private, and merges are round-ordered, so every result — the stop
-// round and all observer state — is bit-for-bit identical for a fixed
-// (graph, kernel, spec, observers) regardless of Workers and BatchRounds.
-//
-// Two observer sets are recognized as fused fast paths that keep the
-// padded/bit-reservoir stepping kernels and the mid-batch early exits: a
-// single CoverObserver (every cover/partial-cover/first-visit/multi-target
-// workload) and a single HitObserver. All other sets run the generic loop.
-func (e *Engine) Run(spec RunSpec, observers ...Observer) (RunResult, error) {
-	if err := e.validateSpec(&spec, observers); err != nil {
+	var res GroupedResult
+	pass := GroupedRunSpec{Trials: 1, Starts: spec.Starts, Seeds: []uint64{spec.Seed}, MaxRounds: spec.MaxRounds, Workers: 1}
+	if err := e.runPass(pass, stop, &res, lanes); err != nil {
 		return RunResult{}, err
 	}
-	needSeen := false
-	for _, o := range observers {
-		if _, ok := o.(*CoverObserver); ok {
-			needSeen = true
-		}
-	}
-	st := e.newRun(spec.Starts, spec.Seed, e.workersFor(len(spec.Starts)), needSeen)
-	defer e.pool.Put(st)
-	for _, o := range observers {
-		o.reset(e, st, spec.Starts)
-	}
-	if r := spec.Stop.stop(observers); r >= 0 {
-		return RunResult{Rounds: r, Stopped: true}, nil
-	}
-	if spec.MaxRounds <= 0 {
-		return RunResult{Rounds: spec.MaxRounds}, nil
-	}
-	if len(observers) == 1 && satisfactionStop(spec.Stop) {
-		switch o := observers[0].(type) {
-		case *CoverObserver:
-			return e.runCover(st, spec, o), nil
-		case *HitObserver:
-			return e.runHit(st, spec, o), nil
-		}
-	}
-	return e.runGeneric(st, spec, observers), nil
-}
-
-// satisfactionStop reports whether stop fires exactly when the run's sole
-// observer is satisfied — the contract the fused loops implement.
-// RunToHorizon must take the generic loop even for a single observer.
-func satisfactionStop(s StopCondition) bool {
-	switch s.(type) {
-	case stopWhenAll, stopWhenAny:
-		return true
-	}
-	return false
-}
-
-// batchFor clamps the run's batch length to the remaining budget.
-func (st *runState) batchFor(t0, maxRounds int64) int {
-	b := st.batch
-	if int64(b) > maxRounds-t0 {
-		b = int(maxRounds - t0)
-	}
-	return b
-}
-
-// runCover is the fused driver for a lone CoverObserver. A lone worker
-// shares the merged visited set, so it sees the exact global count and
-// stops mid-batch with no overshoot once a pure count goal is reached;
-// sharded workers always run the full batch and let the merge find the
-// exact stop round.
-func (e *Engine) runCover(st *runState, spec RunSpec, cov *CoverObserver) RunResult {
-	early := -1
-	if cov.sharedSeen && cov.earlyTarget > 0 {
-		early = cov.earlyTarget
-	}
-	for t0 := int64(0); t0 < spec.MaxRounds; {
-		b := st.batchFor(t0, spec.MaxRounds)
-		cov.preBatch(st)
-		st.each(func(w int, ws *worker) {
-			// The mode branch lives outside the round loop so each round
-			// pays one direct call into its scan kernel — the shape the
-			// compiler kept when CoverObserver.scan was still inlinable.
-			if cov.sharedSeen {
-				for j := 0; j < b; j++ {
-					t := t0 + int64(j) + 1
-					e.stepRound(st, ws.lo, ws.hi, t)
-					ws.log = logNewVisitsBytes(st.pos[ws.lo:ws.hi], cov.probe, ws.log, t)
-					if early > 0 && cov.count+len(ws.log) >= early {
-						return
-					}
-				}
-				return
-			}
-			for j := 0; j < b; j++ {
-				t := t0 + int64(j) + 1
-				e.stepRound(st, ws.lo, ws.hi, t)
-				ws.log = logNewVisits(st.pos[ws.lo:ws.hi], ws.seen, ws.log, t)
-			}
-		})
-		cov.beginMerge(st, b, t0)
-		for t := t0 + 1; t <= t0+int64(b); t++ {
-			cov.mergeRound(st, t)
-			if s := cov.satisfied; s >= 0 {
-				cov.endMerge(st)
-				return RunResult{Rounds: s, Stopped: true}
-			}
-		}
-		cov.endMerge(st)
-		t0 += int64(b)
-	}
-	return RunResult{Rounds: spec.MaxRounds}
-}
-
-// runHit is the fused driver for a lone HitObserver: each shard stops
-// stepping at the end of the first round it holds a hit, and the merge
-// resolves the earliest round (lowest walker index within it) exactly.
-func (e *Engine) runHit(st *runState, spec RunSpec, hit *HitObserver) RunResult {
-	if hit.none {
-		// Nothing is marked; stepping the budget down cannot change that.
-		return RunResult{Rounds: spec.MaxRounds}
-	}
-	for t0 := int64(0); t0 < spec.MaxRounds; {
-		b := st.batchFor(t0, spec.MaxRounds)
-		hit.preBatch(st)
-		st.each(func(w int, ws *worker) {
-			for j := 0; j < b; j++ {
-				t := t0 + int64(j) + 1
-				e.stepRound(st, ws.lo, ws.hi, t)
-				if hit.scan(st, ws, w, t); hit.cand[w].t >= 0 {
-					return
-				}
-			}
-		})
-		hit.beginMerge(st, b, t0)
-		for t := t0 + 1; t <= t0+int64(b); t++ {
-			hit.mergeRound(st, t)
-			if s := hit.satisfied; s >= 0 {
-				hit.endMerge(st)
-				return RunResult{Rounds: s, Stopped: true}
-			}
-		}
-		hit.endMerge(st)
-		t0 += int64(b)
-	}
-	return RunResult{Rounds: spec.MaxRounds}
-}
-
-// runGeneric drives an arbitrary observer set: every shard runs the full
-// batch invoking each observer's scan hook after every round, and the
-// barrier merges rounds one at a time — evaluating the stop condition
-// after each — so the run halts at the exact round the condition first
-// held and no observer ever merges state past it.
-func (e *Engine) runGeneric(st *runState, spec RunSpec, obs []Observer) RunResult {
-	for t0 := int64(0); t0 < spec.MaxRounds; {
-		b := st.batchFor(t0, spec.MaxRounds)
-		for _, o := range obs {
-			o.preBatch(st)
-		}
-		st.each(func(w int, ws *worker) {
-			for j := 0; j < b; j++ {
-				t := t0 + int64(j) + 1
-				e.stepRound(st, ws.lo, ws.hi, t)
-				for _, o := range obs {
-					o.scan(st, ws, w, t)
-				}
-			}
-		})
-		for _, o := range obs {
-			o.beginMerge(st, b, t0)
-		}
-		stopped := int64(-1)
-		for t := t0 + 1; t <= t0+int64(b) && stopped < 0; t++ {
-			for _, o := range obs {
-				o.mergeRound(st, t)
-			}
-			stopped = spec.Stop.stop(obs)
-		}
-		for _, o := range obs {
-			o.endMerge(st)
-		}
-		if stopped >= 0 {
-			return RunResult{Rounds: stopped, Stopped: true}
-		}
-		t0 += int64(b)
-	}
-	return RunResult{Rounds: spec.MaxRounds}
+	return RunResult{Rounds: res.Rounds[0], Stopped: res.Stopped[0]}, nil
 }
 
 // mustRun is the shim behind the legacy convenience wrappers, which keep
@@ -935,17 +504,7 @@ func (e *Engine) PartialCoverCurve(starts []int32, fractions []float64, seed uin
 	if len(fractions) == 0 {
 		return PartialCoverResult{}, fmt.Errorf("walk: PartialCoverCurve requires at least one fraction")
 	}
-	// The observer wants nondecreasing thresholds; sort through an index
-	// permutation and report rounds in the caller's order.
-	order := make([]int, len(fractions))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return fractions[order[a]] < fractions[order[b]] })
-	sorted := make([]float64, len(fractions))
-	for i, idx := range order {
-		sorted[i] = fractions[idx]
-	}
+	order, sorted := sortedFractions(fractions)
 	cov := NewPartialCoverObserver(sorted)
 	res, err := e.Run(RunSpec{Starts: starts, Seed: seed, MaxRounds: maxRounds}, cov)
 	if err != nil {
@@ -958,10 +517,25 @@ func (e *Engine) PartialCoverCurve(starts []int32, fractions []float64, seed uin
 	return PartialCoverResult{Rounds: rounds, FinalRound: res.Rounds, Complete: res.Stopped}, nil
 }
 
+// sortedFractions returns fractions in nondecreasing order — the order
+// cover thresholds take — with order[i] the caller's index of sorted[i].
+func sortedFractions(fractions []float64) (order []int, sorted []float64) {
+	order = make([]int, len(fractions))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return fractions[order[a]] < fractions[order[b]] })
+	sorted = make([]float64, len(fractions))
+	for i, idx := range order {
+		sorted[i] = fractions[idx]
+	}
+	return order, sorted
+}
+
 // KMeetingTime runs the k-walk until any two walkers occupy the same
 // vertex at the end of a round (walkers sharing a start meet at round 0),
-// or maxRounds rounds elapse. Collisions are resolved at the batch
-// barrier, so the result is exact and independent of Workers/BatchRounds.
+// or maxRounds rounds elapse. Collisions are detected after every round,
+// so the result is exact and independent of Workers/BatchRounds.
 func (e *Engine) KMeetingTime(starts []int32, seed uint64, maxRounds int64) (MeetResult, error) {
 	m := NewMeetingObserver()
 	res, err := e.Run(RunSpec{Starts: starts, Seed: seed, MaxRounds: maxRounds}, m)

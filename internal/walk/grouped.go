@@ -7,48 +7,46 @@ import (
 	"manywalks/internal/rng"
 )
 
-// This file implements the trial-fused Monte Carlo driver: RunGrouped steps
-// Trials independent runs of the same shape — k walkers each, on one
-// compiled graph — as a single wide engine pass. The walker array is
-// partitioned into *trial lanes* of k walkers; lane j of the pass holds one
-// trial's walkers, with its own observer state (first-visit lane, hit flag,
-// collision tracker), its own satisfaction round, and per-walker RNG
-// streams derived exactly as the sequential path derives them:
+// This file implements the engine's one run driver. A pass steps Trials
+// independent runs of the same shape — k walkers each, on one compiled
+// graph — side by side: the walker array is partitioned into *trial
+// lanes* of k walkers; lane j of the pass holds one trial's walkers, with
+// its own observer state (first-visit cells, hit flag, collision tracker),
+// its own stop round, and per-walker RNG streams:
 //
 //	trial t's driver stream is rng.NewStream(spec.Seed, t) — the stream
 //	MonteCarlo hands its closures — from which the trial draws its
 //	placement (spec.Place) and then its engine seed (one Uint64), and
-//	walker i of the trial runs on rng.NewStream(engineSeed, i), exactly
-//	like Engine.Run. Every per-trial sample is therefore bit-for-bit
-//	equal to the sequential MonteCarlo + Engine.Run output.
+//	walker i of the trial runs on rng.NewStream(engineSeed, i).
+//
+// A single run (Engine.Run and its KCover/KHit/... wrappers) is a one-lane
+// pass whose engine seed is the run's seed, so every estimator trial is
+// bit-for-bit the single run the MonteCarlo stream derivation describes.
 //
 // Trials are independent, so lanes never interact: each lane is scanned by
 // the worker that owns it, all bookkeeping is lane-private, and a lane's
-// outcome cannot depend on Workers or batch partitioning. When a lane's
-// stop condition has fired by a merge barrier the lane *retires*: its
-// result is recorded and the position/stream/reservoir/observer lanes
-// swap-compact (the last active lane moves into its slot), so the heavy
-// tail of slow trials never drags the width of the pass — cover times are
-// heavy-tailed, and without compaction fusion would lose its win stepping
-// finished trials to the horizon.
+// outcome cannot depend on Workers or batch partitioning. After every
+// round a lane's stop rule (StopWhenAll for RunGrouped, the RunSpec's for
+// Engine.Run) is evaluated from its observers' satisfaction rounds; from
+// then on the observers ignore the lane, and at the next barrier it
+// *retires*: its result is recorded and the position/stream/reservoir/
+// observer lanes swap-compact (the last active lane moves into its slot),
+// so the heavy tail of slow trials never drags the width of the pass.
 //
-// Two step paths drive the lanes. The uniform kernel on a padded graph
-// runs the fused two-step loop of groupedfused.go (pair transition table,
-// block-generated draws, inline first-visit scan). Everything else — the
-// non-uniform kernels, CSR-mode graphs, and the hit/collision observers —
-// runs the generic path below: the engine's own stepRound over the whole
-// active width, with per-round lane scans. Both paths produce identical
-// per-trial results; TestFusedMatchesSequentialTrials pins them against
-// the sequential engine across a Workers × BatchRounds grid.
-
-// MaxGroupedRounds is the largest MaxRounds RunGrouped accepts: first-visit
-// lanes store rounds as uint32 (with ^0 as the unset sentinel) and the fused
-// pair passes stage them through signed 32-bit arithmetic, so round 2^31-1
-// is the last representable and a budget of exactly 2^31 must already take
-// the sequential path. Estimators with larger budgets fall back to the
-// sequential MonteCarlo path automatically; external callers (netsim query
-// sweeps, the serving coalescer) gate on this constant the same way.
-const MaxGroupedRounds = int64(1)<<31 - 1
+// Two step paths drive the lanes. A lone cover observer under the uniform
+// kernel with a small pair table runs the fused two-step loop of
+// groupedfused.go (pair transition table, block-generated draws, inline
+// first-visit scan). Everything else — the non-uniform kernels, CSR-mode
+// graphs, large pair tables, and every other observer set — runs the
+// generic path below: the engine's stepRound over the whole active width,
+// with per-round lane scans. Both paths produce identical per-trial
+// results.
+//
+// Rounds are int64 everywhere except the cover observer's first-visit
+// cells and the fused pair loops, which hold round t relative to the
+// window it falls in (windowBase) in 32 bits; passes advance in windows of
+// e.window rounds and rebase the cells of every running lane at each
+// window edge, so any budget is accepted.
 
 // GroupedRunSpec describes Trials independent k-walk runs of one shape.
 type GroupedRunSpec struct {
@@ -86,8 +84,7 @@ type GroupedRunSpec struct {
 	// (len Trials), bypassing the Seed/Place derivation — the shape of
 	// callers like the netsim query sweeps that pick per-query seeds.
 	Seeds []uint64
-	// MaxRounds is the per-trial round budget (required, > 0, and at most
-	// MaxGroupedRounds).
+	// MaxRounds is the per-trial round budget (required, > 0).
 	MaxRounds int64
 	// Workers caps the goroutines stepping lane shards (0: the engine's
 	// worker count). Results never depend on it.
@@ -107,11 +104,11 @@ type GroupedResult struct {
 	Converged bool
 }
 
-// GroupObserver watches the trial lanes of one grouped run. Like Observer,
-// the method set is unexported: the determinism contract (lane-private
-// scans by the owning worker, slot-stable per-trial state) is internal to
-// this package. Lane state is indexed through slots that survive
-// compaction, so retiring a trial never copies observer lanes.
+// GroupObserver watches the trial lanes of one pass. The method set is
+// unexported: the determinism contract (lane-private scans by the owning
+// worker, slot-stable per-trial state) is internal to this package. Lane
+// state is indexed through slots that survive compaction, so retiring a
+// trial never copies observer lanes.
 type GroupObserver interface {
 	// validateGroup checks configuration against the run shape.
 	validateGroup(n, k, trials int) error
@@ -122,14 +119,17 @@ type GroupObserver interface {
 	// startLane binds lane ln to trial and observes its round-0 placement.
 	startLane(ln, trial int, starts []int32)
 	// scanRound is called by worker w after round t's step pass with lanes
-	// [loLane, hiLane) fresh in gs.pos. It may touch only lane-private and
-	// worker-private state.
+	// [loLane, hiLane) fresh in gs.pos. It skips lanes whose stop rule has
+	// fired (gs.stopAt[ln] >= 0), touches only lane-private and
+	// worker-private state, and appends to gs.fired[w] every lane whose
+	// predicate first held at round t.
 	scanRound(gs *groupState, loLane, hiLane, w int, t int64)
 	// laneSatisfied returns the first round lane ln's predicate held, or
 	// -1. Monotone per lane.
 	laneSatisfied(ln int) int64
-	// finishLane records lane ln's terminal state into trial-indexed
-	// storage at retirement (single-threaded, at a barrier).
+	// finishLane records lane ln's state at round rounds — the round its
+	// stop rule fired, or the budget — into trial-indexed storage at
+	// retirement (single-threaded, at a barrier).
 	finishLane(ln, trial int, rounds int64, stopped bool)
 	// moveLane relocates lane src's state onto slot dst during compaction
 	// (slot indirections swap; no lane content is copied).
@@ -137,8 +137,8 @@ type GroupObserver interface {
 }
 
 // neverSatisfiable lets an observer prove up front that no amount of
-// stepping can satisfy it, so the driver can censor its trials without
-// running them.
+// stepping can satisfy it, so the driver can censor a lone observer's
+// trials without running them.
 type neverSatisfiable interface {
 	neverSatisfied() bool
 }
@@ -150,23 +150,47 @@ type laneCelled interface {
 	perLaneCells(n int) int
 }
 
-// groupState is the mutable state of one grouped chunk: the embedded
-// runState holds the fused walker arrays (pos/streams/res/prev sized
-// lanes × k), so the engine's stepRound kernels drive the compacted lane
-// set unchanged.
+// windowed is implemented by observers that hold rounds in 32-bit cells
+// relative to windowBase: at each window edge base the driver rebases the
+// cells of every running lane.
+type windowed interface {
+	rebaseLane(ln int, base int64)
+}
+
+// windowBase returns the first round of the window holding round t — the
+// round a relative cell value of 0 stands for: windows of w rounds cover
+// rounds (base, base+w], and rounds <= 0 belong to the first.
+func windowBase(t, w int64) int64 {
+	return max(t-1, 0) / w * w
+}
+
+// walkers is the flat walker state the step kernels advance: walker i
+// stands on pos[i] (and came from prev[i] for prev-lane kernels), draws
+// from streams[i], and banks the rest of a draw group's bits in res[i].
+type walkers struct {
+	pos     []int32
+	prev    []int32 // -1 before the first step; only for prev-lane kernels
+	streams []rng.Source
+	res     []uint64
+}
+
+// groupState is the mutable state of one chunk of a pass: the walker
+// arrays sized lanes × k plus the lane bookkeeping.
 type groupState struct {
-	runState
+	walkers
 	laneK      int        // walkers per lane
 	lanes      int        // active lanes; lane j owns walkers [j*laneK, (j+1)*laneK)
 	laneTrial  []int32    // active lane -> trial index
+	stopAt     []int64    // active lane -> round its stop rule fired, -1 while it runs
+	fired      [][]int32  // per worker: lanes whose observers' predicates first held this round
 	laneStarts []int32    // seeding scratch, len laneK
 	driver     rng.Source // per-trial driver-stream scratch (pooled: its pointer flows into spec.Place, so a local would escape)
 	wg         sync.WaitGroup
 }
 
 // newGroupState borrows or allocates chunk state for lanes trial lanes of
-// k walkers each.
-func (e *Engine) newGroupState(lanes, k int) *groupState {
+// k walkers each, scanned by at most workers goroutines.
+func (e *Engine) newGroupState(lanes, k, workers int) *groupState {
 	gst, _ := e.gpool.Get().(*groupState)
 	if gst == nil {
 		gst = &groupState{}
@@ -174,23 +198,20 @@ func (e *Engine) newGroupState(lanes, k int) *groupState {
 	width := lanes * k
 	gst.laneK = k
 	gst.lanes = lanes
-	gst.k = width
-	if cap(gst.pos) < width {
-		gst.pos = make([]int32, width)
-		gst.streams = make([]rng.Source, width)
-		gst.res = make([]uint64, width)
-	}
-	gst.pos, gst.streams, gst.res = gst.pos[:width], gst.streams[:width], gst.res[:width]
+	gst.pos = growSlice(gst.pos, width)
+	gst.streams = growSlice(gst.streams, width)
+	gst.res = growSlice(gst.res, width)
 	if e.prog.needPrev {
-		if cap(gst.prev) < width {
-			gst.prev = make([]int32, width)
-		}
-		gst.prev = gst.prev[:width]
+		gst.prev = growSlice(gst.prev, width)
+	} else {
+		gst.prev = nil
 	}
-	if cap(gst.laneTrial) < lanes {
-		gst.laneTrial = make([]int32, lanes)
+	gst.laneTrial = growSlice(gst.laneTrial, lanes)
+	gst.stopAt = growSlice(gst.stopAt, lanes)
+	gst.fired = growSlice(gst.fired, max(workers, 1))
+	for w := range gst.fired {
+		gst.fired[w] = gst.fired[w][:0]
 	}
-	gst.laneTrial = gst.laneTrial[:lanes]
 	gst.laneStarts = growSlice(gst.laneStarts, k)
 	return gst
 }
@@ -222,6 +243,7 @@ func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
 			copy(gst.prev[d:d+k], gst.prev[s:s+k])
 		}
 		gst.laneTrial[ln] = gst.laneTrial[last]
+		gst.stopAt[ln] = gst.stopAt[last]
 		for _, o := range obs {
 			o.moveLane(ln, last)
 		}
@@ -229,8 +251,8 @@ func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
 	gst.lanes--
 }
 
-// groupChunkLanes bounds the number of concurrent lanes so the fused pass
-// stays cache-resident: at most maxGroupWalkers walkers, and at most
+// groupChunkLanes bounds the number of concurrent lanes so the pass stays
+// cache-resident: at most maxGroupWalkers walkers, and at most
 // maxGroupLaneCells observer lane cells (cellsPerLane is the widest
 // per-lane cell state any observer of the run allocates — zero for
 // observers like the hit lanes whose per-lane state is O(1), which then
@@ -256,7 +278,9 @@ func groupChunkLanes(trials, k, cellsPerLane int) int {
 	return lanes
 }
 
-// validateGrouped checks the spec and fills defaults.
+// validateGrouped checks the spec and fills defaults. The budget is not
+// checked here: RunGroupedInto requires it positive, while a single run
+// with a budget <= 0 only observes its placement.
 func (e *Engine) validateGrouped(spec *GroupedRunSpec, obs []GroupObserver) error {
 	if len(obs) == 0 {
 		return fmt.Errorf("walk: grouped run requires at least one observer")
@@ -267,12 +291,6 @@ func (e *Engine) validateGrouped(spec *GroupedRunSpec, obs []GroupObserver) erro
 	k := len(spec.Starts)
 	if k == 0 {
 		return fmt.Errorf("walk: k-walk requires at least one walker")
-	}
-	if spec.MaxRounds <= 0 {
-		return fmt.Errorf("walk: grouped run requires MaxRounds > 0, got %d", spec.MaxRounds)
-	}
-	if spec.MaxRounds > MaxGroupedRounds {
-		return fmt.Errorf("walk: grouped run budget %d exceeds %d rounds; use the sequential path", spec.MaxRounds, MaxGroupedRounds)
 	}
 	if spec.Seeds != nil {
 		if len(spec.Seeds) != spec.Trials {
@@ -304,13 +322,13 @@ func (e *Engine) validateGrouped(spec *GroupedRunSpec, obs []GroupObserver) erro
 	return nil
 }
 
-// RunGrouped executes spec.Trials independent runs as fused trial-lane
-// passes and returns every trial's outcome. A trial stops at the first
-// round all observers are satisfied for its lane (the StopWhenAll
-// contract); trials that exhaust MaxRounds report it with Stopped false.
-// Per-trial results are bit-for-bit equal to running each trial through
-// Engine.Run with the derivation documented on GroupedRunSpec, regardless
-// of Workers, batch partitioning, and chunking.
+// RunGrouped executes spec.Trials independent runs as trial-lane passes
+// and returns every trial's outcome. A trial stops at the first round all
+// observers are satisfied for its lane (the StopWhenAll contract); trials
+// that exhaust MaxRounds report it with Stopped false. Per-trial results
+// are bit-for-bit equal to running each trial through Engine.Run with the
+// derivation documented on GroupedRunSpec, regardless of Workers, batch
+// partitioning, and chunking.
 func (e *Engine) RunGrouped(spec GroupedRunSpec, observers ...GroupObserver) (GroupedResult, error) {
 	var res GroupedResult
 	if err := e.RunGroupedInto(spec, &res, observers...); err != nil {
@@ -327,6 +345,16 @@ func (e *Engine) RunGrouped(spec GroupedRunSpec, observers ...GroupObserver) (Gr
 // point removes the last per-pass make — the shape the serving layer's
 // dispatch ticks run. On error the contents of res are unspecified.
 func (e *Engine) RunGroupedInto(spec GroupedRunSpec, res *GroupedResult, observers ...GroupObserver) error {
+	if spec.MaxRounds <= 0 {
+		return fmt.Errorf("walk: grouped run requires MaxRounds > 0, got %d", spec.MaxRounds)
+	}
+	return e.runPass(spec, stopWhenAll{}, res, observers)
+}
+
+// runPass is the driver behind RunGroupedInto and Engine.Run: it runs the
+// spec's trials in chunks of lanes, each lane halting at the first round
+// stop fires for it.
+func (e *Engine) runPass(spec GroupedRunSpec, stop StopCondition, res *GroupedResult, observers []GroupObserver) error {
 	if err := e.validateGrouped(&spec, observers); err != nil {
 		return err
 	}
@@ -334,30 +362,22 @@ func (e *Engine) RunGroupedInto(spec GroupedRunSpec, res *GroupedResult, observe
 	cellsPerLane := 0
 	for _, o := range observers {
 		if lc, ok := o.(laneCelled); ok {
-			if c := lc.perLaneCells(e.g.N()); c > cellsPerLane {
-				cellsPerLane = c
-			}
+			cellsPerLane = max(cellsPerLane, lc.perLaneCells(e.g.N()))
 		}
 	}
 	chunk := groupChunkLanes(spec.Trials, k, cellsPerLane)
-	workers := spec.Workers
-	if workers > chunk {
-		workers = chunk
-	}
+	workers := min(spec.Workers, chunk)
 	for _, o := range observers {
 		o.bindGroup(e, spec.Trials, chunk, k, workers)
 	}
 	res.Rounds = growSlice(res.Rounds, spec.Trials)
 	res.Stopped = growSlice(res.Stopped, spec.Trials)
 	res.Waves, res.Converged = 0, false
-	gst := e.newGroupState(chunk, k)
+	gst := e.newGroupState(chunk, k, workers)
 	defer e.gpool.Put(gst)
 	for c0 := 0; c0 < spec.Trials; c0 += chunk {
-		m := chunk
-		if m > spec.Trials-c0 {
-			m = spec.Trials - c0
-		}
-		if err := e.runGroupedChunk(gst, &spec, observers, res, c0, m); err != nil {
+		m := min(chunk, spec.Trials-c0)
+		if err := e.runGroupedChunk(gst, &spec, stop, observers, res, c0, m); err != nil {
 			return err
 		}
 	}
@@ -365,7 +385,7 @@ func (e *Engine) RunGroupedInto(spec GroupedRunSpec, res *GroupedResult, observe
 }
 
 // seedLane derives and installs trial's placement and walker streams into
-// lane ln, mirroring the sequential derivation exactly.
+// lane ln.
 func (e *Engine) seedLane(gst *groupState, spec *GroupedRunSpec, ln, trial int) error {
 	k := gst.laneK
 	driver := &gst.driver
@@ -412,27 +432,11 @@ func (e *Engine) seedLane(gst *groupState, spec *GroupedRunSpec, ln, trial int) 
 	return nil
 }
 
-// stopRoundAll mirrors StopWhenAll for one lane: the max of the observers'
-// satisfaction rounds, or -1 if any is unsatisfied.
-func stopRoundAll(obs []GroupObserver, ln int) int64 {
-	r := int64(0)
-	for _, o := range obs {
-		s := o.laneSatisfied(ln)
-		if s < 0 {
-			return -1
-		}
-		if s > r {
-			r = s
-		}
-	}
-	return r
-}
-
-// retireSatisfied records and compacts every active lane whose stop
-// condition has fired (single-threaded; called at barriers).
-func retireSatisfied(gst *groupState, obs []GroupObserver, res *GroupedResult) {
+// retireStopped records and compacts every active lane whose stop rule
+// has fired (single-threaded; called at barriers).
+func retireStopped(gst *groupState, obs []GroupObserver, res *GroupedResult) {
 	for ln := 0; ln < gst.lanes; {
-		s := stopRoundAll(obs, ln)
+		s := gst.stopAt[ln]
 		if s < 0 {
 			ln++
 			continue
@@ -448,10 +452,9 @@ func retireSatisfied(gst *groupState, obs []GroupObserver, res *GroupedResult) {
 }
 
 // runGroupedChunk drives trials [c0, c0+m) to completion.
-func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, obs []GroupObserver, res *GroupedResult, c0, m int) error {
+func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop StopCondition, obs []GroupObserver, res *GroupedResult, c0, m int) error {
 	k := gst.laneK
 	gst.lanes = m
-	gst.k = m * k
 	for ln := 0; ln < m; ln++ {
 		if err := e.seedLane(gst, spec, ln, c0+ln); err != nil {
 			return err
@@ -459,36 +462,33 @@ func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, obs []Gr
 		for _, o := range obs {
 			o.startLane(ln, c0+ln, gst.pos[ln*k:(ln+1)*k])
 		}
+		gst.stopAt[ln] = stop.laneStop(obs, ln)
 	}
-	retireSatisfied(gst, obs, res)
+	retireStopped(gst, obs, res)
 
-	// If any observer can prove it will never be satisfied (a hit observer
-	// with an empty marked set), no lane can ever stop: mirror the
-	// sequential runHit short-circuit and censor everything without
-	// stepping the budget down.
+	// A lone observer that can prove it will never be satisfied (a hit
+	// observer with an empty marked set) cannot change by stepping: censor
+	// its trials without stepping the budget down.
 	hopeless := false
-	for _, o := range obs {
-		if ns, ok := o.(neverSatisfiable); ok && ns.neverSatisfied() {
-			hopeless = true
-			break
-		}
+	if ns, ok := obs[0].(neverSatisfiable); ok && len(obs) == 1 {
+		hopeless = ns.neverSatisfied()
 	}
-
 	if gst.lanes > 0 && !hopeless {
-		if fused := e.fusedCoverObserver(k, obs); fused != nil {
-			e.runGroupedFusedCover(gst, spec, fused, res)
+		if cov := e.fusedCoverObserver(k, stop, obs); cov != nil {
+			e.runGroupedFusedCover(gst, spec, cov, res)
 		} else {
-			e.runGroupedGeneric(gst, spec, obs, res)
+			e.runGroupedGeneric(gst, spec, stop, obs, res)
 		}
 	}
 
-	// Budget exhausted: the trials still active are censored at MaxRounds.
+	// Budget exhausted: the trials still active are censored at MaxRounds;
+	// a budget <= 0 leaves the observers at their round-0 state.
 	for ln := 0; ln < gst.lanes; ln++ {
 		trial := int(gst.laneTrial[ln])
 		res.Rounds[trial] = spec.MaxRounds
 		res.Stopped[trial] = false
 		for _, o := range obs {
-			o.finishLane(ln, trial, spec.MaxRounds, false)
+			o.finishLane(ln, trial, max(spec.MaxRounds, 0), false)
 		}
 	}
 	gst.lanes = 0
@@ -496,10 +496,10 @@ func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, obs []Gr
 }
 
 // laneShardSpan returns worker w's contiguous lane range when lanes are
-// split across workers (the same arithmetic runState.each uses for walker
-// shards). Lane ownership — not execution order — determines every draw
-// and every scan, so the partition only has to be a pure function of
-// (lanes, workers, w) for results to be independent of scheduling.
+// split across workers. Lane ownership — not execution order — determines
+// every draw and every scan, so the partition only has to be a pure
+// function of (lanes, workers, w) for results to be independent of
+// scheduling.
 func laneShardSpan(lanes, workers, w int) (lo, hi int) {
 	chunk := (lanes + workers - 1) / workers
 	lo = min(w*chunk, lanes)
@@ -507,36 +507,37 @@ func laneShardSpan(lanes, workers, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// runGroupedGeneric is the kernel-agnostic grouped driver: every batch,
-// each worker advances its lane range round-major through the engine's
+// runGroupedGeneric is the kernel-agnostic driver: every batch, each
+// worker advances its lane range round-major through the engine's
 // stepRound and hands each fresh round to the observers' lane scans; the
-// barrier retires satisfied lanes and compacts. Batches span whole draw
-// groups, so compaction never splits a reservoir. Shards are spawned as
-// direct method calls — not closures — so a barrier costs the runtime's
-// goroutine wrappers and nothing else, and the Workers=1 path performs no
-// allocation at all.
-func (e *Engine) runGroupedGeneric(gst *groupState, spec *GroupedRunSpec, obs []GroupObserver, res *GroupedResult) {
+// barrier retires stopped lanes and compacts. Batches never cross a window
+// edge, where the cells of the lanes still running are rebased. Shards are
+// spawned as direct method calls — not closures — so a barrier costs the
+// runtime's goroutine wrappers and nothing else, and the Workers=1 path
+// performs no allocation at all.
+func (e *Engine) runGroupedGeneric(gst *groupState, spec *GroupedRunSpec, stop StopCondition, obs []GroupObserver, res *GroupedResult) {
 	// Multicore passes step the engine's full parallel batch between
 	// barriers to amortize spawn cost; the singleton path keeps the shorter
-	// sequential batch (better early-stop granularity). Batch size only
-	// moves the barriers — per-trial outcomes are invariant, pinned by the
-	// BatchRounds grids in TestFusedMatchesSequentialTrials and
-	// TestGroupedDeterministicAcrossWorkers.
-	batch := e.seqBatch
+	// sequential batch. Batch size only moves the barriers — per-trial
+	// outcomes are invariant.
+	batch := int64(e.seqBatch)
 	if spec.Workers > 1 {
-		batch = e.batch
+		batch = int64(e.batch)
 	}
 	for t0 := int64(0); gst.lanes > 0 && t0 < spec.MaxRounds; {
-		b := batch
-		if int64(b) > spec.MaxRounds-t0 {
-			b = int(spec.MaxRounds - t0)
+		if t0 > 0 && t0%e.window == 0 {
+			for _, o := range obs {
+				if wo, ok := o.(windowed); ok {
+					for ln := 0; ln < gst.lanes; ln++ {
+						wo.rebaseLane(ln, t0)
+					}
+				}
+			}
 		}
-		workers := spec.Workers
-		if workers > gst.lanes {
-			workers = gst.lanes
-		}
+		b := min(batch, spec.MaxRounds-t0, e.window-t0%e.window)
+		workers := min(spec.Workers, gst.lanes)
 		if workers <= 1 {
-			e.genericShard(gst, obs, b, t0, 0, 0, gst.lanes)
+			e.genericShard(gst, stop, obs, int(b), t0, 0, 0, gst.lanes)
 		} else {
 			for w := 0; w < workers; w++ {
 				lo, hi := laneShardSpan(gst.lanes, workers, w)
@@ -544,74 +545,110 @@ func (e *Engine) runGroupedGeneric(gst *groupState, spec *GroupedRunSpec, obs []
 					continue
 				}
 				gst.wg.Add(1)
-				go e.genericShardAsync(gst, obs, b, t0, w, lo, hi)
+				go e.genericShardAsync(gst, stop, obs, int(b), t0, w, lo, hi)
 			}
 			gst.wg.Wait()
 		}
-		t0 += int64(b)
-		retireSatisfied(gst, obs, res)
+		t0 += b
+		retireStopped(gst, obs, res)
 	}
 }
 
 // genericShard advances lanes [loLane, hiLane) through rounds
-// (t0, t0+b], handing each fresh round to the observers' lane scans; w
-// selects the worker-private observer scratch. It touches only its lane
-// range and worker scratch, so concurrent shards never share mutable
-// state.
-func (e *Engine) genericShard(gst *groupState, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
+// (t0, t0+b], handing each fresh round to the observers' lane scans and
+// evaluating the stop rule of every lane an observer reports satisfied; w
+// selects the worker-private scratch. It touches only its lane range and
+// worker scratch, so concurrent shards never share mutable state. Lanes
+// never un-fire, so once every lane the shard owns has stopped, stepping
+// on cannot change any answer and the shard returns early.
+func (e *Engine) genericShard(gst *groupState, stop StopCondition, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
 	k := gst.laneK
 	lo, hi := loLane*k, hiLane*k
+	live := hiLane - loLane
 	for j := 0; j < b; j++ {
 		t := t0 + int64(j) + 1
-		e.stepRound(&gst.runState, lo, hi, t)
+		e.stepRound(&gst.walkers, lo, hi, t)
 		for _, o := range obs {
 			o.scanRound(gst, loLane, hiLane, w, t)
+		}
+		if fired := gst.fired[w]; len(fired) > 0 {
+			for _, ln := range fired {
+				if gst.stopAt[ln] < 0 {
+					if s := stop.laneStop(obs, int(ln)); s >= 0 {
+						gst.stopAt[ln] = s
+						live--
+					}
+				}
+			}
+			gst.fired[w] = fired[:0]
+			if live == 0 {
+				return
+			}
 		}
 	}
 }
 
 // genericShardAsync is genericShard plus the barrier arrival, the form the
 // multicore spawn uses.
-func (e *Engine) genericShardAsync(gst *groupState, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
+func (e *Engine) genericShardAsync(gst *groupState, stop StopCondition, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
 	defer gst.wg.Done()
-	e.genericShard(gst, obs, b, t0, w, loLane, hiLane)
+	e.genericShard(gst, stop, obs, b, t0, w, loLane, hiLane)
 }
 
 // ---------------------------------------------------------------------------
 // GroupCoverObserver
 
 // groupUnset is the "never visited" sentinel of the uint32 first-visit
-// lanes.
+// cells.
 const groupUnset = ^uint32(0)
 
 // GroupCoverObserver tracks, per trial lane, the distinct vertices visited
-// and each vertex's exact first-visit round — the grouped counterpart of
-// CoverObserver for count-target workloads. Configure before the run:
+// and each vertex's exact first-visit round — the machinery behind full
+// cover, partial cover, first-visit logs, coverage profiles, and
+// multi-target searches. Configure before the run:
 //
 //   - Target: stop threshold on the distinct-visit count (0 selects n,
-//     full cover).
+//     full cover, unless Targets or Thresholds are set).
+//   - Targets: explicit vertex set; a lane is satisfied only when every
+//     one has been visited (multi-target search in one pass). Implies
+//     RecordFirst.
+//   - Thresholds: nondecreasing cover fractions in (0,1]; the exact round
+//     each fraction was reached is recorded (partial-cover curve in one
+//     pass). A fraction α maps to the count target max(1, ⌊α·n⌋).
 //   - RecordFirst: export every trial's first-visit rounds (the
 //     coverage-profile sampler); retrieve with TrialFirstVisits.
 //
-// Lane state is a word of uint32 first-visit rounds per vertex — the
-// packed replacement for the sequential path's per-trial byte arrays —
-// updated by unsigned min, which makes the fused walker-major scan
-// order-invariant: the final value per vertex is its exact first-visit
-// round no matter the order walkers of the lane were advanced within a
-// pass.
+// A lane is satisfied at the first round all configured goals hold. Lane
+// state is a word of uint32 first-visit rounds per vertex, relative to
+// their window (windowBase), updated by unsigned min, which makes the
+// fused walker-major scan order-invariant: the final value per vertex is
+// its exact first-visit round no matter the order walkers of the lane were
+// advanced within a pass.
 type GroupCoverObserver struct {
 	Target      int
+	Targets     []int32
+	Thresholds  []float64
 	RecordFirst bool
 
-	n, k    int
-	target  int
-	first   []uint32 // slot lanes after the dummy region (see laneCells)
-	laneOff []int32  // lane -> slot (swapped on compaction)
-	counts  []int32  // per slot: distinct vertices visited
-	done    []int64  // per slot: satisfaction round, -1 while running
+	n, k     int
+	window   int64  // the engine's window length (see windowBase)
+	record   bool   // export first visits: RecordFirst or Targets
+	target   int    // count goal, 0 if none
+	thr      []int  // count targets of Thresholds
+	isTarget []bool // per vertex: in Targets (nil without Targets)
+	nTargets int32  // distinct Targets
+	first    []uint32
+	laneOff  []int32   // lane -> slot (swapped on compaction)
+	counts   []int32   // per slot: distinct vertices visited
+	done     []int64   // per slot: satisfaction round, -1 while unsatisfied
+	left     []int32   // per slot: Targets not yet visited
+	thrNext  []int32   // per slot: Thresholds reached so far
+	thrRound []int64   // per slot × len(thr): round each threshold was reached
+	early    [][]int64 // per slot: exact first visits copied out at window edges (record only)
 
 	outCount []int32   // per trial
-	outFirst [][]int64 // per trial, when RecordFirst
+	outFirst [][]int64 // per trial, when recording
+	outThr   []int64   // per trial × len(thr)
 }
 
 // NewGroupCoverObserver returns a full-cover grouped observer (the
@@ -627,32 +664,68 @@ func (o *GroupCoverObserver) validateGroup(n, k, trials int) error {
 	if o.Target < 0 || o.Target > n {
 		return fmt.Errorf("walk: cover target %d out of range [1,%d]", o.Target, n)
 	}
+	for i, f := range o.Thresholds {
+		if !(f > 0 && f <= 1) {
+			return fmt.Errorf("walk: cover threshold %v must be in (0,1]", f)
+		}
+		if i > 0 && f < o.Thresholds[i-1] {
+			return fmt.Errorf("walk: cover thresholds must be nondecreasing (%v after %v)", f, o.Thresholds[i-1])
+		}
+	}
+	for _, v := range o.Targets {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("walk: target vertex %d out of range [0,%d)", v, n)
+		}
+	}
 	return nil
+}
+
+// thresholdTarget maps a cover fraction to its distinct-visit target,
+// matching EstimatePartialCoverTime's convention.
+func thresholdTarget(alpha float64, n int) int {
+	return max(1, int(alpha*float64(n)))
 }
 
 func (o *GroupCoverObserver) bindGroup(e *Engine, trials, lanes, k, workers int) {
 	n := e.g.N()
-	o.n, o.k = n, k
+	o.n, o.k, o.window = n, k, e.window
 	o.target = o.Target
-	if o.target == 0 {
+	if o.target == 0 && len(o.Targets) == 0 && len(o.Thresholds) == 0 {
 		o.target = n
 	}
-	o.first = growSlice(o.first, lanes*n)
-	if cap(o.laneOff) < lanes {
-		o.laneOff = make([]int32, lanes)
-		o.counts = make([]int32, lanes)
-		o.done = make([]int64, lanes)
+	o.thr = o.thr[:0]
+	for _, f := range o.Thresholds {
+		o.thr = append(o.thr, thresholdTarget(f, n))
 	}
-	o.laneOff, o.counts, o.done = o.laneOff[:lanes], o.counts[:lanes], o.done[:lanes]
+	o.isTarget, o.nTargets = nil, 0
+	if len(o.Targets) > 0 {
+		o.isTarget = make([]bool, n)
+		for _, v := range o.Targets {
+			if !o.isTarget[v] {
+				o.isTarget[v] = true
+				o.nTargets++
+			}
+		}
+	}
+	o.record = o.RecordFirst || len(o.Targets) > 0
+	o.first = growSlice(o.first, lanes*n)
+	o.laneOff = growSlice(o.laneOff, lanes)
 	for i := range o.laneOff {
 		o.laneOff[i] = int32(i)
 	}
+	o.counts = growSlice(o.counts, lanes)
+	o.done = growSlice(o.done, lanes)
+	o.left = growSlice(o.left, lanes)
+	o.thrNext = growSlice(o.thrNext, lanes)
+	o.thrRound = growSlice(o.thrRound, lanes*len(o.thr))
+	o.early = growSlice(o.early, lanes)
 	// Per-trial outputs reuse capacity across binds: finishLane overwrites
 	// every trial's slot exactly once per run, so no clearing is needed and
 	// a rebinding observer (the serving layer's pooled arenas) allocates
 	// nothing in steady state.
 	o.outCount = growSlice(o.outCount, trials)
-	if o.RecordFirst {
+	o.outThr = growSlice(o.outThr, trials*len(o.thr))
+	if o.record {
 		o.outFirst = growSlice(o.outFirst, trials)
 	} else {
 		o.outFirst = nil
@@ -665,37 +738,65 @@ func (o *GroupCoverObserver) laneCells(s int32) []uint32 {
 	return o.first[off : off+o.n]
 }
 
+// satisfied reports whether slot s meets every configured goal.
+func (o *GroupCoverObserver) satisfied(s int32) bool {
+	return int(o.counts[s]) >= o.target && o.left[s] == 0 && int(o.thrNext[s]) == len(o.thr)
+}
+
+// noteThresholds records the thresholds slot s's count reached by round t.
+func (o *GroupCoverObserver) noteThresholds(s int32, t int64) {
+	j := int(o.thrNext[s])
+	for j < len(o.thr) && int(o.counts[s]) >= o.thr[j] {
+		o.thrRound[int(s)*len(o.thr)+j] = t
+		j++
+	}
+	o.thrNext[s] = int32(j)
+}
+
 func (o *GroupCoverObserver) startLane(ln, trial int, starts []int32) {
 	s := o.laneOff[ln]
 	lane := o.laneCells(s)
 	for i := range lane {
 		lane[i] = groupUnset
 	}
-	count := int32(0)
+	count, left := int32(0), o.nTargets
 	for _, v := range starts {
 		if lane[v] == groupUnset {
 			lane[v] = 0
 			count++
+			if o.isTarget != nil && o.isTarget[v] {
+				left--
+			}
 		}
 	}
-	o.counts[s] = count
+	o.counts[s], o.left[s], o.thrNext[s] = count, left, 0
+	thr := o.thrRound[int(s)*len(o.thr) : int(s+1)*len(o.thr)]
+	for i := range thr {
+		thr[i] = -1
+	}
+	o.noteThresholds(s, 0)
+	o.early[s] = o.early[s][:0]
 	o.done[s] = -1
-	if int(count) >= o.target {
+	if o.satisfied(s) {
 		o.done[s] = 0
 	}
 }
 
 // scanRound is the generic-path lane scan: exact first-visit recording in
-// round order. The fused path of groupedfused.go writes the same lanes
+// round order. The fused path of groupedfused.go writes the same cells
 // through its inline min-update scan instead.
-func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t int64) {
+func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, w int, t int64) {
+	if o.isTarget != nil || len(o.thr) > 0 {
+		o.scanRoundGoals(gs, loLane, hiLane, w, t)
+		return
+	}
 	k := gs.laneK
-	tt := uint32(t)
+	tt := uint32(t - windowBase(t, o.window))
 	for ln := loLane; ln < hiLane; ln++ {
-		s := o.laneOff[ln]
-		if o.done[s] >= 0 {
+		if gs.stopAt[ln] >= 0 {
 			continue
 		}
+		s := o.laneOff[ln]
 		lane := o.laneCells(s)
 		count := o.counts[s]
 		for _, p := range gs.pos[ln*k : (ln+1)*k] {
@@ -705,43 +806,110 @@ func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t 
 			}
 		}
 		o.counts[s] = count
-		if int(count) >= o.target {
+		if int(count) >= o.target && o.done[s] < 0 {
 			o.done[s] = t
+			gs.fired[w] = append(gs.fired[w], int32(ln))
+		}
+	}
+}
+
+// scanRoundGoals is scanRound for lanes with Targets or Thresholds, which
+// also track the targets left and the thresholds reached.
+func (o *GroupCoverObserver) scanRoundGoals(gs *groupState, loLane, hiLane, w int, t int64) {
+	k := gs.laneK
+	tt := uint32(t - windowBase(t, o.window))
+	for ln := loLane; ln < hiLane; ln++ {
+		if gs.stopAt[ln] >= 0 {
+			continue
+		}
+		s := o.laneOff[ln]
+		lane := o.laneCells(s)
+		count, left := o.counts[s], o.left[s]
+		for _, p := range gs.pos[ln*k : (ln+1)*k] {
+			if lane[p] == groupUnset {
+				lane[p] = tt
+				count++
+				if o.isTarget != nil && o.isTarget[p] {
+					left--
+				}
+			}
+		}
+		o.counts[s], o.left[s] = count, left
+		o.noteThresholds(s, t)
+		if o.done[s] < 0 && o.satisfied(s) {
+			o.done[s] = t
+			gs.fired[w] = append(gs.fired[w], int32(ln))
 		}
 	}
 }
 
 func (o *GroupCoverObserver) laneSatisfied(ln int) int64 { return o.done[o.laneOff[ln]] }
 
+func (o *GroupCoverObserver) rebaseLane(ln int, base int64) { o.rebaseSlot(o.laneOff[ln], base) }
+
+// rebaseSlot moves slot s's cells from the window ending at round base —
+// a window edge the lane is still running past — to the window starting
+// there: every vertex visited so far becomes 0, "visited by round base",
+// after its exact round is copied out when first visits are exported.
+func (o *GroupCoverObserver) rebaseSlot(s int32, base int64) {
+	lane := o.laneCells(s)
+	if o.record {
+		early := o.early[s]
+		if len(early) == 0 {
+			early = growSlice(early, o.n)
+			for v := range early {
+				early[v] = -1
+			}
+		}
+		for v, f := range lane {
+			if f != groupUnset && early[v] < 0 {
+				early[v] = base - o.window + int64(f)
+			}
+		}
+		o.early[s] = early
+	}
+	for v, f := range lane {
+		if f != groupUnset {
+			lane[v] = 0
+		}
+	}
+}
+
 func (o *GroupCoverObserver) finishLane(ln, trial int, rounds int64, stopped bool) {
 	s := o.laneOff[ln]
 	// The fused path's pair passes may overshoot the resolved stop round
 	// by one round before the crossing is detected, so the exported count
-	// and first-visit rounds are recomputed at the exact stop round — the
-	// state a sequential run reports.
+	// and first-visit rounds are recomputed at the exact stop round.
+	base := windowBase(rounds, o.window)
+	rel := rounds - base
 	count := int32(0)
-	lane := o.laneCells(s)
 	var out []int64
-	if o.RecordFirst {
+	if o.record {
 		out = make([]int64, o.n)
 	}
-	for v, f := range lane {
-		visited := f != groupUnset && int64(f) <= rounds
+	early := o.early[s]
+	for v, f := range o.laneCells(s) {
+		visited := f != groupUnset && int64(f) <= rel
 		if visited {
 			count++
 		}
 		if out != nil {
-			if visited {
-				out[v] = int64(f)
-			} else {
+			switch {
+			case len(early) > 0 && early[v] >= 0:
+				out[v] = early[v]
+			case visited:
+				out[v] = base + int64(f)
+			default:
 				out[v] = -1
 			}
 		}
 	}
 	o.outCount[trial] = count
-	if o.RecordFirst {
+	if o.record {
 		o.outFirst[trial] = out
 	}
+	L := len(o.thr)
+	copy(o.outThr[trial*L:(trial+1)*L], o.thrRound[int(s)*L:int(s+1)*L])
 }
 
 func (o *GroupCoverObserver) moveLane(dst, src int) {
@@ -752,29 +920,37 @@ func (o *GroupCoverObserver) moveLane(dst, src int) {
 func (o *GroupCoverObserver) TrialCount(trial int) int { return int(o.outCount[trial]) }
 
 // TrialFirstVisits returns trial's per-vertex first-visit rounds (-1 if
-// unvisited); it requires RecordFirst.
+// unvisited); it requires RecordFirst or Targets.
 func (o *GroupCoverObserver) TrialFirstVisits(trial int) []int64 { return o.outFirst[trial] }
+
+// TrialThresholdRounds returns, per configured threshold, the exact round
+// trial reached its cover fraction (-1 if the trial ended first).
+func (o *GroupCoverObserver) TrialThresholdRounds(trial int) []int64 {
+	L := len(o.thr)
+	return o.outThr[trial*L : (trial+1)*L]
+}
 
 // ---------------------------------------------------------------------------
 // GroupHitObserver
 
 // GroupHitObserver watches every trial lane for a walker standing on a
-// marked vertex — the grouped counterpart of HitObserver. The marked set
-// is shared by all trials (compiled to a bitset once); per-lane state is
-// the hit round, vertex, and walker. Ties within a round resolve to the
-// lowest walker index, matching the sequential observer.
+// marked vertex, reporting the exact hit round, vertex, and walker (ties
+// within a round resolve to the lowest walker index). The marked set is
+// shared by all trials (compiled to a bitset once); per-lane state is the
+// hit round, vertex, and walker. Marked must have length n; an all-false
+// set is allowed and simply never satisfies.
 type GroupHitObserver struct {
 	Marked []bool
 
 	bitset []uint64
 	none   bool
 	k      int
-	done   []int64 // per lane (lanes never move content; slot == lane via laneOff)
+	done   []int64 // per slot: hit round, -1 before a hit
 	vtx    []int32
 	wkr    []int32
 	lnOff  []int32
 
-	outHit    []bool
+	outRound  []int64
 	outVertex []int32
 	outWalker []int32
 }
@@ -791,20 +967,43 @@ func (o *GroupHitObserver) validateGroup(n, k, trials int) error {
 	return nil
 }
 
+// compileMarkedBitset packs a marked-vertex set into a word bitset (reusing
+// buf's capacity) and reports whether the set is empty.
+func compileMarkedBitset(marked []bool, buf []uint64) (bitset []uint64, none bool) {
+	bitset = growSlice(buf, (len(marked)+63)/64)
+	clear(bitset)
+	none = true
+	for v, m := range marked {
+		if m {
+			bitset[v>>6] |= 1 << uint(v&63)
+			none = false
+		}
+	}
+	return bitset, none
+}
+
+// scanMarked returns the in-lane index of the first walker standing on a
+// marked vertex, or -1.
+func scanMarked(pos []int32, marked []uint64) int {
+	for ii, p := range pos {
+		if marked[p>>6]&(1<<uint(p&63)) != 0 {
+			return ii
+		}
+	}
+	return -1
+}
+
 func (o *GroupHitObserver) bindGroup(e *Engine, trials, lanes, k, workers int) {
 	o.k = k
 	o.bitset, o.none = compileMarkedBitset(o.Marked, o.bitset)
-	if cap(o.done) < lanes {
-		o.done = make([]int64, lanes)
-		o.vtx = make([]int32, lanes)
-		o.wkr = make([]int32, lanes)
-		o.lnOff = make([]int32, lanes)
-	}
-	o.done, o.vtx, o.wkr, o.lnOff = o.done[:lanes], o.vtx[:lanes], o.wkr[:lanes], o.lnOff[:lanes]
+	o.done = growSlice(o.done, lanes)
+	o.vtx = growSlice(o.vtx, lanes)
+	o.wkr = growSlice(o.wkr, lanes)
+	o.lnOff = growSlice(o.lnOff, lanes)
 	for i := range o.lnOff {
 		o.lnOff[i] = int32(i)
 	}
-	o.outHit = growSlice(o.outHit, trials)
+	o.outRound = growSlice(o.outRound, trials)
 	o.outVertex = growSlice(o.outVertex, trials)
 	o.outWalker = growSlice(o.outWalker, trials)
 }
@@ -820,18 +1019,19 @@ func (o *GroupHitObserver) startLane(ln, trial int, starts []int32) {
 	}
 }
 
-func (o *GroupHitObserver) scanRound(gs *groupState, loLane, hiLane, _ int, t int64) {
+func (o *GroupHitObserver) scanRound(gs *groupState, loLane, hiLane, w int, t int64) {
 	if o.none {
 		return
 	}
 	k := gs.laneK
 	for ln := loLane; ln < hiLane; ln++ {
 		s := o.lnOff[ln]
-		if o.done[s] >= 0 {
+		if gs.stopAt[ln] >= 0 || o.done[s] >= 0 {
 			continue
 		}
 		if ii := scanMarked(gs.pos[ln*k:(ln+1)*k], o.bitset); ii >= 0 {
 			o.done[s], o.vtx[s], o.wkr[s] = t, gs.pos[ln*k+ii], int32(ii)
+			gs.fired[w] = append(gs.fired[w], int32(ln))
 		}
 	}
 }
@@ -843,7 +1043,7 @@ func (o *GroupHitObserver) neverSatisfied() bool { return o.none }
 
 func (o *GroupHitObserver) finishLane(ln, trial int, rounds int64, stopped bool) {
 	s := o.lnOff[ln]
-	o.outHit[trial] = stopped
+	o.outRound[trial] = o.done[s]
 	o.outVertex[trial] = o.vtx[s]
 	o.outWalker[trial] = o.wkr[s]
 }
@@ -853,30 +1053,45 @@ func (o *GroupHitObserver) moveLane(dst, src int) {
 }
 
 // TrialResult converts trial's outcome into a HitResult, with rounds the
-// recorded stop round of the trial.
+// round count to report when the trial saw no hit (its budget).
 func (o *GroupHitObserver) TrialResult(trial int, rounds int64) HitResult {
-	if !o.outHit[trial] {
+	if o.outRound[trial] < 0 {
 		return HitResult{Rounds: rounds, Vertex: -1, Walker: -1}
 	}
-	return HitResult{Rounds: rounds, Vertex: o.outVertex[trial], Walker: int(o.outWalker[trial]), Hit: true}
+	return HitResult{Rounds: o.outRound[trial], Vertex: o.outVertex[trial], Walker: int(o.outWalker[trial]), Hit: true}
 }
 
 // ---------------------------------------------------------------------------
 // GroupCollisionObserver
 
-// GroupCollisionObserver detects same-vertex collisions inside each trial
-// lane — the grouped counterpart of CollisionObserver for the meeting and
-// coalescence estimators. Collision detection shares the singleton's
-// stamping scheme, but the per-vertex stamp arrays are *worker scratch*
-// stamped with a monotone token per (lane, round) scan instead of
-// per-lane copies, so memory stays O(workers × n) rather than
-// O(lanes × n); the union-find forest, first-meeting bookkeeping, and
-// class counts are per lane, in the same walker order as the sequential
-// merge, so outcomes are bit-for-bit identical.
+// GroupCollisionObserver detects walkers occupying the same vertex after a
+// synchronized round inside each trial lane — the pairwise meeting and
+// coalescence dynamics of the k-walk (Dey–Kim–Terlov's collaboration
+// processes):
+//
+//   - meeting mode: a lane is satisfied at the first round any two of its
+//     walkers collide (walkers sharing a start collide at round 0);
+//   - coalescence mode: walkers that have met are merged into one
+//     equivalence class (information exchange on contact); a lane is
+//     satisfied at the round the classes collapse to one. The first
+//     meeting round is recorded too.
+//
+// Per-vertex stamp arrays are *worker scratch* stamped with a monotone
+// token per (lane, round) scan instead of per-lane copies, so memory stays
+// O(workers × n) rather than O(lanes × n); the union-find forest,
+// first-meeting bookkeeping, and class counts are per lane, processed in
+// walker order. On bipartite graphs two walkers started on opposite sides
+// can never collide under simultaneous moves; callers handle the
+// truncation.
 type GroupCollisionObserver struct {
 	// Coalesce selects coalescence mode; otherwise the observer is
 	// satisfied at the first meeting.
 	Coalesce bool
+
+	// pursuit restricts first meetings to collisions involving walker
+	// focus (the prey of a pursuit); the zero value counts any pair.
+	pursuit bool
+	focus   int
 
 	k      int
 	parent []int32 // slot-indexed: slot s owns parent[s*k:(s+1)*k]
@@ -896,6 +1111,9 @@ type GroupCollisionObserver struct {
 	outMeet   []int64
 	outCoal   []int64
 	outGroups []int32
+	outA      []int32
+	outB      []int32
+	outV      []int32
 }
 
 // NewGroupCollisionObserver returns a grouped meeting observer; coalesce
@@ -908,6 +1126,9 @@ func (o *GroupCollisionObserver) validateGroup(n, k, trials int) error {
 	if k < 2 {
 		return fmt.Errorf("walk: collision observer requires at least 2 walkers, got %d", k)
 	}
+	if o.pursuit && (o.focus < 0 || o.focus >= k) {
+		return fmt.Errorf("walk: focus walker %d out of range [0,%d)", o.focus, k)
+	}
 	return nil
 }
 
@@ -915,34 +1136,24 @@ func (o *GroupCollisionObserver) bindGroup(e *Engine, trials, lanes, k, workers 
 	n := e.g.N()
 	o.k = k
 	o.parent = growSlice(o.parent, lanes*k)
-	if cap(o.lnOff) < lanes {
-		o.lnOff = make([]int32, lanes)
-		o.groups = make([]int32, lanes)
-		o.meetR = make([]int64, lanes)
-		o.meetA = make([]int32, lanes)
-		o.meetB = make([]int32, lanes)
-		o.meetV = make([]int32, lanes)
-		o.coalR = make([]int64, lanes)
-		o.done = make([]int64, lanes)
-	}
-	o.lnOff, o.groups, o.done = o.lnOff[:lanes], o.groups[:lanes], o.done[:lanes]
-	o.meetR, o.meetA, o.meetB, o.meetV, o.coalR = o.meetR[:lanes], o.meetA[:lanes], o.meetB[:lanes], o.meetV[:lanes], o.coalR[:lanes]
+	o.lnOff = growSlice(o.lnOff, lanes)
 	for i := range o.lnOff {
 		o.lnOff[i] = int32(i)
 	}
-	if cap(o.stamp) < workers {
-		o.stamp = make([][]int64, workers)
-		o.stampW = make([][]int32, workers)
-		o.token = make([]int64, workers)
-	}
-	o.stamp, o.stampW, o.token = o.stamp[:workers], o.stampW[:workers], o.token[:workers]
+	o.groups = growSlice(o.groups, lanes)
+	o.meetR = growSlice(o.meetR, lanes)
+	o.meetA = growSlice(o.meetA, lanes)
+	o.meetB = growSlice(o.meetB, lanes)
+	o.meetV = growSlice(o.meetV, lanes)
+	o.coalR = growSlice(o.coalR, lanes)
+	o.done = growSlice(o.done, lanes)
+	workers = max(workers, 1)
+	o.stamp = growSlice(o.stamp, workers)
+	o.stampW = growSlice(o.stampW, workers)
+	o.token = growSlice(o.token, workers)
 	for w := range o.stamp {
-		if cap(o.stamp[w]) < n {
-			o.stamp[w] = make([]int64, n)
-			o.stampW[w] = make([]int32, n)
-		}
-		o.stamp[w] = o.stamp[w][:n]
-		o.stampW[w] = o.stampW[w][:n]
+		o.stamp[w] = growSlice(o.stamp[w], n)
+		o.stampW[w] = growSlice(o.stampW[w], n)
 		for i := range o.stamp[w] {
 			o.stamp[w][i] = -1
 		}
@@ -951,6 +1162,9 @@ func (o *GroupCollisionObserver) bindGroup(e *Engine, trials, lanes, k, workers 
 	o.outMeet = growSlice(o.outMeet, trials)
 	o.outCoal = growSlice(o.outCoal, trials)
 	o.outGroups = growSlice(o.outGroups, trials)
+	o.outA = growSlice(o.outA, trials)
+	o.outB = growSlice(o.outB, trials)
+	o.outV = growSlice(o.outV, trials)
 }
 
 func (o *GroupCollisionObserver) startLane(ln, trial int, starts []int32) {
@@ -969,12 +1183,16 @@ func (o *GroupCollisionObserver) startLane(ln, trial int, starts []int32) {
 }
 
 // scanLanePositions folds one round of one lane into its collision state,
-// in walker order (the singleton's merge order).
-func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int64) {
+// in walker order, and reports whether the lane became satisfied. Within
+// a round the first walker on a vertex is stamped, and every later walker
+// there collides with it — so the reported pair of a multi-walker pile-up
+// is (first arrival, collider) in walker-index order.
+func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int64) bool {
 	stamp, stampW := o.stamp[w], o.stampW[w]
 	o.token[w]++
 	tok := o.token[w]
 	parent := o.parent[s*o.k : (s+1)*o.k]
+	fired := false
 	for i, v := range pos {
 		if stamp[v] != tok {
 			stamp[v] = tok
@@ -982,10 +1200,11 @@ func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int6
 			continue
 		}
 		j := stampW[v]
-		if o.meetR[s] < 0 {
+		if o.meetR[s] < 0 && (!o.pursuit || i == o.focus || int(j) == o.focus) {
 			o.meetR[s], o.meetA[s], o.meetB[s], o.meetV[s] = t, j, int32(i), v
 			if !o.Coalesce && o.done[s] < 0 {
 				o.done[s] = t
+				fired = true
 			}
 		}
 		if ra, rb := ufFind(parent, j), ufFind(parent, int32(i)); ra != rb {
@@ -998,20 +1217,23 @@ func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int6
 				o.coalR[s] = t
 				if o.Coalesce && o.done[s] < 0 {
 					o.done[s] = t
+					fired = true
 				}
 			}
 		}
 	}
+	return fired
 }
 
 func (o *GroupCollisionObserver) scanRound(gs *groupState, loLane, hiLane, w int, t int64) {
 	k := gs.laneK
 	for ln := loLane; ln < hiLane; ln++ {
-		s := int(o.lnOff[ln])
-		if o.done[s] >= 0 {
+		if gs.stopAt[ln] >= 0 {
 			continue
 		}
-		o.scanLanePositions(w, s, gs.pos[ln*k:(ln+1)*k], t)
+		if o.scanLanePositions(w, int(o.lnOff[ln]), gs.pos[ln*k:(ln+1)*k], t) {
+			gs.fired[w] = append(gs.fired[w], int32(ln))
+		}
 	}
 }
 
@@ -1022,6 +1244,7 @@ func (o *GroupCollisionObserver) finishLane(ln, trial int, rounds int64, stopped
 	o.outMeet[trial] = o.meetR[s]
 	o.outCoal[trial] = o.coalR[s]
 	o.outGroups[trial] = o.groups[s]
+	o.outA[trial], o.outB[trial], o.outV[trial] = o.meetA[s], o.meetB[s], o.meetV[s]
 }
 
 func (o *GroupCollisionObserver) moveLane(dst, src int) {
@@ -1038,8 +1261,7 @@ func (o *GroupCollisionObserver) TrialCoalescenceRound(trial int) int64 { return
 // TrialGroups returns trial's remaining meeting-equivalence classes.
 func (o *GroupCollisionObserver) TrialGroups(trial int) int { return int(o.outGroups[trial]) }
 
-// ufFind is the path-halving union-find lookup shared by the sequential
-// CollisionObserver and the grouped lanes.
+// ufFind is the path-halving union-find lookup of the collision lanes.
 func ufFind(parent []int32, i int32) int32 {
 	for parent[i] != i {
 		parent[i] = parent[parent[i]]

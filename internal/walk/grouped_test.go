@@ -2,6 +2,7 @@ package walk
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"manywalks/internal/graph"
@@ -25,11 +26,11 @@ func groupedTestFamilies() []struct {
 	}
 }
 
-// TestFusedMatchesSequentialTrials is the determinism contract that makes
-// the estimator rewire safe: for every kernel, graph family, and a
-// Workers × BatchRounds grid, the per-trial samples of RunGrouped are
-// bit-for-bit equal to running each trial sequentially through the
-// engine with the MonteCarlo stream derivation.
+// TestFusedMatchesSequentialTrials is the lane-isolation contract the
+// estimators rest on: for every kernel, graph family, and a Workers ×
+// BatchRounds grid, the per-trial samples of a many-lane RunGrouped pass
+// are bit-for-bit equal to running each trial alone through Engine.Run (a
+// one-lane pass) with the MonteCarlo stream derivation.
 func TestFusedMatchesSequentialTrials(t *testing.T) {
 	const (
 		trials = 24
@@ -67,7 +68,7 @@ func TestFusedMatchesSequentialTrials(t *testing.T) {
 						}
 						for i := 0; i < trials; i++ {
 							if got.Rounds[i] != wantRounds[i] || got.Stopped[i] != wantStopped[i] {
-								t.Fatalf("trial %d: grouped (%d,%v) != sequential (%d,%v)",
+								t.Fatalf("trial %d: grouped (%d,%v) != single run (%d,%v)",
 									i, got.Rounds[i], got.Stopped[i], wantRounds[i], wantStopped[i])
 							}
 						}
@@ -120,8 +121,8 @@ func TestGroupedGenericMatchesFused(t *testing.T) {
 	}
 }
 
-// TestGroupedHitMatchesSequential pins the grouped hit lanes against
-// sequential KHit runs, including hit vertex and walker tie-breaks.
+// TestGroupedHitMatchesSequential pins many-lane hit passes against
+// one-lane KHit runs, including hit vertex and walker tie-breaks.
 func TestGroupedHitMatchesSequential(t *testing.T) {
 	const (
 		trials = 32
@@ -153,15 +154,15 @@ func TestGroupedHitMatchesSequential(t *testing.T) {
 				want := eng.KHit(starts, marked, r.Uint64(), budget)
 				gotRes := hit.TrialResult(i, got.Rounds[i])
 				if gotRes != want {
-					t.Fatalf("trial %d: grouped %+v != sequential %+v", i, gotRes, want)
+					t.Fatalf("trial %d: grouped %+v != single run %+v", i, gotRes, want)
 				}
 			}
 		})
 	}
 }
 
-// TestGroupedCollisionMatchesSequential pins grouped meeting and
-// coalescence lanes against the sequential collision observer.
+// TestGroupedCollisionMatchesSequential pins many-lane meeting and
+// coalescence passes against one-lane runs of the collision observer.
 func TestGroupedCollisionMatchesSequential(t *testing.T) {
 	const (
 		trials = 24
@@ -194,7 +195,7 @@ func TestGroupedCollisionMatchesSequential(t *testing.T) {
 						}
 						if got.Rounds[i] != want.Rounds || got.Stopped[i] != want.Coalesced ||
 							col.TrialMeetRound(i) != want.FirstMeeting || col.TrialGroups(i) != want.Groups {
-							t.Fatalf("trial %d: grouped (%d,%v,meet %d,groups %d) != sequential %+v",
+							t.Fatalf("trial %d: grouped (%d,%v,meet %d,groups %d) != single run %+v",
 								i, got.Rounds[i], got.Stopped[i], col.TrialMeetRound(i), col.TrialGroups(i), want)
 						}
 					} else {
@@ -203,7 +204,7 @@ func TestGroupedCollisionMatchesSequential(t *testing.T) {
 							t.Fatal(err)
 						}
 						if got.Rounds[i] != want.Rounds || got.Stopped[i] != want.Met {
-							t.Fatalf("trial %d: grouped (%d,%v) != sequential %+v",
+							t.Fatalf("trial %d: grouped (%d,%v) != single run %+v",
 								i, got.Rounds[i], got.Stopped[i], want)
 						}
 					}
@@ -215,7 +216,7 @@ func TestGroupedCollisionMatchesSequential(t *testing.T) {
 
 // TestGroupedPlaceMatchesSequential pins the Place derivation (the
 // stationary-starts estimator shape): placement draws and the engine seed
-// must come off the trial stream exactly as the sequential closure draws
+// must come off the trial stream exactly as a MonteCarlo closure draws
 // them.
 func TestGroupedPlaceMatchesSequential(t *testing.T) {
 	g := graph.MargulisExpander(6)
@@ -243,7 +244,7 @@ func TestGroupedPlaceMatchesSequential(t *testing.T) {
 		starts := StationaryStarts(g, k, r)
 		want := eng.KCover(starts, r.Uint64(), budget)
 		if got.Rounds[i] != want.Steps || got.Stopped[i] != want.Covered {
-			t.Fatalf("trial %d: grouped (%d,%v) != sequential (%d,%v)",
+			t.Fatalf("trial %d: grouped (%d,%v) != single run (%d,%v)",
 				i, got.Rounds[i], got.Stopped[i], want.Steps, want.Covered)
 		}
 	}
@@ -284,8 +285,8 @@ func TestGroupedFirstVisitsMatchSequential(t *testing.T) {
 
 // TestGroupedTruncationMatchesSequential pins truncation accounting on the
 // fused path: under a budget too small to cover, every kernel must
-// produce the same censored values and truncation pattern as the
-// sequential path (the satellite case: a small-budget cycle).
+// produce the same censored values and truncation pattern as one-lane
+// runs (a small-budget cycle).
 func TestGroupedTruncationMatchesSequential(t *testing.T) {
 	g := graph.Cycle(96)
 	const (
@@ -311,7 +312,7 @@ func TestGroupedTruncationMatchesSequential(t *testing.T) {
 				r := rng.NewStream(17, uint64(i))
 				want := eng.KCover(starts, r.Uint64(), budget)
 				if got.Rounds[i] != want.Steps || got.Stopped[i] != want.Covered {
-					t.Fatalf("trial %d: grouped (%d,%v) != sequential (%d,%v)",
+					t.Fatalf("trial %d: grouped (%d,%v) != single run (%d,%v)",
 						i, got.Rounds[i], got.Stopped[i], want.Steps, want.Covered)
 				}
 				if !got.Stopped[i] {
@@ -354,7 +355,7 @@ func TestGroupedChunking(t *testing.T) {
 		r := rng.NewStream(31, uint64(i))
 		want := eng.KCover(starts, r.Uint64(), budget)
 		if got.Rounds[i] != want.Steps || got.Stopped[i] != want.Covered {
-			t.Fatalf("trial %d: grouped (%d,%v) != sequential (%d,%v)",
+			t.Fatalf("trial %d: grouped (%d,%v) != single run (%d,%v)",
 				i, got.Rounds[i], got.Stopped[i], want.Steps, want.Covered)
 		}
 	}
@@ -372,7 +373,6 @@ func TestGroupedValidation(t *testing.T) {
 		{"no trials", GroupedRunSpec{Starts: []int32{0}, MaxRounds: 10}},
 		{"no walkers", GroupedRunSpec{Trials: 1, MaxRounds: 10}},
 		{"no budget", GroupedRunSpec{Trials: 1, Starts: []int32{0}}},
-		{"budget too large", GroupedRunSpec{Trials: 1, Starts: []int32{0}, MaxRounds: MaxGroupedRounds + 1}},
 		{"bad start", GroupedRunSpec{Trials: 1, Starts: []int32{99}, MaxRounds: 10}},
 		{"seeds length", GroupedRunSpec{Trials: 2, Starts: []int32{0}, MaxRounds: 10, Seeds: []uint64{1}}},
 		{"seeds and place", GroupedRunSpec{Trials: 1, Starts: []int32{0}, MaxRounds: 10,
@@ -392,8 +392,8 @@ func TestGroupedValidation(t *testing.T) {
 
 // TestGroupedPartialTargetExportExact pins finishLane's exact-at-stop
 // export: with a partial count target, the fused path's one-pass overshoot
-// must not leak into TrialCount or TrialFirstVisits — both paths and the
-// sequential engine must agree on the state at the stop round.
+// must not leak into TrialCount or TrialFirstVisits — both paths and a
+// single run must agree on the state at the stop round.
 func TestGroupedPartialTargetExportExact(t *testing.T) {
 	g := graph.MargulisExpander(6)
 	const (
@@ -425,7 +425,7 @@ func TestGroupedPartialTargetExportExact(t *testing.T) {
 		r := rng.NewStream(13, uint64(i))
 		want := fusedEng.KCoverTarget(spec.Starts, target, r.Uint64(), budget)
 		if fres.Rounds[i] != want.Steps || fres.Stopped[i] != want.Covered {
-			t.Fatalf("trial %d: fused (%d,%v) != sequential (%d,%v)",
+			t.Fatalf("trial %d: fused (%d,%v) != single run (%d,%v)",
 				i, fres.Rounds[i], fres.Stopped[i], want.Steps, want.Covered)
 		}
 		if fres.Rounds[i] != gres.Rounds[i] || fcov.TrialCount(i) != gcov.TrialCount(i) {
@@ -444,64 +444,51 @@ func TestGroupedPartialTargetExportExact(t *testing.T) {
 	}
 }
 
-// TestGroupedRoundsBoundary pins the MaxGroupedRounds edge exactly: a
-// budget of MaxGroupedRounds (2^31-1, the last uint32-representable round
-// under the ^0 sentinel) is accepted by RunGrouped, while 2^31 is rejected
-// and must be served by the sequential fallback. The estimator gates are
-// checked on both sides: at the cap the grouped path runs, one past it the
-// sequential MonteCarlo path runs, and because these trials finish far
-// below either budget the two must produce identical estimates.
+// TestGroupedRoundsBoundary pins the old 32-bit edge: budgets of 2^31-1
+// (the last round a uint32 cell can hold under the ^0 sentinel), 2^31 and
+// 2^40 are all accepted, and because these trials finish far below every
+// budget the passes and the estimators must give identical answers.
 func TestGroupedRoundsBoundary(t *testing.T) {
 	g := graph.Complete(12, false)
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	cov := NewGroupCoverObserver(0)
-	spec := GroupedRunSpec{Trials: 2, Starts: []int32{0, 0}, Seed: 5, MaxRounds: MaxGroupedRounds}
-	if _, err := eng.RunGrouped(spec, cov); err != nil {
-		t.Fatalf("budget at MaxGroupedRounds rejected: %v", err)
-	}
-	spec.MaxRounds = MaxGroupedRounds + 1 // == 1<<31
-	if _, err := eng.RunGrouped(spec, NewGroupCoverObserver(0)); err == nil {
-		t.Fatal("budget of 1<<31 accepted by the grouped driver")
-	}
-	if MaxGroupedRounds+1 != int64(1)<<31 {
-		t.Fatalf("MaxGroupedRounds = %d; want 1<<31 - 1", MaxGroupedRounds)
+	budgets := []int64{1<<31 - 1, 1 << 31, 1 << 40}
+	var first GroupedResult
+	for i, b := range budgets {
+		spec := GroupedRunSpec{Trials: 2, Starts: []int32{0, 0}, Seed: 5, MaxRounds: b}
+		res, err := eng.RunGrouped(spec, NewGroupCoverObserver(0))
+		if err != nil {
+			t.Fatalf("budget %d rejected: %v", b, err)
+		}
+		if i == 0 {
+			first = res
+		} else if !slices.Equal(res.Rounds, first.Rounds) || !slices.Equal(res.Stopped, first.Stopped) {
+			t.Fatalf("budget %d: %+v, budget %d: %+v", b, res, budgets[0], first)
+		}
 	}
 
-	at := MCOptions{Trials: 6, Workers: 1, Seed: 9, MaxSteps: MaxGroupedRounds}
-	past := at
-	past.MaxSteps = MaxGroupedRounds + 1
-	estAt, err := EstimateKCoverTime(g, 0, 2, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	estPast, err := EstimateKCoverTime(g, 0, 2, past)
-	if err != nil {
-		t.Fatalf("estimator with budget 1<<31 must fall back to the sequential path, got %v", err)
-	}
-	if estAt != estPast {
-		t.Fatalf("cover estimate differs across the boundary: grouped %+v, sequential %+v", estAt, estPast)
-	}
-	hitAt, err := EstimateHittingTime(g, 0, 6, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitPast, err := EstimateHittingTime(g, 0, 6, past)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hitAt != hitPast {
-		t.Fatalf("hitting estimate differs across the boundary: grouped %+v, sequential %+v", hitAt, hitPast)
-	}
-	meetAt, err := EstimateKMeetingTime(g, []int32{0, 6}, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meetPast, err := EstimateKMeetingTime(g, []int32{0, 6}, past)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meetAt != meetPast {
-		t.Fatalf("meeting estimate differs across the boundary: grouped %+v, sequential %+v", meetAt, meetPast)
+	var estAt, hitAt, meetAt Estimate
+	for i, b := range budgets {
+		opts := MCOptions{Trials: 6, Workers: 1, Seed: 9, MaxSteps: b}
+		est, err := EstimateKCoverTime(g, 0, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, err := EstimateHittingTime(g, 0, 6, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meet, err := EstimateKMeetingTime(g, []int32{0, 6}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			estAt, hitAt, meetAt = est, hit, meet
+			continue
+		}
+		if est != estAt || hit != hitAt || meet != meetAt {
+			t.Fatalf("budget %d changed an estimate: cover %+v/%+v hit %+v/%+v meet %+v/%+v",
+				b, est, estAt, hit, hitAt, meet, meetAt)
+		}
 	}
 }
 

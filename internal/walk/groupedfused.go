@@ -7,19 +7,20 @@ import (
 	"manywalks/internal/rng"
 )
 
-// This file holds the fused fast path of the grouped (trial-fused) driver:
-// the uniform kernel on a pad-table graph, driving a lone
-// GroupCoverObserver — the workload behind every cover-time estimate. It
-// recovers the sequential path's exact draw discipline while cutting the
-// per-step instruction count roughly in half, with three ingredients:
+// This file holds the fused fast path of the run driver: the uniform
+// kernel on a pad-table graph, driving a lone GroupCoverObserver with a
+// count goal — the workload behind every cover-time estimate and single
+// cover run. It keeps the generic path's exact draw discipline while
+// cutting the per-step instruction count roughly in half, with three
+// ingredients:
 //
 //   - Pair transition table: pad2[v<<2s | b] packs the two-hop outcome of
 //     consuming 2s draw bits from vertex v as (mid<<16 | dst), so one
 //     lookup advances a walker two rounds. The bits consumed are exactly
-//     the bits the sequential kernels would consume in rounds t and t+1;
-//     any pair whose path touches a padding sentinel is marked and
-//     resolved hop-by-hop with the sequential redraw semantics, so the
-//     per-walker draw sequence is bit-for-bit unchanged.
+//     the bits stepRound would consume in rounds t and t+1; any pair whose
+//     path touches a padding sentinel is marked and resolved hop-by-hop
+//     with the same redraw semantics, so the per-walker draw sequence is
+//     bit-for-bit unchanged.
 //   - Block-generated draws: each draw group opens with a fill pass that
 //     banks one fresh Uint64 per walker into the reservoir lane, instead
 //     of interleaving generator state loads with the table walk. The
@@ -27,21 +28,27 @@ import (
 //     the group's first round, redraws in round order.
 //   - Inline first-visit scan: the pair loop probes the lane's uint32
 //     first-visit cells directly (unsigned-min update, order-invariant;
-//     see GroupCoverObserver), so there is no per-round log, no merge
-//     sweep, and no second pass over the positions.
+//     see GroupCoverObserver), so there is no second pass over the
+//     positions.
 //
 // A lane whose distinct-visit count crosses its target is detected at the
 // end of the pass that crossed it; the exact crossing round is then
 // resolved from the lane's first-visit cells (a single O(n) sweep, once
-// per trial), and the lane stops stepping at the next pass boundary —
-// overshoot is at most one pair — before retiring at the group barrier.
+// per trial), and the lane stops stepping — overshoot is at most one
+// pair.
+//
+// The pair table pays off only while it stays cache-resident: past
+// maxPairEntries the extra table misses cost more than the halved
+// instruction count saves (on margulis:128, whose table would be 4 MiB,
+// a single k=1024 cover run measured faster on the generic path), so
+// larger graphs run generic.
 
 const (
 	// pairSentinel marks pad2 entries whose two-hop path touches a padding
 	// sentinel and must be resolved hop-by-hop.
 	pairSentinel = ^uint32(0)
-	// maxPairEntries caps the pair table at 4 MiB.
-	maxPairEntries = 1 << 20
+	// maxPairEntries caps the pair table at 1 MiB.
+	maxPairEntries = 1 << 18
 	// maxPairVertex bounds vertex ids to 16 bits so (mid, dst) pack into
 	// one uint32 without colliding with the sentinel.
 	maxPairVertex = 1<<16 - 1
@@ -91,14 +98,18 @@ func (e *Engine) buildPairTable() {
 	})
 }
 
-// fusedCoverObserver reports whether the observer set qualifies for the
-// fused cover path, returning the cover observer if so.
-func (e *Engine) fusedCoverObserver(k int, obs []GroupObserver) *GroupCoverObserver {
+// fusedCoverObserver reports whether the observer set and stop rule
+// qualify for the fused cover path, returning the cover observer if so:
+// a lone count-goal cover observer whose satisfaction stops the lane.
+func (e *Engine) fusedCoverObserver(k int, stop StopCondition, obs []GroupObserver) *GroupCoverObserver {
 	if len(obs) != 1 {
 		return nil
 	}
 	cov, ok := obs[0].(*GroupCoverObserver)
-	if !ok {
+	if !ok || len(cov.Targets) > 0 || len(cov.Thresholds) > 0 {
+		return nil
+	}
+	if _, horizon := stop.(runToHorizon); horizon {
 		return nil
 	}
 	// Thin lanes don't amortize the per-lane pass structure (a lane of one
@@ -120,11 +131,11 @@ func (e *Engine) fusedCoverObserver(k int, obs []GroupObserver) *GroupCoverObser
 const minFusedLaneWalkers = 8
 
 // pairResolveSlow resolves a two-hop transition whose path touches a
-// padding sentinel, hop-by-hop with the sequential redraw semantics: each
+// padding sentinel, hop-by-hop with stepRound's redraw semantics: each
 // sentinel hit draws a fresh Uint64 from the walker's stream and retries
 // with its low bits, leaving the reservoir untouched. The generator state
 // is carried in registers across a hop's redraws, so a slow pair costs a
-// handful of loads on top of the draws the sequential path performs
+// handful of loads on top of the draws the generic path performs
 // anyway.
 func pairResolveSlow(str *rng.Source, pad []int32, shift uint32, p int32, r uint64, ent uint32) uint32 {
 	mask := uint64(1)<<shift - 1
@@ -326,16 +337,17 @@ func singleRoundFast(pad []int32, first []uint32, pos []int32, res []uint64, str
 
 // laneGroup advances one trial lane through one draw group: the fill pass
 // banks each walker's fresh draw into the reservoir lane (block-generated
-// draws — the per-walker stream sequence is identical to the sequential
-// path's draw-at-group-start), the pair passes run pairPassFast and then
+// draws — the per-walker stream sequence is identical to stepRound's
+// draw-at-group-start), the pair passes run pairPassFast and then
 // replay its deferred sentinel pairs hop-by-hop with the exact redraw
 // semantics, and an odd group length finishes with one single-step round.
 // The lane early-exits at the first pass that crosses its target
 // (overshoot is at most one pass), leaving the exact crossing round to
-// resolveCrossings. One lane's whole group runs before the next lane
+// resolveCrossing. t0 and the rounds inside are relative to the window
+// starting at round wbase. One lane's whole group runs before the next lane
 // starts, so its first-visit cells and walker state stay cache-hot for
 // all rounds of the group.
-func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl int32, t0 uint32, pairs int, odd bool) {
+func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl int32, wbase int64, t0 uint32, pairs int, odd bool) {
 	pad2 := e.pair.tbl
 	pad, shift := e.pad, e.padShift
 	shift2 := 2 * shift
@@ -390,7 +402,7 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 		}
 		if cnt >= target {
 			cov.counts[sl] = cnt
-			cov.resolveCrossings(ln, ln+1, t1-1, t2)
+			cov.resolveCrossing(sl, wbase, t1-1, t2)
 			return
 		}
 	}
@@ -399,7 +411,7 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 		cnt = singleRoundFast(pad, first, pos, res, streams, base, shift, t, cnt)
 		if cnt >= target {
 			cov.counts[sl] = cnt
-			cov.done[sl] = int64(t)
+			cov.done[sl] = wbase + int64(t)
 			return
 		}
 	}
@@ -412,37 +424,29 @@ func mask2of(shift2 uint32) uint64 { return uint64(1)<<shift2 - 1 }
 // trailingZeros64 aliases bits.TrailingZeros64 for the bitmask replay.
 func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }
 
-// resolveCrossings marks every lane in [loLane, hiLane) whose count
-// crossed its target during the pass ending at round thi, resolving the
-// exact crossing round from the lane's first-visit cells: the smallest
-// round in (tlo, thi] at which the running distinct count reached the
-// target. Counts are monotone, so the crossing pass is always the pass
-// that detects it.
-func (cov *GroupCoverObserver) resolveCrossings(loLane, hiLane int, tlo, thi uint32) {
-	for ln := loLane; ln < hiLane; ln++ {
-		s := cov.laneOff[ln]
-		if cov.done[s] >= 0 || int(cov.counts[s]) < cov.target {
-			continue
+// resolveCrossing marks slot s, whose count crossed its target during the
+// pass ending at round base+thi, with the exact crossing round resolved
+// from its first-visit cells: the smallest round in (base+tlo, base+thi]
+// at which the running distinct count reached the target. Counts are
+// monotone, so the crossing pass is always the pass that detects it.
+func (cov *GroupCoverObserver) resolveCrossing(s int32, base int64, tlo, thi uint32) {
+	// Count visits no later than each candidate round in one sweep.
+	span := int(thi - tlo)
+	var at [2]int32 // span is 1 (single pass) or 2 (pair pass)
+	before := int32(0)
+	for _, f := range cov.laneCells(s) {
+		if f <= tlo {
+			before++
+		} else if f <= thi {
+			at[int(f-tlo)-1]++
 		}
-		lane := cov.laneCells(s)
-		// Count visits no later than each candidate round in one sweep.
-		span := int(thi - tlo)
-		var at [2]int32 // span is 1 (single pass) or 2 (pair pass)
-		before := int32(0)
-		for _, f := range lane {
-			if f <= tlo {
-				before++
-			} else if f <= thi {
-				at[int(f-tlo)-1]++
-			}
-		}
-		run := before
-		for j := 0; j < span; j++ {
-			run += at[j]
-			if int(run) >= cov.target {
-				cov.done[s] = int64(tlo) + int64(j) + 1
-				break
-			}
+	}
+	run := before
+	for j := 0; j < span; j++ {
+		run += at[j]
+		if int(run) >= cov.target {
+			cov.done[s] = base + int64(tlo) + int64(j) + 1
+			return
 		}
 	}
 }
@@ -490,11 +494,12 @@ func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCov
 	for ln := loLane; ln < hiLane; ln++ {
 		sl := cov.laneOff[ln]
 		for t0 := int64(0); cov.done[sl] < 0 && t0 < maxRounds; t0 += group {
-			b := group
-			if b > maxRounds-t0 {
-				b = maxRounds - t0
+			base := windowBase(t0+1, e.window)
+			if t0 > 0 && t0 == base {
+				cov.rebaseSlot(sl, base)
 			}
-			e.laneGroup(gst, cov, ln, sl, uint32(t0), int(b/2), b%2 == 1)
+			b := min(group, maxRounds-t0)
+			e.laneGroup(gst, cov, ln, sl, base, uint32(t0-base), int(b/2), b%2 == 1)
 		}
 		trial := int(gst.laneTrial[ln])
 		if s := cov.done[sl]; s >= 0 {

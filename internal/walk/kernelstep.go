@@ -29,11 +29,11 @@ package walk
 //	                   unset) or [0, d-1) afterwards (redraws take fresh
 //	                   x); in the latter case, landing on prev's slot
 //	                   swaps in the last neighbor, i.e. the classic
-//	                   "sample d-1 slots, patch the collision" scheme the
-//	                   legacy NBWalker uses.
+//	                   "sample d-1 slots, patch the collision" scheme
+//	                   KernelWalker's no-backtrack step uses.
 
 // stepRoundLazyPad advances one lazy round in padded mode.
-func (e *Engine) stepRoundLazyPad(st *runState, lo, hi int) {
+func (e *Engine) stepRoundLazyPad(st *walkers, lo, hi int) {
 	pad, shift := e.pad, e.padShift
 	mask := uint64(1)<<shift - 1
 	stay := e.prog.stayThresh
@@ -57,7 +57,7 @@ func (e *Engine) stepRoundLazyPad(st *runState, lo, hi int) {
 }
 
 // stepRoundLazyCSR advances one lazy round in CSR mode.
-func (e *Engine) stepRoundLazyCSR(st *runState, lo, hi int) {
+func (e *Engine) stepRoundLazyCSR(st *walkers, lo, hi int) {
 	vtx, adj := e.vtx, e.adj
 	stay := e.prog.stayThresh
 	pos := st.pos[lo:hi]
@@ -83,7 +83,7 @@ func (e *Engine) stepRoundLazyCSR(st *runState, lo, hi int) {
 // stepRoundAlias advances one round through the compiled alias table — the
 // step path of every progAlias kernel (Weighted, MetropolisUniform, the
 // hoppers, and any registered family without a dedicated fast path).
-func (e *Engine) stepRoundAlias(st *runState, lo, hi int) {
+func (e *Engine) stepRoundAlias(st *walkers, lo, hi int) {
 	at := e.prog.at
 	pos := st.pos[lo:hi]
 	streams := st.streams[lo:hi]
@@ -109,7 +109,7 @@ func (e *Engine) stepRoundAlias(st *runState, lo, hi int) {
 
 // stepRoundNoBacktrack advances one non-backtracking round over the CSR
 // arrays, maintaining the per-walker prev lane.
-func (e *Engine) stepRoundNoBacktrack(st *runState, lo, hi int) {
+func (e *Engine) stepRoundNoBacktrack(st *walkers, lo, hi int) {
 	vtx, adj := e.vtx, e.adj
 	pos := st.pos[lo:hi]
 	prev := st.prev[lo:hi]

@@ -20,7 +20,8 @@ import (
 // must agree within Monte Carlo error, which the kernel tests check.
 
 // KernelWalker advances a single walker under an arbitrary kernel. It is
-// the generalization of Walker (uniform) and NBWalker (no-backtrack).
+// the generalization of Walker (uniform) to every kernel, including the
+// non-backtracking walk.
 type KernelWalker struct {
 	g    *graph.Graph
 	k    Kernel

@@ -54,15 +54,6 @@ func (o MCOptions) normalized() (MCOptions, error) {
 // Effective Go style); each result is written to a distinct slice slot, so
 // no locking is needed.
 func MonteCarlo(opts MCOptions, fn func(trial int, r *rng.Source) float64) ([]float64, error) {
-	return monteCarloFrom(opts, 0, fn)
-}
-
-// monteCarloFrom is MonteCarlo over trials [base, base+opts.Trials) of the
-// global schedule: fn receives the global trial index and the stream
-// rng.NewStream(Seed, globalTrial); results stay locally indexed. It is
-// the sequential-path counterpart of GroupedRunSpec.TrialBase, used by the
-// adaptive driver's over-budget fallback waves.
-func monteCarloFrom(opts MCOptions, base int, fn func(trial int, r *rng.Source) float64) ([]float64, error) {
 	opts, err := opts.normalized()
 	if err != nil {
 		return nil, err
@@ -71,12 +62,10 @@ func monteCarloFrom(opts MCOptions, base int, fn func(trial int, r *rng.Source) 
 	// The channel is buffered to Trials and filled (and closed) before any
 	// worker starts: the producer never blocks, workers never wait on a
 	// handoff, and tiny-trial runs skip the producer/consumer context
-	// switches an unbuffered channel would cost per trial. Result ordering
-	// and stream derivation are unchanged — trial t still runs on
-	// rng.NewStream(Seed, t) and writes results[t-base].
+	// switches an unbuffered channel would cost per trial.
 	trials := make(chan int, opts.Trials)
 	for t := 0; t < opts.Trials; t++ {
-		trials <- base + t
+		trials <- t
 	}
 	close(trials)
 	var wg sync.WaitGroup
@@ -85,7 +74,7 @@ func monteCarloFrom(opts MCOptions, base int, fn func(trial int, r *rng.Source) 
 		go func() {
 			defer wg.Done()
 			for t := range trials {
-				results[t-base] = fn(t, rng.NewStream(opts.Seed, uint64(t)))
+				results[t] = fn(t, rng.NewStream(opts.Seed, uint64(t)))
 			}
 		}()
 	}
@@ -126,50 +115,29 @@ func (e Estimate) Mean() float64 { return e.Summary.Mean }
 // CI95 is shorthand for Summary.CI95().
 func (e Estimate) CI95() float64 { return e.Summary.CI95() }
 
-// runCoverTrials runs opts.Trials independent k-walk cover runs on eng —
-// trial-fused through RunGrouped when the budget allows, else sequentially
-// through MonteCarlo with the identical stream derivation — and returns
-// every trial's (rounds, covered) outcome. target 0 selects full cover.
-// The two paths are bit-for-bit interchangeable (pinned by
-// TestFusedMatchesSequentialTrials). With Precision enabled the same
-// trials run in adaptive waves instead (each wave a TrialBase-offset pass
-// of the identical global schedule), so every trial that does run is
-// bit-for-bit the fixed path's trial.
+// runCoverTrials runs opts.Trials independent k-walk cover runs on eng as
+// trial-lane passes and returns every trial's (rounds, covered) outcome.
+// target 0 selects full cover. With Precision enabled the same trials run
+// in adaptive waves instead (each wave a TrialBase-offset pass of the
+// identical global schedule), so every trial that does run is bit-for-bit
+// the fixed path's trial.
 func runCoverTrials(eng *Engine, opts MCOptions, starts []int32, target int, place func(int, *rng.Source, []int32)) (GroupedResult, error) {
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			return eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Place:     place,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, NewGroupCoverObserver(target))
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		wopts := opts
-		wopts.Trials = count
-		_, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			st := starts
-			if place != nil {
-				st = make([]int32, len(starts))
-				copy(st, starts)
-				place(t, r, st)
-			}
-			var cr CoverResult
-			if target == 0 {
-				cr = eng.KCover(st, r.Uint64(), opts.MaxSteps)
-			} else {
-				cr = eng.KCoverTarget(st, target, r.Uint64(), opts.MaxSteps)
-			}
-			res.Rounds[t-base] = cr.Steps
-			res.Stopped[t-base] = cr.Covered
-			return 0
-		})
-		return res, err
-	}
+	return runTrials(opts, func(base, count int) (GroupedResult, error) {
+		return eng.RunGrouped(GroupedRunSpec{
+			Trials:    count,
+			TrialBase: base,
+			Starts:    starts,
+			Place:     place,
+			Seed:      opts.Seed,
+			MaxRounds: opts.MaxSteps,
+			Workers:   opts.Workers,
+		}, NewGroupCoverObserver(target))
+	})
+}
+
+// runTrials runs trials [0, opts.Trials) through run, in adaptive waves
+// when Precision is enabled.
+func runTrials(opts MCOptions, run func(base, count int) (GroupedResult, error)) (GroupedResult, error) {
 	if !opts.Precision.Enabled() {
 		return run(0, opts.Trials)
 	}
@@ -178,8 +146,8 @@ func runCoverTrials(eng *Engine, opts MCOptions, starts []int32, target int, pla
 
 // EstimateFromTrials summarizes per-trial rounds with truncation
 // accounting: trials that exhausted the budget are censored at their
-// recorded rounds (the budget) and counted, exactly like the sequential
-// estimators. Adaptive wave accounting carries through.
+// recorded rounds (the budget) and counted. Adaptive wave accounting
+// carries through.
 func EstimateFromTrials(res GroupedResult) Estimate {
 	samples := make([]float64, len(res.Rounds))
 	truncated := 0
@@ -207,7 +175,7 @@ func EstimateCoverTime(g *graph.Graph, start int32, opts MCOptions) (Estimate, e
 // EstimateKCoverTime estimates the expected k-walk cover time (in rounds)
 // from a common start vertex. All trials run as one trial-fused engine
 // pass: Trials x k walker lanes stepped together, each trial's sample
-// bit-for-bit equal to a sequential Engine run with the MonteCarlo stream
+// bit-for-bit equal to an Engine run with the MonteCarlo stream
 // derivation.
 func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Estimate, error) {
 	if k < 1 {
@@ -234,8 +202,8 @@ func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Est
 // EstimateKCoverTimeStationary estimates the k-walk cover time with the k
 // walkers started at fresh stationary samples each trial — the variant
 // discussed in the paper's §1.1 comparison with Broder et al. The
-// placement draws come off each trial's stream exactly as the sequential
-// path drew them, so fusion changes no sample.
+// placement draws come off each trial's MonteCarlo stream before its
+// engine seed.
 func EstimateKCoverTimeStationary(g *graph.Graph, k int, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
@@ -285,32 +253,16 @@ func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (E
 
 // runHitTrials is runCoverTrials' counterpart for marked-vertex searches.
 func runHitTrials(eng *Engine, opts MCOptions, starts []int32, marked []bool) (GroupedResult, error) {
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			return eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, NewGroupHitObserver(marked))
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		wopts := opts
-		wopts.Trials = count
-		_, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			hr := eng.KHit(starts, marked, r.Uint64(), opts.MaxSteps)
-			res.Rounds[t-base] = hr.Rounds
-			res.Stopped[t-base] = hr.Hit
-			return 0
-		})
-		return res, err
-	}
-	if !opts.Precision.Enabled() {
-		return run(0, opts.Trials)
-	}
-	return adaptiveTrials(opts, run)
+	return runTrials(opts, func(base, count int) (GroupedResult, error) {
+		return eng.RunGrouped(GroupedRunSpec{
+			Trials:    count,
+			TrialBase: base,
+			Starts:    starts,
+			Seed:      opts.Seed,
+			MaxRounds: opts.MaxSteps,
+			Workers:   opts.Workers,
+		}, NewGroupHitObserver(marked))
+	})
 }
 
 // CoverTimeTail estimates Pr[τ > t] for the provided horizon t by running

@@ -7,9 +7,13 @@ import (
 	"manywalks/internal/rng"
 )
 
+// The non-backtracking walk ("one bit of memory") is the NoBacktrack
+// kernel: KernelWalker steps it with a shared stream, the engine with the
+// no-backtrack step program.
+
 func TestNBWalkerNeverBacktracks(t *testing.T) {
 	g := graph.Torus2D(5) // degree 4 everywhere: backtracking never forced
-	w := NewNBWalker(g, 0, rng.New(1))
+	w := NewKernelWalker(g, NoBacktrack(), 0, rng.New(1))
 	prev := w.Pos()
 	cur := w.Step()
 	for i := 0; i < 5000; i++ {
@@ -27,7 +31,7 @@ func TestNBWalkerNeverBacktracks(t *testing.T) {
 func TestNBWalkerDegreeOneFallsBack(t *testing.T) {
 	// On a path the endpoints force a reversal.
 	g := graph.Path(3)
-	w := NewNBWalker(g, 1, rng.New(2))
+	w := NewKernelWalker(g, NoBacktrack(), 1, rng.New(2))
 	first := w.Step() // to 0 or 2
 	second := w.Step()
 	if second != 1 {
@@ -42,7 +46,7 @@ func TestNBWalkerUniformAmongAllowed(t *testing.T) {
 	counts := map[int32]int{}
 	const trials = 30000
 	for i := 0; i < trials; i++ {
-		w := NewNBWalker(g, 0, rng.NewStream(3, uint64(i)))
+		w := NewKernelWalker(g, NoBacktrack(), 0, rng.NewStream(3, uint64(i)))
 		w.prev = g.Neighbors(0)[0] // pretend we came from the first neighbor
 		counts[w.Step()]++
 	}
@@ -63,9 +67,15 @@ func TestNBCoverCycleIsBallistic(t *testing.T) {
 	n := 64
 	g := graph.Cycle(n)
 	for trial := 0; trial < 20; trial++ {
-		res := NBCoverFrom(g, 0, rng.NewStream(5, uint64(trial)), 1<<20)
+		res := KernelCoverFrom(g, NoBacktrack(), 0, rng.NewStream(5, uint64(trial)), 1<<20)
 		if !res.Covered || res.Steps != int64(n-1) {
 			t.Fatalf("NB cycle cover %+v, want exactly %d", res, n-1)
+		}
+	}
+	eng := NewEngine(g, EngineOptions{Kernel: NoBacktrack()})
+	for seed := uint64(0); seed < 20; seed++ {
+		if res := eng.KCoverFrom(0, 1, seed, 1<<20); !res.Covered || res.Steps != int64(n-1) {
+			t.Fatalf("engine NB cycle cover %+v, want exactly %d", res, n-1)
 		}
 	}
 }
@@ -73,7 +83,7 @@ func TestNBCoverCycleIsBallistic(t *testing.T) {
 func TestNBCoverBeatsSimpleOnTorus(t *testing.T) {
 	g := graph.Torus2D(8)
 	opts := MCOptions{Trials: 400, Seed: 7, MaxSteps: 1 << 22}
-	nb, err := EstimateNBCoverTime(g, 0, 1, opts)
+	nb, err := EstimateKernelCoverTime(g, NoBacktrack(), 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +99,11 @@ func TestNBCoverBeatsSimpleOnTorus(t *testing.T) {
 func TestKNBCoverScalesWithK(t *testing.T) {
 	g := graph.Torus2D(8)
 	opts := MCOptions{Trials: 300, Seed: 9, MaxSteps: 1 << 22}
-	c1, err := EstimateNBCoverTime(g, 0, 1, opts)
+	c1, err := EstimateKernelKCoverTime(g, NoBacktrack(), 0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c8, err := EstimateNBCoverTime(g, 0, 8, opts)
+	c8, err := EstimateKernelKCoverTime(g, NoBacktrack(), 0, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +115,12 @@ func TestKNBCoverScalesWithK(t *testing.T) {
 
 func TestNBValidation(t *testing.T) {
 	g := graph.Cycle(5)
-	if _, err := EstimateNBCoverTime(g, 0, 0, MCOptions{Trials: 2, MaxSteps: 10}); err == nil {
+	if _, err := EstimateKernelKCoverTime(g, NoBacktrack(), 0, 0, MCOptions{Trials: 2, MaxSteps: 10}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
-	if _, err := EstimateNBCoverTime(b.Build("disc"), 0, 1, MCOptions{Trials: 2, MaxSteps: 10}); err == nil {
+	if _, err := EstimateKernelKCoverTime(b.Build("disc"), NoBacktrack(), 0, 1, MCOptions{Trials: 2, MaxSteps: 10}); err == nil {
 		t.Fatal("disconnected accepted")
 	}
 	defer func() {
@@ -118,5 +128,5 @@ func TestNBValidation(t *testing.T) {
 			t.Fatal("no panic for bad start")
 		}
 	}()
-	NewNBWalker(g, 9, rng.New(1))
+	NewKernelWalker(g, NoBacktrack(), 9, rng.New(1))
 }

@@ -2,7 +2,6 @@ package walk
 
 import (
 	"fmt"
-	"sync"
 
 	"manywalks/internal/graph"
 	"manywalks/internal/rng"
@@ -44,7 +43,8 @@ func PartialCoverFrom(g *graph.Graph, start int32, k int, alpha float64, r *rng.
 }
 
 // EstimatePartialCoverTime estimates the expected α-partial k-walk cover
-// time from start.
+// time from start. Trials run as trial-lane passes with a count-target
+// cover observer; Precision is ignored (the trial count is fixed).
 func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
@@ -58,31 +58,17 @@ func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64,
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
-	n := g.N()
-	target := int(alpha * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	starts := make([]int32, k)
-	for i := range starts {
-		starts[i] = start
-	}
-	var mu sync.Mutex
-	truncated := 0
-	samples, err := MonteCarlo(opts, func(_ int, r *rng.Source) float64 {
-		res := eng.KCoverTarget(starts, target, r.Uint64(), opts.MaxSteps)
-		if !res.Covered {
-			mu.Lock()
-			truncated++
-			mu.Unlock()
-		}
-		return float64(res.Steps)
-	})
+	opts, err := opts.normalized()
 	if err != nil {
 		return Estimate{}, err
 	}
-	return Estimate{Summary: stats.Summarize(samples), Truncated: truncated}, nil
+	opts.Precision = Precision{}
+	eng := NewEngine(g, EngineOptions{Workers: 1})
+	res, err := runCoverTrials(eng, opts, commonStarts(start, k), thresholdTarget(alpha, g.N()), nil)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return EstimateFromTrials(res), nil
 }
 
 // LastVertexFrom runs a single walk to full cover and returns the identity
@@ -135,8 +121,7 @@ func MeetingTimeFrom(g *graph.Graph, u, v int32, r *rng.Source, maxRounds int64)
 // k-walk meeting time: all walkers step through one shared rng.Source and
 // the first round any two occupy the same vertex is returned (duplicate
 // starts meet at round 0). It is the statistical baseline the engine's
-// CollisionObserver is validated against; estimators run on
-// Engine.KMeetingTime.
+// collision lanes are validated against; estimators run on the engine.
 func KMeetingFromVertices(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) (int64, bool) {
 	coal, _, _ := legacyCollisionLoop(g, starts, r, maxRounds, true)
 	return coal.round, coal.ok
@@ -245,40 +230,17 @@ func EstimateKMeetingTime(g *graph.Graph, starts []int32, opts MCOptions) (Estim
 		return Estimate{}, err
 	}
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	// Trial-fused pass: every trial is one collision lane. Over-budget
-	// horizons fall back to sequential engine runs with the identical
-	// stream derivation.
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			return eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, NewGroupCollisionObserver(false))
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		wopts := opts
-		wopts.Trials = count
-		_, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			mr, err := eng.KMeetingTime(starts, r.Uint64(), opts.MaxSteps)
-			if err != nil {
-				panic(err.Error()) // validated above; unreachable
-			}
-			res.Rounds[t-base] = mr.Rounds
-			res.Stopped[t-base] = mr.Met
-			return 0
-		})
-		return res, err
-	}
-	var res GroupedResult
-	if opts.Precision.Enabled() {
-		res, err = adaptiveTrials(opts, run)
-	} else {
-		res, err = run(0, opts.Trials)
-	}
+	// Every trial is one collision lane.
+	res, err := runTrials(opts, func(base, count int) (GroupedResult, error) {
+		return eng.RunGrouped(GroupedRunSpec{
+			Trials:    count,
+			TrialBase: base,
+			Starts:    starts,
+			Seed:      opts.Seed,
+			MaxRounds: opts.MaxSteps,
+			Workers:   opts.Workers,
+		}, NewGroupCollisionObserver(false))
+	})
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -303,73 +265,36 @@ func EstimateKCoalescenceTime(g *graph.Graph, starts []int32, opts MCOptions) (c
 		return Estimate{}, Estimate{}, err
 	}
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	// Trial-fused pass: coalescence lanes also record each trial's first
-	// meeting round, so both estimates come from the same fused run. The
-	// run closure appends each wave's meeting rounds in trial order (waves
-	// run sequentially), so the meet estimate covers exactly the trials
-	// the adaptive stop — which watches the coalescence samples — ran.
+	// Coalescence lanes also record each trial's first meeting round, so
+	// both estimates come from the same runs. The run closure appends each
+	// wave's meeting rounds in trial order (waves run sequentially), so the
+	// meet estimate covers exactly the trials the adaptive stop — which
+	// watches the coalescence samples — ran.
 	var meets []float64
 	meetTruncated := 0
-	run := func(base, count int) (GroupedResult, error) {
-		if opts.MaxSteps <= MaxGroupedRounds {
-			col := NewGroupCollisionObserver(true)
-			res, err := eng.RunGrouped(GroupedRunSpec{
-				Trials:    count,
-				TrialBase: base,
-				Starts:    starts,
-				Seed:      opts.Seed,
-				MaxRounds: opts.MaxSteps,
-				Workers:   opts.Workers,
-			}, col)
-			if err != nil {
-				return GroupedResult{}, err
-			}
-			for trial := 0; trial < count; trial++ {
-				m := col.TrialMeetRound(trial)
-				if m < 0 {
-					m = opts.MaxSteps
-					meetTruncated++
-				}
-				meets = append(meets, float64(m))
-			}
-			return res, nil
-		}
-		res := GroupedResult{Rounds: make([]int64, count), Stopped: make([]bool, count)}
-		waveMeets := make([]float64, count)
-		waveTrunc := make([]bool, count)
-		wopts := opts
-		wopts.Trials = count
-		if _, err := monteCarloFrom(wopts, base, func(t int, r *rng.Source) float64 {
-			cr, err := eng.KCoalescenceTime(starts, r.Uint64(), opts.MaxSteps)
-			if err != nil {
-				panic(err.Error()) // validated above; unreachable
-			}
-			m := cr.FirstMeeting
-			if m < 0 {
-				m = opts.MaxSteps
-				waveTrunc[t-base] = true
-			}
-			waveMeets[t-base] = float64(m)
-			res.Rounds[t-base] = cr.Rounds
-			res.Stopped[t-base] = cr.Coalesced
-			return 0
-		}); err != nil {
+	res, err := runTrials(opts, func(base, count int) (GroupedResult, error) {
+		col := NewGroupCollisionObserver(true)
+		res, err := eng.RunGrouped(GroupedRunSpec{
+			Trials:    count,
+			TrialBase: base,
+			Starts:    starts,
+			Seed:      opts.Seed,
+			MaxRounds: opts.MaxSteps,
+			Workers:   opts.Workers,
+		}, col)
+		if err != nil {
 			return GroupedResult{}, err
 		}
-		meets = append(meets, waveMeets...)
-		for _, tr := range waveTrunc {
-			if tr {
+		for trial := 0; trial < count; trial++ {
+			m := col.TrialMeetRound(trial)
+			if m < 0 {
+				m = opts.MaxSteps
 				meetTruncated++
 			}
+			meets = append(meets, float64(m))
 		}
 		return res, nil
-	}
-	var res GroupedResult
-	if opts.Precision.Enabled() {
-		res, err = adaptiveTrials(opts, run)
-	} else {
-		res, err = run(0, opts.Trials)
-	}
+	})
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
@@ -380,7 +305,8 @@ func EstimateKCoalescenceTime(g *graph.Graph, starts []int32, opts MCOptions) (c
 // MeanPartialCoverRounds estimates, per cover fraction, the expected round
 // the k-walk from start first reaches it — the whole partial-cover curve
 // from single runs. Fractions not reached within MaxSteps are censored at
-// MaxSteps and counted in that fraction's Truncated.
+// MaxSteps and counted in that fraction's Truncated. Precision is ignored
+// (the trial count is fixed).
 func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []float64, opts MCOptions) ([]Estimate, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("walk: k must be >= 1")
@@ -399,36 +325,35 @@ func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []floa
 			return nil, fmt.Errorf("walk: cover fraction %v must be in (0,1]", f)
 		}
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
-	starts := commonStarts(start, k)
-	rounds := make([][]float64, len(fractions))
-	for i := range rounds {
-		rounds[i] = make([]float64, opts.Trials)
-	}
-	var mu sync.Mutex
-	truncated := make([]int, len(fractions))
-	_, err := MonteCarlo(opts, func(trial int, r *rng.Source) float64 {
-		res, err := eng.PartialCoverCurve(starts, fractions, r.Uint64(), opts.MaxSteps)
-		if err != nil {
-			panic(err.Error()) // validated above; unreachable
-		}
-		for i, t := range res.Rounds {
-			if t < 0 {
-				t = opts.MaxSteps
-				mu.Lock()
-				truncated[i]++
-				mu.Unlock()
-			}
-			rounds[i][trial] = float64(t)
-		}
-		return 0
-	})
+	opts, err := opts.normalized()
 	if err != nil {
 		return nil, err
 	}
+	eng := NewEngine(g, EngineOptions{Workers: 1})
+	order, sorted := sortedFractions(fractions)
+	cov := &GroupCoverObserver{Thresholds: sorted}
+	if _, err := eng.RunGrouped(GroupedRunSpec{
+		Trials:    opts.Trials,
+		Starts:    commonStarts(start, k),
+		Seed:      opts.Seed,
+		MaxRounds: opts.MaxSteps,
+		Workers:   opts.Workers,
+	}, cov); err != nil {
+		return nil, err
+	}
 	ests := make([]Estimate, len(fractions))
-	for i := range ests {
-		ests[i] = Estimate{Summary: stats.Summarize(rounds[i]), Truncated: truncated[i]}
+	samples := make([]float64, opts.Trials)
+	for j, idx := range order {
+		truncated := 0
+		for trial := range samples {
+			t := cov.TrialThresholdRounds(trial)[j]
+			if t < 0 {
+				t = opts.MaxSteps
+				truncated++
+			}
+			samples[trial] = float64(t)
+		}
+		ests[idx] = Estimate{Summary: stats.Summarize(samples), Truncated: truncated}
 	}
 	return ests, nil
 }
@@ -468,57 +393,31 @@ func MeanCoverageProfile(g *graph.Graph, start int32, k int, horizon int64, opts
 	}
 	// Each trial derives its profile from the engine's first-visit rounds:
 	// the coverage count after round t is the number of vertices whose
-	// first visit is at most t. Trials run as one trial-fused pass with
-	// first-visit recording; over-cap horizons fall back to sequential
-	// runs.
+	// first visit is at most t.
 	opts.MaxSteps = horizon
 	opts, err := opts.normalized()
 	if err != nil {
 		return nil, err
 	}
 	eng := NewEngine(g, EngineOptions{Workers: 1})
-	starts := commonStarts(start, k)
-	profileOf := func(first []int64) []int {
-		profile := make([]int, horizon+1)
-		for _, f := range first {
-			if f >= 0 {
-				profile[f]++
-			}
-		}
-		for t := int64(1); t <= horizon; t++ {
-			profile[t] += profile[t-1]
-		}
-		return profile
-	}
-	profiles := make([][]int, opts.Trials)
-	if horizon <= MaxGroupedRounds {
-		cov := &GroupCoverObserver{RecordFirst: true}
-		if _, err := eng.RunGrouped(GroupedRunSpec{
-			Trials:    opts.Trials,
-			Starts:    starts,
-			Seed:      opts.Seed,
-			MaxRounds: horizon,
-			Workers:   opts.Workers,
-		}, cov); err != nil {
-			return nil, err
-		}
-		for trial := range profiles {
-			profiles[trial] = profileOf(cov.TrialFirstVisits(trial))
-		}
-	} else if _, err := MonteCarlo(opts, func(trial int, r *rng.Source) float64 {
-		profiles[trial] = profileOf(eng.KFirstVisits(starts, r.Uint64(), horizon))
-		return 0
-	}); err != nil {
+	cov := &GroupCoverObserver{RecordFirst: true}
+	if _, err := eng.RunGrouped(GroupedRunSpec{
+		Trials:    opts.Trials,
+		Starts:    commonStarts(start, k),
+		Seed:      opts.Seed,
+		MaxRounds: horizon,
+		Workers:   opts.Workers,
+	}, cov); err != nil {
 		return nil, err
 	}
 	mean := make([]float64, horizon+1)
-	for _, p := range profiles {
-		for t, c := range p {
+	for trial := 0; trial < opts.Trials; trial++ {
+		for t, c := range coverageProfile(cov.TrialFirstVisits(trial), horizon) {
 			mean[t] += float64(c)
 		}
 	}
 	for t := range mean {
-		mean[t] /= float64(len(profiles))
+		mean[t] /= float64(opts.Trials)
 	}
 	return mean, nil
 }

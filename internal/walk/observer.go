@@ -1,39 +1,17 @@
 package walk
 
-import (
-	"fmt"
-)
-
-// This file defines the observer run-loop abstraction: a RunSpec names one
-// engine run (starting placement, seed, round budget, stop condition), and a
-// set of Observers watches the run through two hooks that together preserve
-// the engine's bit-for-bit determinism guarantee:
+// This file defines the single-run API over the trial-lane driver: a
+// RunSpec names one engine run (starting placement, seed, round budget,
+// stop condition), and a set of Observers watches it. Each observer is a
+// thin configuration of a lane observer (grouped.go) — the run is a
+// one-lane pass — and reports that lane's outcome through its accessors.
 //
-//   - scan: called on each worker after each round's step pass with the
-//     shard's fresh positions. A scan may touch only shard-private state
-//     (typically appending to a per-shard log), so workers never contend
-//     and the sharding cannot influence what is observed.
-//   - mergeRound: called at the batch barrier once per round of the batch
-//     window, in round order, after every shard has logged the whole
-//     window. The merge folds the shard logs into the observer's global
-//     state; because it sees rounds in order regardless of how batches
-//     partition them, every derived quantity (first visits, meeting
-//     rounds, threshold crossings) is exact and independent of Workers
-//     and BatchRounds.
-//
-// Each observer reports satisfiedAt(): the first round its own predicate
-// held (full cover, target count, all targets hit, first collision, full
+// Each observer's lane reports the first round its own predicate held
+// (full cover, target count, all targets hit, first collision, full
 // coalescence, ...), or -1. The RunSpec's StopCondition combines those
-// verdicts after every merged round, so the run halts at the exact round
-// the condition first held — mid-batch if need be — and no observer state
-// past the stop round is ever merged.
-//
-// The engine recognizes the two hot singleton shapes — one CoverObserver,
-// one HitObserver — and runs them through fused shard loops (engine.go)
-// that keep the padded/bit-reservoir fast path and the mid-batch early
-// exits; every other observer set runs through the generic loop. Both
-// paths share the same scan/merge implementations, so there is exactly one
-// copy of each observer's logic.
+// verdicts after every round, so the run halts at the exact round the
+// condition first held, and every observer reports its state as of that
+// round.
 
 // RunSpec describes one synchronized k-walk run: walker i starts at
 // Starts[i] and is driven by the independent stream (Seed, i). The run
@@ -54,38 +32,36 @@ type RunResult struct {
 }
 
 // StopCondition decides when a run halts. It is evaluated after every
-// merged round, so the round it returns is exact and independent of the
-// engine's batch partitioning. Implementations are provided by this
-// package (StopWhenAll, StopWhenAny, RunToHorizon); the interface is
-// closed to keep the determinism contract internal.
+// round, so the round it returns is exact and independent of the engine's
+// batch partitioning. Implementations are provided by this package
+// (StopWhenAll, StopWhenAny, RunToHorizon); the interface is closed to
+// keep the determinism contract internal.
 type StopCondition interface {
-	// stop returns the exact round the run should halt at given the
-	// observers' satisfaction state, or -1 to continue.
-	stop(obs []Observer) int64
+	// laneStop returns the exact round lane ln should halt at given its
+	// observers' satisfaction rounds, or -1 to continue.
+	laneStop(obs []GroupObserver, ln int) int64
 }
 
 type stopWhenAll struct{}
 
-func (stopWhenAll) stop(obs []Observer) int64 {
+func (stopWhenAll) laneStop(obs []GroupObserver, ln int) int64 {
 	r := int64(0)
 	for _, o := range obs {
-		s := o.satisfiedAt()
+		s := o.laneSatisfied(ln)
 		if s < 0 {
 			return -1
 		}
-		if s > r {
-			r = s
-		}
+		r = max(r, s)
 	}
 	return r
 }
 
 type stopWhenAny struct{}
 
-func (stopWhenAny) stop(obs []Observer) int64 {
+func (stopWhenAny) laneStop(obs []GroupObserver, ln int) int64 {
 	r := int64(-1)
 	for _, o := range obs {
-		if s := o.satisfiedAt(); s >= 0 && (r < 0 || s < r) {
+		if s := o.laneSatisfied(ln); s >= 0 && (r < 0 || s < r) {
 			r = s
 		}
 	}
@@ -94,7 +70,7 @@ func (stopWhenAny) stop(obs []Observer) int64 {
 
 type runToHorizon struct{}
 
-func (runToHorizon) stop([]Observer) int64 { return -1 }
+func (runToHorizon) laneStop([]GroupObserver, int) int64 { return -1 }
 
 // StopWhenAll halts the run at the first round every observer is
 // satisfied (the default).
@@ -109,34 +85,13 @@ func RunToHorizon() StopCondition { return runToHorizon{} }
 
 // Observer watches one engine run. Observers are single-run objects: Run
 // rebinds them at the start and their accessors report that run's outcome
-// afterwards; concurrent runs need distinct observers. All methods are
+// afterwards; concurrent runs need distinct observers. The method set is
 // unexported — the set of observers is fixed by this package so the
-// determinism contract (shard-private scans, round-ordered merges) cannot
-// be broken from outside.
+// determinism contract cannot be broken from outside.
 type Observer interface {
-	// validate checks the observer's configuration against the run shape.
-	validate(n, k int) error
-	// reset binds the observer to a fresh run and observes the round-0
-	// placement (starts).
-	reset(e *Engine, st *runState, starts []int32)
-	// preBatch runs before each batch's step phase (single-threaded):
-	// per-shard buffers are cleared and, for the cover observer, the
-	// merged visited set is copied to the shards.
-	preBatch(st *runState)
-	// scan is the per-shard hook: called by worker w after round t's step
-	// pass with the shard's positions in st.pos[ws.lo:ws.hi]. It may only
-	// touch shard-private state.
-	scan(st *runState, ws *worker, w int, t int64)
-	// beginMerge opens the barrier merge for the batch covering rounds
-	// (t0, t0+b]; mergeRound is then called once per round in order.
-	beginMerge(st *runState, b int, t0 int64)
-	mergeRound(st *runState, t int64)
-	// endMerge closes the barrier merge (also after an early stop), at
-	// minimum discarding the batch's shard logs.
-	endMerge(st *runState)
-	// satisfiedAt returns the first round the observer's predicate held,
-	// or -1. It is monotone: once set it never changes.
-	satisfiedAt() int64
+	// laneObserver configures and returns the lane observer that
+	// implements this observer in the run's one-lane pass.
+	laneObserver() GroupObserver
 }
 
 // ---------------------------------------------------------------------------
@@ -165,21 +120,7 @@ type CoverObserver struct {
 	Thresholds  []float64
 	RecordFirst bool
 
-	// run state
-	n           int
-	countTarget int // count goal, 0 if none
-	earlyTarget int // pure-count early-exit threshold; -1 when Targets gate satisfaction
-	count       int
-	seen        []uint64 // borrowed from runState (pooled), word-packed
-	probe       []uint8  // lone-worker byte probe (see logNewVisitsBytes)
-	sharedSeen  bool     // single worker probes bytes; its log is globally new
-	first       []int64
-	thrTargets  []int
-	thrRounds   []int64
-	thrNext     int
-	targetIdx   []int8 // 1 for a not-yet-visited target vertex
-	targetsLeft int
-	satisfied   int64
+	lane GroupCoverObserver
 }
 
 // NewCoverObserver returns a full-cover observer (the KCover workload).
@@ -210,196 +151,36 @@ func NewTargetSetObserver(targets []int32) *CoverObserver {
 	return &CoverObserver{Targets: targets}
 }
 
-func (o *CoverObserver) validate(n, k int) error {
-	if o.Target < 0 || o.Target > n {
-		return fmt.Errorf("walk: cover target %d out of range [1,%d]", o.Target, n)
-	}
-	for i, f := range o.Thresholds {
-		if !(f > 0 && f <= 1) {
-			return fmt.Errorf("walk: cover threshold %v must be in (0,1]", f)
-		}
-		if i > 0 && f < o.Thresholds[i-1] {
-			return fmt.Errorf("walk: cover thresholds must be nondecreasing (%v after %v)", f, o.Thresholds[i-1])
-		}
-	}
-	for _, v := range o.Targets {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("walk: target vertex %d out of range [0,%d)", v, n)
-		}
-	}
-	return nil
+func (o *CoverObserver) laneObserver() GroupObserver {
+	o.lane.Target, o.lane.Targets, o.lane.Thresholds, o.lane.RecordFirst = o.Target, o.Targets, o.Thresholds, o.RecordFirst
+	return &o.lane
 }
-
-// thresholdTarget maps a cover fraction to its distinct-visit target,
-// matching EstimatePartialCoverTime's convention.
-func thresholdTarget(alpha float64, n int) int {
-	t := int(alpha * float64(n))
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func (o *CoverObserver) reset(e *Engine, st *runState, starts []int32) {
-	n := e.g.N()
-	o.n = n
-	o.count = 0
-	o.satisfied = -1
-	o.seen = st.seen
-	o.probe = st.probe
-	o.sharedSeen = len(st.ws) == 1
-
-	o.countTarget = o.Target
-	if o.countTarget == 0 && len(o.Targets) == 0 && len(o.Thresholds) == 0 {
-		o.countTarget = n // default workload: full cover
-	}
-	o.thrTargets = o.thrTargets[:0]
-	o.thrRounds = o.thrRounds[:0]
-	o.thrNext = 0
-	for _, f := range o.Thresholds {
-		o.thrTargets = append(o.thrTargets, thresholdTarget(f, n))
-		o.thrRounds = append(o.thrRounds, -1)
-	}
-
-	if len(o.Targets) > 0 || o.RecordFirst {
-		o.first = make([]int64, n)
-		for i := range o.first {
-			o.first[i] = -1
-		}
-	} else {
-		o.first = nil
-	}
-	o.targetIdx = nil
-	o.targetsLeft = 0
-	if len(o.Targets) > 0 {
-		o.targetIdx = make([]int8, n)
-		for _, v := range o.Targets {
-			if o.targetIdx[v] == 0 {
-				o.targetIdx[v] = 1
-				o.targetsLeft++
-			}
-		}
-	}
-
-	// The single-worker mid-batch early exit is sound only for pure count
-	// goals: count+pending new visits then bounds satisfaction exactly.
-	o.earlyTarget = o.countTarget
-	for _, t := range o.thrTargets {
-		if t > o.earlyTarget {
-			o.earlyTarget = t
-		}
-	}
-	if o.targetsLeft > 0 {
-		o.earlyTarget = -1
-	}
-
-	for _, s := range starts {
-		if !testAndSet(o.seen, s) {
-			if o.sharedSeen {
-				o.probe[s] = 1
-			}
-			o.noteNew(s, 0)
-		}
-	}
-}
-
-// noteNew records the first visit of v at round t: it is the single
-// bookkeeping path shared by the round-0 placement and both merge modes.
-func (o *CoverObserver) noteNew(v int32, t int64) {
-	o.count++
-	if o.first != nil && o.first[v] < 0 {
-		o.first[v] = t
-	}
-	if o.targetIdx != nil && o.targetIdx[v] != 0 {
-		o.targetIdx[v] = 0
-		o.targetsLeft--
-	}
-	for o.thrNext < len(o.thrTargets) && o.count >= o.thrTargets[o.thrNext] {
-		o.thrRounds[o.thrNext] = t
-		o.thrNext++
-	}
-	if o.satisfied < 0 && o.count >= o.countTarget && o.targetsLeft == 0 && o.thrNext == len(o.thrTargets) {
-		o.satisfied = t
-	}
-}
-
-func (o *CoverObserver) preBatch(st *runState) {
-	if !o.sharedSeen {
-		for w := range st.ws {
-			copy(st.ws[w].seen, o.seen)
-		}
-	}
-}
-
-// scan folds one round's shard frontier into the worker's seen set,
-// logging first visits: a lone worker probes the run's flat byte array
-// (logNewVisitsBytes — its log is globally new by construction), sharded
-// workers probe their private word-packed copies of the merged set.
-func (o *CoverObserver) scan(st *runState, ws *worker, _ int, t int64) {
-	if o.sharedSeen {
-		ws.log = logNewVisitsBytes(st.pos[ws.lo:ws.hi], o.probe, ws.log, t)
-		return
-	}
-	ws.log = logNewVisits(st.pos[ws.lo:ws.hi], ws.seen, ws.log, t)
-}
-
-func (o *CoverObserver) beginMerge(st *runState, _ int, _ int64) {
-	for w := range st.ws {
-		st.ws[w].cur = 0
-	}
-}
-
-func (o *CoverObserver) mergeRound(st *runState, t int64) {
-	if o.sharedSeen {
-		// The lone worker marked the merged set itself, so its log is
-		// exactly the globally new vertices in round order.
-		ws := &st.ws[0]
-		log, c := ws.log, ws.cur
-		for c < len(log) && log[c].t == t {
-			o.noteNew(log[c].v, t)
-			c++
-		}
-		ws.cur = c
-		return
-	}
-	seen := o.seen
-	for w := range st.ws {
-		ws := &st.ws[w]
-		log, c := ws.log, ws.cur
-		for c < len(log) && log[c].t == t {
-			v := log[c].v
-			c++
-			if !testAndSet(seen, v) {
-				o.noteNew(v, t)
-			}
-		}
-		ws.cur = c
-	}
-}
-
-func (o *CoverObserver) endMerge(st *runState) { st.resetLogs() }
-
-func (o *CoverObserver) satisfiedAt() int64 { return o.satisfied }
 
 // Count returns the number of distinct vertices visited when the run
 // ended.
-func (o *CoverObserver) Count() int { return o.count }
+func (o *CoverObserver) Count() int { return o.lane.TrialCount(0) }
 
 // FirstVisits returns each vertex's first-visit round (-1 if unvisited;
 // start vertices get 0). It requires RecordFirst or Targets.
-func (o *CoverObserver) FirstVisits() []int64 { return o.first }
+func (o *CoverObserver) FirstVisits() []int64 {
+	if o.lane.outFirst == nil {
+		return nil
+	}
+	return o.lane.TrialFirstVisits(0)
+}
 
 // ThresholdRounds returns, per configured threshold, the exact round its
 // cover fraction was reached (-1 if the run ended first).
-func (o *CoverObserver) ThresholdRounds() []int64 { return o.thrRounds }
+func (o *CoverObserver) ThresholdRounds() []int64 { return o.lane.TrialThresholdRounds(0) }
 
 // TargetHits returns, per configured target vertex, its first-hit round
 // (-1 if the run ended first). Duplicate targets share their vertex's
 // round.
 func (o *CoverObserver) TargetHits() []int64 {
+	first := o.FirstVisits()
 	hits := make([]int64, len(o.Targets))
 	for i, v := range o.Targets {
-		hits[i] = o.first[v]
+		hits[i] = first[v]
 	}
 	return hits
 }
@@ -408,8 +189,14 @@ func (o *CoverObserver) TargetHits() []int64 {
 // each round, index 0 being the round-0 placement — from the recorded
 // first visits, for horizon+1 entries.
 func (o *CoverObserver) Profile(horizon int64) []int {
+	return coverageProfile(o.FirstVisits(), horizon)
+}
+
+// coverageProfile counts, for t = 0..horizon, the vertices whose first
+// visit is at most t.
+func coverageProfile(first []int64, horizon int64) []int {
 	profile := make([]int, horizon+1)
-	for _, f := range o.first {
+	for _, f := range first {
 		if f >= 0 && f <= horizon {
 			profile[f]++
 		}
@@ -426,106 +213,32 @@ func (o *CoverObserver) Profile(horizon int64) []int {
 // HitObserver watches for any walker standing on a vertex of a marked set,
 // reporting the exact hit round, vertex, and walker (ties within a round
 // resolve to the lowest walker index). It is the target-set-hit observer
-// behind KHit and the netsim walk queries. Marked must have length n; an
-// all-false set is allowed and simply never satisfies.
+// behind KHit. Marked must have length n; an all-false set is allowed and
+// simply never satisfies.
 type HitObserver struct {
 	Marked []bool
 
-	bitset    []uint64
-	none      bool
-	cand      []hitCand // per shard: first in-batch hit
-	hitRound  int64
-	hitVertex int32
-	hitWalker int
-	satisfied int64
-}
-
-type hitCand struct {
-	t int64
-	v int32
-	i int
+	lane GroupHitObserver
 }
 
 // NewHitObserver returns a hit observer for the marked vertex set.
 func NewHitObserver(marked []bool) *HitObserver { return &HitObserver{Marked: marked} }
 
-func (o *HitObserver) validate(n, _ int) error {
-	if len(o.Marked) != n {
-		return fmt.Errorf("walk: marked length %d != n %d", len(o.Marked), n)
-	}
-	return nil
+func (o *HitObserver) laneObserver() GroupObserver {
+	o.lane.Marked = o.Marked
+	return &o.lane
 }
-
-func (o *HitObserver) reset(e *Engine, st *runState, starts []int32) {
-	o.bitset, o.none = compileMarkedBitset(o.Marked, o.bitset)
-	o.satisfied, o.hitRound, o.hitVertex, o.hitWalker = -1, -1, -1, -1
-	for i, s := range starts {
-		if o.Marked[s] {
-			o.satisfied, o.hitRound, o.hitVertex, o.hitWalker = 0, 0, s, i
-			break
-		}
-	}
-	if cap(o.cand) < len(st.ws) {
-		o.cand = make([]hitCand, len(st.ws))
-	}
-	o.cand = o.cand[:len(st.ws)]
-}
-
-func (o *HitObserver) preBatch(*runState) {
-	for w := range o.cand {
-		o.cand[w] = hitCand{t: -1}
-	}
-}
-
-// scan records the shard's first in-batch hit; once a shard holds a
-// candidate (or the observer is already satisfied) later rounds cost one
-// branch.
-func (o *HitObserver) scan(st *runState, ws *worker, w int, t int64) {
-	if o.satisfied >= 0 || o.cand[w].t >= 0 {
-		return
-	}
-	if ii := scanMarked(st.pos[ws.lo:ws.hi], o.bitset); ii >= 0 {
-		o.cand[w] = hitCand{t: t, v: st.pos[ws.lo+ii], i: ws.lo + ii}
-	}
-}
-
-func (o *HitObserver) beginMerge(*runState, int, int64) {}
-
-func (o *HitObserver) mergeRound(st *runState, t int64) {
-	if o.satisfied >= 0 {
-		return
-	}
-	// Shards are ordered by walker range, so the first candidate at t has
-	// the lowest walker index.
-	for w := range o.cand {
-		if o.cand[w].t == t {
-			o.satisfied, o.hitRound, o.hitVertex, o.hitWalker = t, t, o.cand[w].v, o.cand[w].i
-			return
-		}
-	}
-}
-
-func (o *HitObserver) endMerge(*runState) {}
-
-func (o *HitObserver) satisfiedAt() int64 { return o.satisfied }
 
 // Result converts the observer's outcome into a HitResult, with budget the
 // round count to report when no hit occurred.
-func (o *HitObserver) Result(budget int64) HitResult {
-	if o.satisfied < 0 {
-		return HitResult{Rounds: budget, Vertex: -1, Walker: -1}
-	}
-	return HitResult{Rounds: o.hitRound, Vertex: o.hitVertex, Walker: o.hitWalker, Hit: true}
-}
+func (o *HitObserver) Result(budget int64) HitResult { return o.lane.TrialResult(0, budget) }
 
 // ---------------------------------------------------------------------------
 // CollisionObserver
 
 // CollisionObserver detects walkers occupying the same vertex after a
 // synchronized round — the pairwise meeting and coalescence dynamics of
-// the k-walk (Dey–Kim–Terlov's collaboration processes). Collisions are
-// detected at the batch barrier from per-round position logs, so they are
-// exact and independent of Workers/BatchRounds:
+// the k-walk (Dey–Kim–Terlov's collaboration processes):
 //
 //   - meeting mode: satisfied at the first round any two walkers collide
 //     (walkers sharing a start collide at round 0);
@@ -534,7 +247,8 @@ func (o *HitObserver) Result(budget int64) HitResult {
 //     walker of the run;
 //   - coalescence mode: walkers that have met are merged into one
 //     equivalence class (information exchange on contact); satisfied at
-//     the round the classes collapse to one.
+//     the round the classes collapse to one. The first (Focus-filtered)
+//     meeting round is recorded too.
 //
 // On bipartite graphs two walkers started on opposite sides can never
 // collide under simultaneous moves; callers handle the truncation.
@@ -543,22 +257,10 @@ type CollisionObserver struct {
 	// satisfied at the first (Focus-filtered) meeting.
 	Coalesce bool
 	// Focus restricts meetings to collisions involving this walker index
-	// (-1: any pair). Ignored in coalescence mode.
+	// (-1: any pair).
 	Focus int
 
-	k           int
-	parent      []int32
-	groups      int
-	stamp       []int64 // per-vertex round of last occupancy
-	stampWalker []int32 // first walker on the vertex that round
-	posLog      [][]int32
-	mergeT0     int64
-	meetRound   int64
-	meetA       int
-	meetB       int
-	meetVertex  int32
-	coalRound   int64
-	satisfied   int64
+	lane GroupCollisionObserver
 }
 
 // NewMeetingObserver returns an any-pair meeting observer.
@@ -574,128 +276,28 @@ func NewCoalescenceObserver() *CollisionObserver {
 	return &CollisionObserver{Coalesce: true, Focus: -1}
 }
 
-func (o *CollisionObserver) validate(_, k int) error {
-	if k < 2 {
-		return fmt.Errorf("walk: collision observer requires at least 2 walkers, got %d", k)
-	}
-	if o.Focus >= k || o.Focus < -1 {
-		return fmt.Errorf("walk: focus walker %d out of range [0,%d)", o.Focus, k)
-	}
-	return nil
+func (o *CollisionObserver) laneObserver() GroupObserver {
+	o.lane.Coalesce = o.Coalesce
+	o.lane.pursuit, o.lane.focus = o.Focus != -1, o.Focus
+	return &o.lane
 }
-
-func (o *CollisionObserver) reset(e *Engine, st *runState, starts []int32) {
-	n := e.g.N()
-	k := len(starts)
-	o.k = k
-	if cap(o.parent) < k {
-		o.parent = make([]int32, k)
-	}
-	o.parent = o.parent[:k]
-	for i := range o.parent {
-		o.parent[i] = int32(i)
-	}
-	o.groups = k
-	if cap(o.stamp) < n {
-		o.stamp = make([]int64, n)
-		o.stampWalker = make([]int32, n)
-	}
-	o.stamp, o.stampWalker = o.stamp[:n], o.stampWalker[:n]
-	for i := range o.stamp {
-		o.stamp[i] = -1
-	}
-	if cap(o.posLog) < len(st.ws) {
-		o.posLog = make([][]int32, len(st.ws))
-	}
-	o.posLog = o.posLog[:len(st.ws)]
-	o.meetRound, o.meetA, o.meetB, o.meetVertex = -1, -1, -1, -1
-	o.coalRound = -1
-	o.satisfied = -1
-	for i, s := range starts {
-		o.visit(i, s, 0)
-	}
-}
-
-func (o *CollisionObserver) find(i int32) int32 { return ufFind(o.parent, i) }
-
-// visit processes walker i standing on v at round t, in global walker
-// order within the round (the merge iterates shards in order, and shards
-// partition the walker array contiguously, so the order — and with it the
-// reported pair of a multi-walker pile-up — is independent of sharding).
-func (o *CollisionObserver) visit(i int, v int32, t int64) {
-	if o.stamp[v] != t {
-		o.stamp[v] = t
-		o.stampWalker[v] = int32(i)
-		return
-	}
-	j := o.stampWalker[v]
-	if o.meetRound < 0 && (o.Focus < 0 || i == o.Focus || int(j) == o.Focus) {
-		o.meetRound, o.meetA, o.meetB, o.meetVertex = t, int(j), i, v
-		if !o.Coalesce && o.satisfied < 0 {
-			o.satisfied = t
-		}
-	}
-	if ra, rb := o.find(j), o.find(int32(i)); ra != rb {
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		o.parent[rb] = ra
-		o.groups--
-		if o.groups == 1 && o.coalRound < 0 {
-			o.coalRound = t
-			if o.Coalesce && o.satisfied < 0 {
-				o.satisfied = t
-			}
-		}
-	}
-}
-
-func (o *CollisionObserver) preBatch(st *runState) {
-	for w := range o.posLog {
-		o.posLog[w] = o.posLog[w][:0]
-	}
-}
-
-// scan appends the shard's round-t positions to its private log; all
-// collision detection happens at the merge.
-func (o *CollisionObserver) scan(st *runState, ws *worker, w int, _ int64) {
-	o.posLog[w] = append(o.posLog[w], st.pos[ws.lo:ws.hi]...)
-}
-
-func (o *CollisionObserver) beginMerge(_ *runState, _ int, t0 int64) { o.mergeT0 = t0 }
-
-func (o *CollisionObserver) mergeRound(st *runState, t int64) {
-	j := int(t - o.mergeT0 - 1)
-	for w := range st.ws {
-		ws := &st.ws[w]
-		size := ws.hi - ws.lo
-		seg := o.posLog[w][j*size : (j+1)*size]
-		for ii, v := range seg {
-			o.visit(ws.lo+ii, v, t)
-		}
-	}
-}
-
-func (o *CollisionObserver) endMerge(*runState) {}
-
-func (o *CollisionObserver) satisfiedAt() int64 { return o.satisfied }
 
 // MeetRound returns the first (Focus-filtered) meeting round, or -1.
-func (o *CollisionObserver) MeetRound() int64 { return o.meetRound }
+func (o *CollisionObserver) MeetRound() int64 { return o.lane.TrialMeetRound(0) }
 
 // MeetPair returns the colliding walker pair of the first meeting (-1,-1
 // if none); the first element is the walker that reached the vertex
 // earlier in walker-index order.
-func (o *CollisionObserver) MeetPair() (int, int) { return o.meetA, o.meetB }
+func (o *CollisionObserver) MeetPair() (int, int) { return int(o.lane.outA[0]), int(o.lane.outB[0]) }
 
 // MeetVertex returns the vertex of the first meeting, or -1.
-func (o *CollisionObserver) MeetVertex() int32 { return o.meetVertex }
+func (o *CollisionObserver) MeetVertex() int32 { return o.lane.outV[0] }
 
 // Groups returns the number of remaining meeting-equivalence classes.
-func (o *CollisionObserver) Groups() int { return o.groups }
+func (o *CollisionObserver) Groups() int { return o.lane.TrialGroups(0) }
 
 // CoalescenceRound returns the round the classes collapsed to one, or -1.
-func (o *CollisionObserver) CoalescenceRound() int64 { return o.coalRound }
+func (o *CollisionObserver) CoalescenceRound() int64 { return o.lane.TrialCoalescenceRound(0) }
 
 // ---------------------------------------------------------------------------
 // Result shapes for the observer-backed Engine wrappers.

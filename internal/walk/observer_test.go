@@ -106,6 +106,10 @@ func TestEstimatorValidationErrors(t *testing.T) {
 	if _, err := CoverTimeTail(g, 99, 10, opts); err == nil {
 		t.Fatal("tail: want out-of-range error")
 	}
+	// Options are validated before anything is sized by Trials.
+	if _, err := MeanPartialCoverRounds(g, 0, 2, []float64{0.5}, MCOptions{Trials: -1, MaxSteps: 10}); err == nil {
+		t.Fatal("partial rounds: want an error for Trials < 0")
+	}
 }
 
 func errOf2(_ Estimate, err error) error { return err }
@@ -532,7 +536,7 @@ func TestRunToHorizon(t *testing.T) {
 	if res.Stopped || res.Rounds != horizon {
 		t.Fatalf("horizon run ended early: %+v", res)
 	}
-	if cov.satisfiedAt() < 0 {
+	if cov.Count() != g.N() {
 		t.Fatal("cycle(12) not covered in 4096 rounds")
 	}
 	want := eng.KFirstVisits([]int32{0}, 9, horizon)

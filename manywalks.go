@@ -114,11 +114,11 @@ type Walker = walk.Walker
 func NewWalker(g *Graph, start int32, r *Rand) *Walker { return walk.NewWalker(g, start, r) }
 
 // Engine is the batched k-walk engine: walker positions in flat arrays,
-// one deterministic RNG stream per walker, rounds advanced in batches with
-// the walker array sharded across a worker pool. Results are bit-for-bit
-// reproducible for a fixed (graph, starts, seed, budget) regardless of
-// EngineOptions. An Engine is immutable and safe for concurrent use;
-// construct one per graph and reuse it across runs.
+// one deterministic RNG stream per walker, rounds advanced in batches, with
+// the trial lanes of a grouped pass sharded across a worker pool. Results
+// are bit-for-bit reproducible for a fixed (graph, starts, seed, budget)
+// regardless of EngineOptions. An Engine is immutable and safe for
+// concurrent use; construct one per graph and reuse it across runs.
 type Engine = walk.Engine
 
 // EngineOptions tunes Engine performance (Workers, BatchRounds) and
@@ -242,8 +242,9 @@ func RunKWalk(g *Graph, start int32, k int, seed uint64, maxRounds int64) CoverR
 	return walk.NewEngine(g, walk.EngineOptions{}).KCoverFrom(start, k, seed, maxRounds)
 }
 
-// Observer run-loop API: one engine core drives every estimate, observed
-// through pluggable per-shard scan hooks and exact barrier merges. See
+// Observer run-loop API: one run driver steps every estimate as trial
+// lanes, and a single run is a pass of one lane, observed through
+// per-lane scans with the stop condition evaluated after every round. See
 // Engine.Run.
 
 // RunSpec describes one engine run: starting placement, root seed, round
