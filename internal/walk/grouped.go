@@ -638,17 +638,22 @@ type GroupCoverObserver struct {
 	isTarget []bool // per vertex: in Targets (nil without Targets)
 	nTargets int32  // distinct Targets
 	first    []uint32
-	laneOff  []int32   // lane -> slot (swapped on compaction)
-	counts   []int32   // per slot: distinct vertices visited
-	done     []int64   // per slot: satisfaction round, -1 while unsatisfied
-	left     []int32   // per slot: Targets not yet visited
-	thrNext  []int32   // per slot: Thresholds reached so far
-	thrRound []int64   // per slot × len(thr): round each threshold was reached
-	early    [][]int64 // per slot: exact first visits copied out at window edges (record only)
+	laneOff  []int32     // lane -> slot (swapped on compaction)
+	slots    []coverSlot // per slot
+	thrRound []int64     // per slot × len(thr): round each threshold was reached
+	early    [][]int64   // per slot: exact first visits copied out at window edges (record only)
 
 	outCount []int32   // per trial
 	outFirst [][]int64 // per trial, when recording
 	outThr   []int64   // per trial × len(thr)
+}
+
+// coverSlot is one lane's cover progress.
+type coverSlot struct {
+	done    int64 // satisfaction round, -1 while unsatisfied
+	count   int32 // distinct vertices visited
+	left    int32 // Targets not yet visited
+	thrNext int32 // Thresholds reached so far
 }
 
 // NewGroupCoverObserver returns a full-cover grouped observer (the
@@ -713,10 +718,7 @@ func (o *GroupCoverObserver) bindGroup(e *Engine, trials, lanes, k, workers int)
 	for i := range o.laneOff {
 		o.laneOff[i] = int32(i)
 	}
-	o.counts = growSlice(o.counts, lanes)
-	o.done = growSlice(o.done, lanes)
-	o.left = growSlice(o.left, lanes)
-	o.thrNext = growSlice(o.thrNext, lanes)
+	o.slots = growSlice(o.slots, lanes)
 	o.thrRound = growSlice(o.thrRound, lanes*len(o.thr))
 	o.early = growSlice(o.early, lanes)
 	// Per-trial outputs reuse capacity across binds: finishLane overwrites
@@ -740,17 +742,19 @@ func (o *GroupCoverObserver) laneCells(s int32) []uint32 {
 
 // satisfied reports whether slot s meets every configured goal.
 func (o *GroupCoverObserver) satisfied(s int32) bool {
-	return int(o.counts[s]) >= o.target && o.left[s] == 0 && int(o.thrNext[s]) == len(o.thr)
+	c := &o.slots[s]
+	return int(c.count) >= o.target && c.left == 0 && int(c.thrNext) == len(o.thr)
 }
 
 // noteThresholds records the thresholds slot s's count reached by round t.
 func (o *GroupCoverObserver) noteThresholds(s int32, t int64) {
-	j := int(o.thrNext[s])
-	for j < len(o.thr) && int(o.counts[s]) >= o.thr[j] {
+	c := &o.slots[s]
+	j := int(c.thrNext)
+	for j < len(o.thr) && int(c.count) >= o.thr[j] {
 		o.thrRound[int(s)*len(o.thr)+j] = t
 		j++
 	}
-	o.thrNext[s] = int32(j)
+	c.thrNext = int32(j)
 }
 
 func (o *GroupCoverObserver) startLane(ln, trial int, starts []int32) {
@@ -769,16 +773,15 @@ func (o *GroupCoverObserver) startLane(ln, trial int, starts []int32) {
 			}
 		}
 	}
-	o.counts[s], o.left[s], o.thrNext[s] = count, left, 0
+	o.slots[s] = coverSlot{done: -1, count: count, left: left}
 	thr := o.thrRound[int(s)*len(o.thr) : int(s+1)*len(o.thr)]
 	for i := range thr {
 		thr[i] = -1
 	}
 	o.noteThresholds(s, 0)
 	o.early[s] = o.early[s][:0]
-	o.done[s] = -1
 	if o.satisfied(s) {
-		o.done[s] = 0
+		o.slots[s].done = 0
 	}
 }
 
@@ -797,17 +800,28 @@ func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, w int, t 
 			continue
 		}
 		s := o.laneOff[ln]
+		c := &o.slots[s]
 		lane := o.laneCells(s)
-		count := o.counts[s]
+		count := c.count
+		// Branch-free like the fused scans (see pairScan64): mid-coverage
+		// "first visit?" is a coin flip. Rounds arrive in order, so the
+		// unsigned min leaves visited cells alone and stamps unset ones.
 		for _, p := range gs.pos[ln*k : (ln+1)*k] {
-			if lane[p] == groupUnset {
-				lane[p] = tt
-				count++
+			f := lane[p]
+			v := f
+			if tt < v {
+				v = tt
 			}
+			lane[p] = v
+			var nw int32
+			if f == groupUnset {
+				nw = 1
+			}
+			count += nw
 		}
-		o.counts[s] = count
-		if int(count) >= o.target && o.done[s] < 0 {
-			o.done[s] = t
+		c.count = count
+		if int(count) >= o.target && c.done < 0 {
+			c.done = t
 			gs.fired[w] = append(gs.fired[w], int32(ln))
 		}
 	}
@@ -824,7 +838,8 @@ func (o *GroupCoverObserver) scanRoundGoals(gs *groupState, loLane, hiLane, w in
 		}
 		s := o.laneOff[ln]
 		lane := o.laneCells(s)
-		count, left := o.counts[s], o.left[s]
+		c := &o.slots[s]
+		count, left := c.count, c.left
 		for _, p := range gs.pos[ln*k : (ln+1)*k] {
 			if lane[p] == groupUnset {
 				lane[p] = tt
@@ -834,16 +849,16 @@ func (o *GroupCoverObserver) scanRoundGoals(gs *groupState, loLane, hiLane, w in
 				}
 			}
 		}
-		o.counts[s], o.left[s] = count, left
+		c.count, c.left = count, left
 		o.noteThresholds(s, t)
-		if o.done[s] < 0 && o.satisfied(s) {
-			o.done[s] = t
+		if c.done < 0 && o.satisfied(s) {
+			c.done = t
 			gs.fired[w] = append(gs.fired[w], int32(ln))
 		}
 	}
 }
 
-func (o *GroupCoverObserver) laneSatisfied(ln int) int64 { return o.done[o.laneOff[ln]] }
+func (o *GroupCoverObserver) laneSatisfied(ln int) int64 { return o.slots[o.laneOff[ln]].done }
 
 func (o *GroupCoverObserver) rebaseLane(ln int, base int64) { o.rebaseSlot(o.laneOff[ln], base) }
 
@@ -944,15 +959,16 @@ type GroupHitObserver struct {
 
 	bitset []uint64
 	none   bool
-	k      int
-	done   []int64 // per slot: hit round, -1 before a hit
-	vtx    []int32
-	wkr    []int32
-	lnOff  []int32
+	slots  []hitRecord // per slot
+	lnOff  []int32     // lane -> slot (swapped on compaction)
+	out    []hitRecord // per trial
+}
 
-	outRound  []int64
-	outVertex []int32
-	outWalker []int32
+// hitRecord is one lane's first hit: round -1, vertex -1 and walker -1
+// before it.
+type hitRecord struct {
+	round          int64
+	vertex, walker int32
 }
 
 // NewGroupHitObserver returns a grouped hit observer for the marked set.
@@ -994,26 +1010,21 @@ func scanMarked(pos []int32, marked []uint64) int {
 }
 
 func (o *GroupHitObserver) bindGroup(e *Engine, trials, lanes, k, workers int) {
-	o.k = k
 	o.bitset, o.none = compileMarkedBitset(o.Marked, o.bitset)
-	o.done = growSlice(o.done, lanes)
-	o.vtx = growSlice(o.vtx, lanes)
-	o.wkr = growSlice(o.wkr, lanes)
+	o.slots = growSlice(o.slots, lanes)
 	o.lnOff = growSlice(o.lnOff, lanes)
 	for i := range o.lnOff {
 		o.lnOff[i] = int32(i)
 	}
-	o.outRound = growSlice(o.outRound, trials)
-	o.outVertex = growSlice(o.outVertex, trials)
-	o.outWalker = growSlice(o.outWalker, trials)
+	o.out = growSlice(o.out, trials)
 }
 
 func (o *GroupHitObserver) startLane(ln, trial int, starts []int32) {
-	s := o.lnOff[ln]
-	o.done[s], o.vtx[s], o.wkr[s] = -1, -1, -1
+	h := &o.slots[o.lnOff[ln]]
+	*h = hitRecord{round: -1, vertex: -1, walker: -1}
 	for i, v := range starts {
 		if o.Marked[v] {
-			o.done[s], o.vtx[s], o.wkr[s] = 0, v, int32(i)
+			*h = hitRecord{round: 0, vertex: v, walker: int32(i)}
 			break
 		}
 	}
@@ -1025,27 +1036,24 @@ func (o *GroupHitObserver) scanRound(gs *groupState, loLane, hiLane, w int, t in
 	}
 	k := gs.laneK
 	for ln := loLane; ln < hiLane; ln++ {
-		s := o.lnOff[ln]
-		if gs.stopAt[ln] >= 0 || o.done[s] >= 0 {
+		h := &o.slots[o.lnOff[ln]]
+		if gs.stopAt[ln] >= 0 || h.round >= 0 {
 			continue
 		}
 		if ii := scanMarked(gs.pos[ln*k:(ln+1)*k], o.bitset); ii >= 0 {
-			o.done[s], o.vtx[s], o.wkr[s] = t, gs.pos[ln*k+ii], int32(ii)
+			*h = hitRecord{round: t, vertex: gs.pos[ln*k+ii], walker: int32(ii)}
 			gs.fired[w] = append(gs.fired[w], int32(ln))
 		}
 	}
 }
 
-func (o *GroupHitObserver) laneSatisfied(ln int) int64 { return o.done[o.lnOff[ln]] }
+func (o *GroupHitObserver) laneSatisfied(ln int) int64 { return o.slots[o.lnOff[ln]].round }
 
 // neverSatisfied reports an all-false marked set: no walker can ever hit.
 func (o *GroupHitObserver) neverSatisfied() bool { return o.none }
 
 func (o *GroupHitObserver) finishLane(ln, trial int, rounds int64, stopped bool) {
-	s := o.lnOff[ln]
-	o.outRound[trial] = o.done[s]
-	o.outVertex[trial] = o.vtx[s]
-	o.outWalker[trial] = o.wkr[s]
+	o.out[trial] = o.slots[o.lnOff[ln]]
 }
 
 func (o *GroupHitObserver) moveLane(dst, src int) {
@@ -1055,10 +1063,11 @@ func (o *GroupHitObserver) moveLane(dst, src int) {
 // TrialResult converts trial's outcome into a HitResult, with rounds the
 // round count to report when the trial saw no hit (its budget).
 func (o *GroupHitObserver) TrialResult(trial int, rounds int64) HitResult {
-	if o.outRound[trial] < 0 {
+	h := o.out[trial]
+	if h.round < 0 {
 		return HitResult{Rounds: rounds, Vertex: -1, Walker: -1}
 	}
-	return HitResult{Rounds: o.outRound[trial], Vertex: o.outVertex[trial], Walker: int(o.outWalker[trial]), Hit: true}
+	return HitResult{Rounds: h.round, Vertex: h.vertex, Walker: int(h.walker), Hit: true}
 }
 
 // ---------------------------------------------------------------------------
@@ -1096,24 +1105,23 @@ type GroupCollisionObserver struct {
 	k      int
 	parent []int32 // slot-indexed: slot s owns parent[s*k:(s+1)*k]
 	lnOff  []int32
-	groups []int32
-	meetR  []int64
-	meetA  []int32
-	meetB  []int32
-	meetV  []int32
-	coalR  []int64
-	done   []int64
+	slots  []collisionRecord // per slot
 
 	stamp  [][]int64 // per worker: vertex -> token of last occupancy
 	stampW [][]int32 // per worker: first walker on the vertex that token
 	token  []int64   // per worker: monotone scan counter
 
-	outMeet   []int64
-	outCoal   []int64
-	outGroups []int32
-	outA      []int32
-	outB      []int32
-	outV      []int32
+	out []collisionRecord // per trial
+}
+
+// collisionRecord is one lane's collision state: its first (focus-filtered)
+// meeting — round, walker pair, vertex; all -1 before it — the round its
+// classes collapsed to one, the round its predicate first held (both -1
+// before), and the classes left.
+type collisionRecord struct {
+	meet, coal, done int64
+	a, b, vertex     int32
+	groups           int32
 }
 
 // NewGroupCollisionObserver returns a grouped meeting observer; coalesce
@@ -1140,13 +1148,7 @@ func (o *GroupCollisionObserver) bindGroup(e *Engine, trials, lanes, k, workers 
 	for i := range o.lnOff {
 		o.lnOff[i] = int32(i)
 	}
-	o.groups = growSlice(o.groups, lanes)
-	o.meetR = growSlice(o.meetR, lanes)
-	o.meetA = growSlice(o.meetA, lanes)
-	o.meetB = growSlice(o.meetB, lanes)
-	o.meetV = growSlice(o.meetV, lanes)
-	o.coalR = growSlice(o.coalR, lanes)
-	o.done = growSlice(o.done, lanes)
+	o.slots = growSlice(o.slots, lanes)
 	workers = max(workers, 1)
 	o.stamp = growSlice(o.stamp, workers)
 	o.stampW = growSlice(o.stampW, workers)
@@ -1159,12 +1161,7 @@ func (o *GroupCollisionObserver) bindGroup(e *Engine, trials, lanes, k, workers 
 		}
 		o.token[w] = 0
 	}
-	o.outMeet = growSlice(o.outMeet, trials)
-	o.outCoal = growSlice(o.outCoal, trials)
-	o.outGroups = growSlice(o.outGroups, trials)
-	o.outA = growSlice(o.outA, trials)
-	o.outB = growSlice(o.outB, trials)
-	o.outV = growSlice(o.outV, trials)
+	o.out = growSlice(o.out, trials)
 }
 
 func (o *GroupCollisionObserver) startLane(ln, trial int, starts []int32) {
@@ -1173,10 +1170,7 @@ func (o *GroupCollisionObserver) startLane(ln, trial int, starts []int32) {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	o.groups[s] = int32(o.k)
-	o.meetR[s], o.meetA[s], o.meetB[s], o.meetV[s] = -1, -1, -1, -1
-	o.coalR[s] = -1
-	o.done[s] = -1
+	o.slots[s] = collisionRecord{meet: -1, coal: -1, done: -1, a: -1, b: -1, vertex: -1, groups: int32(o.k)}
 	// Round-0 collisions via the worker-0 scratch (startLane runs
 	// single-threaded before the pass begins).
 	o.scanLanePositions(0, s, starts, 0)
@@ -1192,6 +1186,7 @@ func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int6
 	o.token[w]++
 	tok := o.token[w]
 	parent := o.parent[s*o.k : (s+1)*o.k]
+	c := &o.slots[s]
 	fired := false
 	for i, v := range pos {
 		if stamp[v] != tok {
@@ -1200,10 +1195,10 @@ func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int6
 			continue
 		}
 		j := stampW[v]
-		if o.meetR[s] < 0 && (!o.pursuit || i == o.focus || int(j) == o.focus) {
-			o.meetR[s], o.meetA[s], o.meetB[s], o.meetV[s] = t, j, int32(i), v
-			if !o.Coalesce && o.done[s] < 0 {
-				o.done[s] = t
+		if c.meet < 0 && (!o.pursuit || i == o.focus || int(j) == o.focus) {
+			c.meet, c.a, c.b, c.vertex = t, j, int32(i), v
+			if !o.Coalesce && c.done < 0 {
+				c.done = t
 				fired = true
 			}
 		}
@@ -1212,11 +1207,11 @@ func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int6
 				ra, rb = rb, ra
 			}
 			parent[rb] = ra
-			o.groups[s]--
-			if o.groups[s] == 1 && o.coalR[s] < 0 {
-				o.coalR[s] = t
-				if o.Coalesce && o.done[s] < 0 {
-					o.done[s] = t
+			c.groups--
+			if c.groups == 1 && c.coal < 0 {
+				c.coal = t
+				if o.Coalesce && c.done < 0 {
+					c.done = t
 					fired = true
 				}
 			}
@@ -1237,14 +1232,10 @@ func (o *GroupCollisionObserver) scanRound(gs *groupState, loLane, hiLane, w int
 	}
 }
 
-func (o *GroupCollisionObserver) laneSatisfied(ln int) int64 { return o.done[o.lnOff[ln]] }
+func (o *GroupCollisionObserver) laneSatisfied(ln int) int64 { return o.slots[o.lnOff[ln]].done }
 
 func (o *GroupCollisionObserver) finishLane(ln, trial int, rounds int64, stopped bool) {
-	s := o.lnOff[ln]
-	o.outMeet[trial] = o.meetR[s]
-	o.outCoal[trial] = o.coalR[s]
-	o.outGroups[trial] = o.groups[s]
-	o.outA[trial], o.outB[trial], o.outV[trial] = o.meetA[s], o.meetB[s], o.meetV[s]
+	o.out[trial] = o.slots[o.lnOff[ln]]
 }
 
 func (o *GroupCollisionObserver) moveLane(dst, src int) {
@@ -1252,14 +1243,14 @@ func (o *GroupCollisionObserver) moveLane(dst, src int) {
 }
 
 // TrialMeetRound returns trial's first meeting round, or -1.
-func (o *GroupCollisionObserver) TrialMeetRound(trial int) int64 { return o.outMeet[trial] }
+func (o *GroupCollisionObserver) TrialMeetRound(trial int) int64 { return o.out[trial].meet }
 
 // TrialCoalescenceRound returns the round trial's classes collapsed to
 // one, or -1.
-func (o *GroupCollisionObserver) TrialCoalescenceRound(trial int) int64 { return o.outCoal[trial] }
+func (o *GroupCollisionObserver) TrialCoalescenceRound(trial int) int64 { return o.out[trial].coal }
 
 // TrialGroups returns trial's remaining meeting-equivalence classes.
-func (o *GroupCollisionObserver) TrialGroups(trial int) int { return int(o.outGroups[trial]) }
+func (o *GroupCollisionObserver) TrialGroups(trial int) int { return int(o.out[trial].groups) }
 
 // ufFind is the path-halving union-find lookup of the collision lanes.
 func ufFind(parent []int32, i int32) int32 {

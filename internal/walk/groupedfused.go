@@ -39,16 +39,18 @@ import (
 //
 // The pair table pays off only while it stays cache-resident: past
 // maxPairEntries the extra table misses cost more than the halved
-// instruction count saves (on margulis:128, whose table would be 4 MiB,
-// a single k=1024 cover run measured faster on the generic path), so
-// larger graphs run generic.
+// instruction count saves, so larger graphs run generic. Measured on a
+// 2-vCPU Xeon, single k=64 cover runs were faster fused with a 144 KiB
+// table (margulis:24) and a 256 KiB one (a 64×64 torus) but slower with
+// 1 MiB (margulis:64), and a k=1024 run on margulis:128 (4 MiB) was
+// faster generic.
 
 const (
 	// pairSentinel marks pad2 entries whose two-hop path touches a padding
 	// sentinel and must be resolved hop-by-hop.
 	pairSentinel = ^uint32(0)
-	// maxPairEntries caps the pair table at 1 MiB.
-	maxPairEntries = 1 << 18
+	// maxPairEntries caps the pair table at 512 KiB (see the file comment).
+	maxPairEntries = 1 << 17
 	// maxPairVertex bounds vertex ids to 16 bits so (mid, dst) pack into
 	// one uint32 without colliding with the sentinel.
 	maxPairVertex = 1<<16 - 1
@@ -361,7 +363,7 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 		res[ii] = streams[ii].Uint64()
 	}
 	base := uint32(int(sl) * cov.n)
-	cnt := cov.counts[sl]
+	cnt := cov.slots[sl].count
 	target := int32(cov.target)
 	var ents [64]uint32
 	for pj := 0; pj < pairs; pj++ {
@@ -401,7 +403,7 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 			}
 		}
 		if cnt >= target {
-			cov.counts[sl] = cnt
+			cov.slots[sl].count = cnt
 			cov.resolveCrossing(sl, wbase, t1-1, t2)
 			return
 		}
@@ -410,12 +412,12 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 		t := t0 + uint32(2*pairs) + 1
 		cnt = singleRoundFast(pad, first, pos, res, streams, base, shift, t, cnt)
 		if cnt >= target {
-			cov.counts[sl] = cnt
-			cov.done[sl] = wbase + int64(t)
+			cov.slots[sl].count = cnt
+			cov.slots[sl].done = wbase + int64(t)
 			return
 		}
 	}
-	cov.counts[sl] = cnt
+	cov.slots[sl].count = cnt
 }
 
 // mask2of is the pair-table bit mask for a doubled pad shift.
@@ -445,7 +447,7 @@ func (cov *GroupCoverObserver) resolveCrossing(s int32, base int64, tlo, thi uin
 	for j := 0; j < span; j++ {
 		run += at[j]
 		if int(run) >= cov.target {
-			cov.done[s] = base + int64(tlo) + int64(j) + 1
+			cov.slots[s].done = base + int64(tlo) + int64(j) + 1
 			return
 		}
 	}
@@ -493,7 +495,7 @@ func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCov
 	group := int64(e.group)
 	for ln := loLane; ln < hiLane; ln++ {
 		sl := cov.laneOff[ln]
-		for t0 := int64(0); cov.done[sl] < 0 && t0 < maxRounds; t0 += group {
+		for t0 := int64(0); cov.slots[sl].done < 0 && t0 < maxRounds; t0 += group {
 			base := windowBase(t0+1, e.window)
 			if t0 > 0 && t0 == base {
 				cov.rebaseSlot(sl, base)
@@ -502,7 +504,7 @@ func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCov
 			e.laneGroup(gst, cov, ln, sl, base, uint32(t0-base), int(b/2), b%2 == 1)
 		}
 		trial := int(gst.laneTrial[ln])
-		if s := cov.done[sl]; s >= 0 {
+		if s := cov.slots[sl].done; s >= 0 {
 			res.Rounds[trial] = s
 			res.Stopped[trial] = true
 			cov.finishLane(ln, trial, s, true)

@@ -288,10 +288,10 @@ func (o *CollisionObserver) MeetRound() int64 { return o.lane.TrialMeetRound(0) 
 // MeetPair returns the colliding walker pair of the first meeting (-1,-1
 // if none); the first element is the walker that reached the vertex
 // earlier in walker-index order.
-func (o *CollisionObserver) MeetPair() (int, int) { return int(o.lane.outA[0]), int(o.lane.outB[0]) }
+func (o *CollisionObserver) MeetPair() (int, int) { return int(o.lane.out[0].a), int(o.lane.out[0].b) }
 
 // MeetVertex returns the vertex of the first meeting, or -1.
-func (o *CollisionObserver) MeetVertex() int32 { return o.lane.outV[0] }
+func (o *CollisionObserver) MeetVertex() int32 { return o.lane.out[0].vertex }
 
 // Groups returns the number of remaining meeting-equivalence classes.
 func (o *CollisionObserver) Groups() int { return o.lane.TrialGroups(0) }
