@@ -346,9 +346,9 @@ func singleRoundFast(pad []int32, first []uint32, pos []int32, res []uint64, str
 // The lane early-exits at the first pass that crosses its target
 // (overshoot is at most one pass), leaving the exact crossing round to
 // resolveCrossing. t0 and the rounds inside are relative to the window
-// starting at round wbase. One lane's whole group runs before the next lane
-// starts, so its first-visit cells and walker state stay cache-hot for
-// all rounds of the group.
+// starting at round wbase. One lane's whole group runs before the next
+// lane starts, so its first-visit cells and walker state stay cache-hot
+// for all rounds of the group.
 func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl int32, wbase int64, t0 uint32, pairs int, odd bool) {
 	pad2 := e.pair.tbl
 	pad, shift := e.pad, e.padShift
