@@ -146,12 +146,22 @@ func Hypercube(dim int) *Graph {
 	}
 	n := 1 << uint(dim)
 	lists := make([][]int32, n)
+	slab := make([]int32, 0, n*dim)
 	for v := 0; v < n; v++ {
-		row := make([]int32, dim)
-		for b := 0; b < dim; b++ {
-			row[b] = int32(v ^ (1 << uint(b)))
+		start := len(slab)
+		// Ascending, so the row finish finds it sorted: clear each set bit
+		// from the highest down, then set each clear bit from the lowest up.
+		for b := dim - 1; b >= 0; b-- {
+			if v&(1<<uint(b)) != 0 {
+				slab = append(slab, int32(v^(1<<uint(b))))
+			}
 		}
-		lists[v] = row
+		for b := 0; b < dim; b++ {
+			if v&(1<<uint(b)) == 0 {
+				slab = append(slab, int32(v|(1<<uint(b))))
+			}
+		}
+		lists[v] = slab[start:]
 	}
 	return fromAdjacency(lists, fmt.Sprintf("hypercube(%d)", dim))
 }

@@ -17,8 +17,6 @@ func MargulisExpander(m int) *Graph {
 		panic("graph: MargulisExpander requires m >= 2")
 	}
 	n := m * m
-	b := NewBuilder(n)
-	id := func(x, y int) int32 { return int32(x*m + y) }
 	mod := func(a int) int {
 		a %= m
 		if a < 0 {
@@ -26,28 +24,33 @@ func MargulisExpander(m int) *Graph {
 		}
 		return a
 	}
+	// The eight maps are closed under inverse, so u is a target of v iff v
+	// is a target of u: each vertex's row is its own target list, less
+	// loops, with duplicates merged by the row finish.
+	lists := make([][]int32, n)
+	slab := make([]int32, 0, 8*n)
 	for x := 0; x < m; x++ {
 		for y := 0; y < m; y++ {
-			v := id(x, y)
-			targets := [8][2]int{
-				{mod(x + 2*y), y},
-				{mod(x - 2*y), y},
-				{mod(x + 2*y + 1), y},
-				{mod(x - 2*y - 1), y},
-				{x, mod(y + 2*x)},
-				{x, mod(y - 2*x)},
-				{x, mod(y + 2*x + 1)},
-				{x, mod(y - 2*x - 1)},
-			}
-			for _, t := range targets {
-				u := id(t[0], t[1])
+			v := x*m + y
+			start := len(slab)
+			for _, u := range [8]int{
+				mod(x+2*y)*m + y,
+				mod(x-2*y)*m + y,
+				mod(x+2*y+1)*m + y,
+				mod(x-2*y-1)*m + y,
+				x*m + mod(y+2*x),
+				x*m + mod(y-2*x),
+				x*m + mod(y+2*x+1),
+				x*m + mod(y-2*x-1),
+			} {
 				if u != v {
-					b.AddEdge(v, u)
+					slab = append(slab, int32(u))
 				}
 			}
+			lists[v] = slab[start:]
 		}
 	}
-	return b.Build(fmt.Sprintf("margulis(%d^2)", m))
+	return fromAdjacency(lists, fmt.Sprintf("margulis(%d^2)", m))
 }
 
 // CycleWithChords returns the 3-regular "cycle with inverse chords" graph on

@@ -15,6 +15,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -39,7 +40,7 @@ type Graph struct {
 
 // MaxVertices is the largest vertex count the CSR representation can hold:
 // vertex ids are int32, so n is bounded by 2^31-1 (adjacency lengths are
-// separately bounded by the int32 offsets; see Builder.Build).
+// separately bounded by the int32 offsets, which every constructor checks).
 const MaxVertices = 1<<31 - 1
 
 // Mapped reports whether the graph's CSR arrays alias a read-only memory
@@ -300,17 +301,21 @@ func (g *Graph) edgeWeightTo(u, v int32) float64 {
 }
 
 // Builder accumulates undirected edges and produces a Graph. Duplicate edges
-// are coalesced (weights of duplicates sum); AddEdge(u,u) records a
-// self-loop. The zero Builder is not usable; call NewBuilder with the vertex
-// count.
+// are coalesced, their weights summing in the order the edges were added;
+// AddEdge(u,u) records a self-loop. The zero Builder is not usable; call
+// NewBuilder with the vertex count.
+//
+// Build is a counting sort: a degree pass, the shared offsets step, a
+// placement pass that drops each edge into both endpoints' rows in input
+// order, and the shared row finish. Each edge is touched O(1) times plus one
+// sort per row; the global edge list is never comparison-sorted.
 type Builder struct {
-	n     int
-	edges [][2]int32
-	// wts stays nil until the first AddWeightedEdge, at which point it is
-	// backfilled with 1s for the edges already recorded; plain AddEdge on a
-	// purely unweighted builder therefore pays nothing for the weight lane.
-	wts      []float64
-	weighted bool
+	n      int
+	us, vs []int32
+	// wts stays nil until the first weighted edge, at which point it is
+	// backfilled with 1s for the edges already recorded; a purely
+	// unweighted builder therefore pays nothing for the weight lane.
+	wts []float64
 }
 
 // NewBuilder returns a builder for a graph on n vertices.
@@ -326,189 +331,217 @@ func NewBuilder(n int) *Builder {
 
 // AddEdge records the undirected edge {u,v} with weight 1. Endpoints must be
 // in [0,n).
-func (b *Builder) AddEdge(u, v int32) { b.addEdge(u, v, 1) }
+func (b *Builder) AddEdge(u, v int32) {
+	if err := b.add(u, v, 1, false); err != nil {
+		panic(err.Error())
+	}
+}
 
 // AddWeightedEdge records the undirected edge {u,v} with the given weight,
 // which must be strictly positive and finite. Mixing AddEdge and
 // AddWeightedEdge is allowed; plain edges carry weight 1. The built graph is
 // weighted as soon as one weighted edge was added.
 func (b *Builder) AddWeightedEdge(u, v int32, w float64) {
-	if !(w > 0) || math.IsInf(w, 1) {
-		panic(fmt.Sprintf("graph: edge (%d,%d) weight %v must be positive and finite", u, v, w))
+	if err := b.add(u, v, w, true); err != nil {
+		panic(err.Error())
 	}
-	if !b.weighted {
-		b.weighted = true
-		b.wts = make([]float64, len(b.edges), max(cap(b.edges), len(b.edges)+1))
-		for i := range b.wts {
-			b.wts[i] = 1
-		}
-	}
-	b.addEdge(u, v, w)
 }
 
-func (b *Builder) addEdge(u, v int32, w float64) {
+// add is the error-returning core of AddEdge and AddWeightedEdge, and the
+// sink ReadEdgeList feeds. A plain edge (weighted false) must pass w = 1.
+func (b *Builder) add(u, v int32, w float64, weighted bool) error {
 	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
 	}
-	if u > v {
-		u, v = v, u
+	if weighted {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("graph: edge (%d,%d) weight %v must be positive and finite", u, v, w)
+		}
+		if b.wts == nil {
+			b.wts = make([]float64, len(b.us), cap(b.us))
+			for i := range b.wts {
+				b.wts[i] = 1
+			}
+		}
 	}
-	b.edges = append(b.edges, [2]int32{u, v})
-	if b.weighted {
+	b.us = append(b.us, u)
+	b.vs = append(b.vs, v)
+	if b.wts != nil {
 		b.wts = append(b.wts, w)
 	}
+	return nil
 }
 
 // EdgeCount returns the number of recorded (possibly duplicate) edges.
-func (b *Builder) EdgeCount() int { return len(b.edges) }
+func (b *Builder) EdgeCount() int { return len(b.us) }
 
-// Build produces the immutable Graph, deduplicating edges. Duplicate edges'
-// weights are summed, so a multigraph's parallel edges collapse into one
-// heavier edge.
+// Build produces the immutable Graph. Duplicate edges collapse into one
+// heavier edge, their weights summed in the order they were added. It panics
+// if the adjacency would exceed the int32 CSR limit.
 func (b *Builder) Build(name string) *Graph {
-	var uniq [][2]int32
-	var uw []float64 // parallel to uniq; built only for weighted graphs
-	if b.weighted {
-		// Weighted edges sort through an index permutation so the weight
-		// lane follows, then dedup by summing.
-		order := make([]int, len(b.edges))
-		for i := range order {
-			order[i] = i
+	g, err := b.build(name)
+	if err != nil {
+		panic(err.Error())
+	}
+	return g
+}
+
+func (b *Builder) build(name string) (*Graph, error) {
+	deg := make([]int, b.n)
+	for i, u := range b.us {
+		deg[u]++
+		if v := b.vs[i]; v != u {
+			deg[v]++
 		}
-		sort.Slice(order, func(i, j int) bool {
-			ei, ej := b.edges[order[i]], b.edges[order[j]]
-			if ei[0] != ej[0] {
-				return ei[0] < ej[0]
+	}
+	offsets, err := csrOffsets(deg)
+	if err != nil {
+		return nil, err
+	}
+	adj := make([]int32, offsets[b.n])
+	var wts []float64
+	if b.wts != nil {
+		wts = make([]float64, len(adj))
+	}
+	// Placement in input order, so each row holds its duplicates in the
+	// order they were added; deg doubles as the per-row cursor.
+	cursor := deg
+	for v := range cursor {
+		cursor[v] = int(offsets[v])
+	}
+	for i, u := range b.us {
+		v := b.vs[i]
+		adj[cursor[u]] = v
+		if wts != nil {
+			wts[cursor[u]] = b.wts[i]
+		}
+		cursor[u]++
+		if v != u {
+			adj[cursor[v]] = u
+			if wts != nil {
+				wts[cursor[v]] = b.wts[i]
 			}
-			return ei[1] < ej[1]
-		})
-		last := [2]int32{-1, -1}
-		for _, i := range order {
-			e := b.edges[i]
-			if e == last {
-				uw[len(uw)-1] += b.wts[i]
+			cursor[v]++
+		}
+	}
+	return finishRows(offsets, adj, wts, name), nil
+}
+
+// fromAdjacency builds a Graph from per-vertex rows that are already
+// symmetric (u appears in v's row iff v appears in u's); it is the front end
+// of the deterministic generators. Rows may be unsorted and may repeat a
+// neighbour. They are copied, so callers may share one backing slab. Like
+// the generators, it panics if the rows exceed the int32 CSR limit.
+func fromAdjacency(lists [][]int32, name string) *Graph {
+	deg := make([]int, len(lists))
+	for v, row := range lists {
+		deg[v] = len(row)
+	}
+	offsets, err := csrOffsets(deg)
+	if err != nil {
+		panic(err.Error())
+	}
+	adj := make([]int32, offsets[len(lists)])
+	for v, row := range lists {
+		copy(adj[offsets[v]:], row)
+	}
+	return finishRows(offsets, adj, nil, name)
+}
+
+// csrOffsets is the offsets step every constructor shares: it turns row
+// lengths into CSR offsets with a 64-bit prefix sum, so a total past the
+// int32 adjacency limit is reported instead of wrapping.
+func csrOffsets(rowLen []int) ([]int32, error) {
+	offsets := make([]int32, len(rowLen)+1)
+	total := int64(0)
+	for v, d := range rowLen {
+		total += int64(d)
+		if total > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: adjacency length %d exceeds the int32 CSR limit %d", total, math.MaxInt32)
+		}
+		offsets[v+1] = int32(total)
+	}
+	return offsets, nil
+}
+
+// finishRows is the row finish every constructor shares. It sorts each row
+// (stably and carrying the weights, when there are weights), merges
+// duplicate entries with their weights summed in row order, counts
+// self-loops and sets m. Merging compacts the rows in place: writes never
+// overtake reads, and offsets are rewritten as it goes.
+func finishRows(offsets, adj []int32, wts []float64, name string) *Graph {
+	n := len(offsets) - 1
+	var rs rowSorter
+	w, loops := int32(0), 0
+	for v := 0; v < n; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		start := w
+		offsets[v] = start
+		if wts == nil {
+			slices.Sort(adj[lo:hi])
+		} else {
+			rs.sort(adj[lo:hi], wts[lo:hi])
+		}
+		for i := lo; i < hi; i++ {
+			u := adj[i]
+			if w > start && adj[w-1] == u {
+				if wts != nil {
+					wts[w-1] += wts[i]
+				}
 				continue
 			}
-			uniq = append(uniq, e)
-			uw = append(uw, b.wts[i])
-			last = e
-		}
-	} else {
-		sort.Slice(b.edges, func(i, j int) bool {
-			if b.edges[i][0] != b.edges[j][0] {
-				return b.edges[i][0] < b.edges[j][0]
+			adj[w] = u
+			if wts != nil {
+				wts[w] = wts[i]
 			}
-			return b.edges[i][1] < b.edges[j][1]
-		})
-		uniq = b.edges[:0]
-		last := [2]int32{-1, -1}
-		for _, e := range b.edges {
-			if e != last {
-				uniq = append(uniq, e)
-				last = e
-			}
-		}
-	}
-	deg := make([]int32, b.n)
-	loops := 0
-	for _, e := range uniq {
-		if e[0] == e[1] {
-			deg[e[0]]++
-			loops++
-		} else {
-			deg[e[0]]++
-			deg[e[1]]++
-		}
-	}
-	g := &Graph{
-		offsets: make([]int32, b.n+1),
-		m:       len(uniq),
-		loops:   loops,
-		name:    name,
-	}
-	total := int64(0)
-	for v := 0; v < b.n; v++ {
-		total += int64(deg[v])
-		if total > math.MaxInt32 {
-			panic(fmt.Sprintf("graph: adjacency length %d exceeds the int32 CSR limit %d", total, math.MaxInt32))
-		}
-		g.offsets[v+1] = int32(total)
-	}
-	g.adj = make([]int32, g.offsets[b.n])
-	var wts []float64
-	if b.weighted {
-		wts = make([]float64, len(g.adj))
-	}
-	cursor := make([]int32, b.n)
-	copy(cursor, g.offsets[:b.n])
-	place := func(v int32, u int32, w float64) {
-		g.adj[cursor[v]] = u
-		if wts != nil {
-			wts[cursor[v]] = w
-		}
-		cursor[v]++
-	}
-	for i, e := range uniq {
-		w := 1.0
-		if b.weighted {
-			w = uw[i]
-		}
-		place(e[0], e[1], w)
-		if e[0] != e[1] {
-			place(e[1], e[0], w)
-		}
-	}
-	// uniq is globally sorted by (lo, hi), so each row's first-endpoint
-	// entries arrive sorted; second-endpoint entries also arrive sorted but
-	// interleave with them, so sort each row (carrying weights along).
-	for v := int32(0); v < int32(b.n); v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		nb := g.adj[lo:hi]
-		if wts == nil {
-			sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-			continue
-		}
-		row := wts[lo:hi]
-		sort.Sort(&adjRowSorter{nb: nb, w: row})
-	}
-	g.weights = wts
-	return g
-}
-
-// adjRowSorter sorts one adjacency row and its weight row in lockstep.
-type adjRowSorter struct {
-	nb []int32
-	w  []float64
-}
-
-func (s *adjRowSorter) Len() int           { return len(s.nb) }
-func (s *adjRowSorter) Less(i, j int) bool { return s.nb[i] < s.nb[j] }
-func (s *adjRowSorter) Swap(i, j int) {
-	s.nb[i], s.nb[j] = s.nb[j], s.nb[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
-// fromAdjacency builds a Graph directly from per-vertex adjacency lists that
-// are already symmetric. It is the fast path used by deterministic
-// generators, avoiding Builder's sort of the global edge list.
-func fromAdjacency(lists [][]int32, name string) *Graph {
-	n := len(lists)
-	g := &Graph{offsets: make([]int32, n+1), name: name}
-	total := 0
-	for v, nb := range lists {
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-		total += len(nb)
-		g.offsets[v+1] = g.offsets[v] + int32(len(nb))
-	}
-	g.adj = make([]int32, 0, total)
-	for v, nb := range lists {
-		for _, u := range nb {
-			g.adj = append(g.adj, u)
 			if u == int32(v) {
-				g.loops++
+				loops++
 			}
+			w++
 		}
 	}
-	g.m = (len(g.adj)-g.loops)/2 + g.loops
+	offsets[n] = w
+	g := &Graph{offsets: offsets, adj: adj[:w], m: (int(w)-loops)/2 + loops, loops: loops, name: name}
+	if wts != nil {
+		g.weights = wts[:w]
+	}
 	return g
+}
+
+// shortRow is the length up to which rowSorter uses insertion sort.
+const shortRow = 16
+
+// rowSorter sorts weighted rows by neighbour, carrying the weights and
+// keeping equal neighbours in row order, so duplicate weights later sum in
+// input order. Its scratch is reused from row to row.
+type rowSorter struct {
+	keys []uint64
+	wts  []float64
+}
+
+func (s *rowSorter) sort(nb []int32, w []float64) {
+	if len(nb) <= shortRow {
+		for i := 1; i < len(nb); i++ {
+			x, xw := nb[i], w[i]
+			j := i - 1
+			for j >= 0 && nb[j] > x {
+				nb[j+1], w[j+1] = nb[j], w[j]
+				j--
+			}
+			nb[j+1], w[j+1] = x, xw
+		}
+		return
+	}
+	// Key = neighbour<<32 | position: keys are distinct, so sorting them
+	// is stable in the neighbour and O(d log d) for a hub row of degree d.
+	s.keys = s.keys[:0]
+	for i, u := range nb {
+		s.keys = append(s.keys, uint64(u)<<32|uint64(i))
+	}
+	slices.Sort(s.keys)
+	s.wts = append(s.wts[:0], w...)
+	for i, k := range s.keys {
+		nb[i] = int32(k >> 32)
+		w[i] = s.wts[uint32(k)]
+	}
 }

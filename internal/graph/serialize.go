@@ -88,29 +88,86 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the WriteEdgeList format through the classic Builder
-// (global edge sort). ReadEdgeListStreaming accepts the same inputs and
-// produces an identical graph in O(n+m) flat memory; both share the scanner
-// in stream.go.
+// ReadEdgeList parses the WriteEdgeList format. It is the only edge-list
+// reader: one forward pass feeds a Builder, whose counting sort packs the
+// edges into CSR in O(n+m) flat memory. Duplicate edges collapse, their
+// weights summed in input order. Open uses it for every text file.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	name := ""
 	var b *Builder
-	name, err := parseEdgeList(r,
-		func(n int) error {
-			b = NewBuilder(n)
-			return nil
-		},
-		func(u, v int32, w float64, weighted bool) error {
-			if weighted {
-				b.AddWeightedEdge(u, v, w)
-			} else {
-				b.AddEdge(u, v)
+	m, edges := 0, 0
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			if rest, ok := strings.CutPrefix(line, "# name "); ok {
+				name = decodeName(rest)
 			}
-			return nil
-		})
-	if err != nil {
+			continue
+		}
+		fields := strings.Fields(line)
+		if b == nil {
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("graph: bad header %q", line)
+			}
+			n, err := strconv.Atoi(fields[0])
+			if err != nil {
+				return nil, fmt.Errorf("graph: bad vertex count: %w", err)
+			}
+			if m, err = strconv.Atoi(fields[1]); err != nil {
+				return nil, fmt.Errorf("graph: bad edge count: %w", err)
+			}
+			if n < 0 || m < 0 {
+				return nil, fmt.Errorf("graph: negative sizes in header %q", line)
+			}
+			if n > maxSerializedVertices {
+				return nil, fmt.Errorf("graph: vertex count %d exceeds the reader limit %d", n, maxSerializedVertices)
+			}
+			if m > maxSerializedEdges {
+				return nil, fmt.Errorf("graph: edge count %d exceeds the int32 adjacency limit (%d edges)", m, maxSerializedEdges)
+			}
+			b = NewBuilder(n)
+			continue
+		}
+		if len(fields) != 2 && len(fields) != 3 {
+			return nil, fmt.Errorf("graph: bad edge line %q", line)
+		}
+		// 32-bit parses, so an id past int32 fails here instead of
+		// wrapping into range; add checks the range itself.
+		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return nil, err
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return nil, err
+		}
+		wt, weighted := 1.0, false
+		if len(fields) == 3 {
+			if wt, err = strconv.ParseFloat(fields[2], 64); err != nil {
+				return nil, fmt.Errorf("graph: bad edge weight %q: %w", fields[2], err)
+			}
+			weighted = true
+		}
+		if err := b.add(int32(u), int32(v), wt, weighted); err != nil {
+			return nil, err
+		}
+		edges++
+	}
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return b.Build(name), nil
+	if b == nil {
+		return nil, fmt.Errorf("graph: missing header")
+	}
+	if edges != m {
+		return nil, fmt.Errorf("graph: header promises %d edges, found %d", m, edges)
+	}
+	return b.build(name)
 }
 
 // binaryMagic guards the binary format against foreign input.

@@ -2,304 +2,14 @@ package graph
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"math"
 	"os"
-	"slices"
-	"strconv"
-	"strings"
 )
 
-// This file implements the streaming ingest path: a single forward pass over
-// an edge-list stream accumulates edges in flat parallel arrays, and a
-// counting sort packs them directly into the CSR arrays — a degree-count
-// pass followed by a placement pass — so a ~1M-vertex / ~10M-edge graph
-// builds in O(n+m) flat memory with no per-vertex slice materialization and
-// no O(m log m) global edge sort. The result is pinned bit-for-bit against
-// Builder.Build by TestStreamingMatchesBuilder and FuzzSerializeRoundTrip.
-
-// csrIngest accumulates an edge stream in flat parallel arrays and packs it
-// into CSR by counting sort. Unlike Builder (which records [2]int32 pairs
-// and comparison-sorts the global list), the ingest path touches each edge
-// O(1) times: degree count, placement, and one per-row sort.
-type csrIngest struct {
-	n      int
-	us, vs []int32
-	// wts stays nil until the first weighted edge, then is backfilled with
-	// 1s, mirroring Builder's lazy weight lane.
-	wts []float64
-}
-
-func newCSRIngest(n int) (*csrIngest, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	if n > MaxVertices {
-		return nil, fmt.Errorf("graph: vertex count %d exceeds the int32 CSR limit %d", n, MaxVertices)
-	}
-	return &csrIngest{n: n}, nil
-}
-
-func (in *csrIngest) add(u, v int32, w float64, weighted bool) error {
-	if u < 0 || v < 0 || int(u) >= in.n || int(v) >= in.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, in.n)
-	}
-	if weighted && in.wts == nil {
-		in.wts = make([]float64, len(in.us), cap(in.us))
-		for i := range in.wts {
-			in.wts[i] = 1
-		}
-	}
-	in.us = append(in.us, u)
-	in.vs = append(in.vs, v)
-	if in.wts != nil {
-		if !weighted {
-			w = 1
-		}
-		in.wts = append(in.wts, w)
-	}
-	return nil
-}
-
-// build counting-sorts the accumulated edges into CSR arrays. Duplicate
-// edges coalesce (weights summing) in a compaction pass that runs only when
-// a row actually contains duplicates, so the clean-input fast path is two
-// passes plus per-row sorts.
-func (in *csrIngest) build(name string) (*Graph, error) {
-	n := in.n
-	deg := make([]int32, n)
-	for i, u := range in.us {
-		deg[u]++
-		if v := in.vs[i]; v != u {
-			deg[v]++
-		}
-	}
-	offsets := make([]int32, n+1)
-	total := int64(0)
-	for v := 0; v < n; v++ {
-		total += int64(deg[v])
-		if total > math.MaxInt32 {
-			return nil, fmt.Errorf("graph: adjacency length %d exceeds the int32 CSR limit %d", total, math.MaxInt32)
-		}
-		offsets[v+1] = int32(total)
-	}
-	adj := make([]int32, total)
-	var wts []float64
-	if in.wts != nil {
-		wts = make([]float64, total)
-	}
-	// Placement pass: deg doubles as the per-vertex cursor.
-	cursor := deg
-	copy(cursor, offsets[:n])
-	for i, u := range in.us {
-		v := in.vs[i]
-		w := 1.0
-		if in.wts != nil {
-			w = in.wts[i]
-		}
-		adj[cursor[u]] = v
-		if wts != nil {
-			wts[cursor[u]] = w
-		}
-		cursor[u]++
-		if v != u {
-			adj[cursor[v]] = u
-			if wts != nil {
-				wts[cursor[v]] = w
-			}
-			cursor[v]++
-		}
-	}
-	g := &Graph{offsets: offsets, adj: adj, weights: wts, name: name}
-	// Per-row sort, then duplicate detection. Rows are short relative to m,
-	// so this stays O(m log maxdeg).
-	dups := false
-	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		row := adj[lo:hi]
-		if wts == nil {
-			slices.Sort(row)
-		} else {
-			sortRow(row, wts[lo:hi])
-		}
-		for i := 1; i < len(row); i++ {
-			if row[i] == row[i-1] {
-				dups = true
-			}
-		}
-	}
-	if dups {
-		in.compactDuplicates(g)
-	}
-	for v := int32(0); v < int32(n); v++ {
-		for _, u := range g.Neighbors(v) {
-			if u == v {
-				g.loops++
-			}
-		}
-	}
-	g.m = (len(g.adj)-g.loops)/2 + g.loops
-	return g, nil
-}
-
-// compactDuplicates collapses equal adjacent row entries in place (rows are
-// sorted), summing weights, and rewrites the offsets. Writes never overtake
-// reads, so the compaction is a single in-place pass.
-func (in *csrIngest) compactDuplicates(g *Graph) {
-	w := int32(0)
-	for v := 0; v < g.N(); v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		g.offsets[v] = w
-		for i := lo; i < hi; i++ {
-			if i > lo && g.adj[i] == g.adj[w-1] {
-				if g.weights != nil {
-					g.weights[w-1] += g.weights[i]
-				}
-				continue
-			}
-			g.adj[w] = g.adj[i]
-			if g.weights != nil {
-				g.weights[w] = g.weights[i]
-			}
-			w++
-		}
-	}
-	g.offsets[g.N()] = w
-	g.adj = g.adj[:w]
-	if g.weights != nil {
-		g.weights = g.weights[:w]
-	}
-}
-
-// sortRow sorts one adjacency row carrying its weight lane along; insertion
-// sort, because CSR rows are short and the closure-free loop beats
-// sort.Sort's interface dispatch on the ingest hot path.
-func sortRow(nb []int32, w []float64) {
-	for i := 1; i < len(nb); i++ {
-		x, xw := nb[i], w[i]
-		j := i - 1
-		for j >= 0 && nb[j] > x {
-			nb[j+1], w[j+1] = nb[j], w[j]
-			j--
-		}
-		nb[j+1], w[j+1] = x, xw
-	}
-}
-
-// parseEdgeList is the text-format scanner shared by ReadEdgeList and
-// ReadEdgeListStreaming: header validation, name decoding, per-edge range
-// and weight checks, and the declared-vs-seen edge-count check all live
-// here; the two readers differ only in the sink the edges feed.
-func parseEdgeList(r io.Reader, begin func(n int) error, edge func(u, v int32, w float64, weighted bool) error) (string, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	name := ""
-	var n, m int
-	header := false
-	edges := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if rest, ok := strings.CutPrefix(line, "# name "); ok {
-				name = decodeName(rest)
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if !header {
-			if len(fields) != 2 {
-				return "", fmt.Errorf("graph: bad header %q", line)
-			}
-			var err error
-			if n, err = strconv.Atoi(fields[0]); err != nil {
-				return "", fmt.Errorf("graph: bad vertex count: %w", err)
-			}
-			if m, err = strconv.Atoi(fields[1]); err != nil {
-				return "", fmt.Errorf("graph: bad edge count: %w", err)
-			}
-			if n < 0 || m < 0 {
-				return "", fmt.Errorf("graph: negative sizes in header %q", line)
-			}
-			if n > maxSerializedVertices {
-				return "", fmt.Errorf("graph: vertex count %d exceeds the reader limit %d", n, maxSerializedVertices)
-			}
-			if m > maxSerializedEdges {
-				return "", fmt.Errorf("graph: edge count %d exceeds the int32 adjacency limit (%d edges)", m, maxSerializedEdges)
-			}
-			if err := begin(n); err != nil {
-				return "", err
-			}
-			header = true
-			continue
-		}
-		if len(fields) != 2 && len(fields) != 3 {
-			return "", fmt.Errorf("graph: bad edge line %q", line)
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return "", err
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return "", err
-		}
-		if u < 0 || v < 0 || u >= n || v >= n {
-			return "", fmt.Errorf("graph: edge (%d,%d) out of range", u, v)
-		}
-		wt, weighted := 1.0, false
-		if len(fields) == 3 {
-			wt, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return "", fmt.Errorf("graph: bad edge weight %q: %w", fields[2], err)
-			}
-			if !(wt > 0) || math.IsInf(wt, 1) {
-				return "", fmt.Errorf("graph: edge (%d,%d) weight %v must be positive and finite", u, v, wt)
-			}
-			weighted = true
-		}
-		if err := edge(int32(u), int32(v), wt, weighted); err != nil {
-			return "", err
-		}
-		edges++
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	if !header {
-		return "", fmt.Errorf("graph: missing header")
-	}
-	if edges != m {
-		return "", fmt.Errorf("graph: header promises %d edges, found %d", m, edges)
-	}
-	return name, nil
-}
-
-// ReadEdgeListStreaming parses the WriteEdgeList text format through the
-// counting-sort CSR assembler: one forward pass accumulates edges in flat
-// arrays and two O(n+m) passes pack them into CSR, with no per-vertex
-// intermediate slices and no global comparison sort. It accepts exactly the
-// inputs ReadEdgeList accepts and produces an identical graph; prefer it
-// for large instances.
-func ReadEdgeListStreaming(r io.Reader) (*Graph, error) {
-	var in *csrIngest
-	name, err := parseEdgeList(r,
-		func(n int) error {
-			var err error
-			in, err = newCSRIngest(n)
-			return err
-		},
-		func(u, v int32, w float64, weighted bool) error {
-			return in.add(u, v, w, weighted)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return in.build(name)
-}
+// This file holds the file-level ingest entry points. Text files go through
+// ReadEdgeList, whose Builder counting-sorts the edge stream into CSR in
+// O(n+m) flat memory; binary v3 files are memory-mapped in place where the
+// platform allows.
 
 // OpenBinary reads a WriteBinary file from path. On platforms and layouts
 // that allow it (linux, version-3 files, little-endian host) the CSR arrays
@@ -327,8 +37,8 @@ func OpenBinary(path string) (*Graph, error) {
 // Open reads a graph from path, sniffing the format: files beginning with
 // the binary magic take the binary path (memory-mapping the CSR arrays in
 // place when the platform and layout allow, see OpenBinary), everything
-// else parses as a streaming edge list. It is the ingest entry point the
-// corpusgen and graphinfo commands use.
+// else parses as an edge list through ReadEdgeList. It is the ingest entry
+// point the corpusgen and graphinfo commands use.
 func Open(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,5 +59,5 @@ func Open(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadEdgeListStreaming(bufio.NewReaderSize(f, 1<<20))
+	return ReadEdgeList(bufio.NewReaderSize(f, 1<<20))
 }

@@ -10,58 +10,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"manywalks/internal/rng"
 )
 
-// TestStreamingMatchesBuilder pins the central ingest invariant: for every
-// input ReadEdgeList accepts, ReadEdgeListStreaming produces a bit-identical
-// graph through the counting-sort assembler.
-func TestStreamingMatchesBuilder(t *testing.T) {
-	barbell, _ := Barbell(9)
-	regular, err := RandomRegular(100, 4, rng.New(777), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := []*Graph{
-		Cycle(17),
-		Path(9),
-		Complete(12, false),
-		Torus2D(8),
-		Hypercube(6),
-		MargulisExpander(7),
-		BalancedTree(3, 4),
-		barbell,
-		Lollipop(6, 9),
-		ErdosRenyi(200, 0.05, rng.New(12345)),
-		regular,
-		weightedTestGraph(t),
-		Reweight(Torus2D(5), func(u, v int32) float64 { return float64(u+v) + 0.5 }),
-	}
-	for _, g := range graphs {
-		var buf bytes.Buffer
-		if err := g.WriteEdgeList(&buf); err != nil {
-			t.Fatal(err)
-		}
-		text := buf.Bytes()
-		want, err := ReadEdgeList(bytes.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadEdgeListStreaming(bytes.NewReader(text))
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-		sameGraph(t, got, want)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-	}
-}
-
-// TestStreamingDuplicatesAndLoops feeds the streaming reader raw text with
+// TestStreamingDuplicatesAndLoops feeds the edge-list reader raw text with
 // duplicate edges (both orientations), a repeated self-loop, and mixed
-// weighted/unweighted lines, and checks coalescing matches the Builder path.
+// weighted/unweighted lines, and checks how they coalesce.
 func TestStreamingDuplicatesAndLoops(t *testing.T) {
 	const body = `5 7
 0 1 1.5
@@ -72,15 +25,13 @@ func TestStreamingDuplicatesAndLoops(t *testing.T) {
 4 3 2
 0 2
 `
-	want, err := ReadEdgeList(strings.NewReader(body))
+	got, err := ReadEdgeList(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEdgeListStreaming(strings.NewReader(body))
-	if err != nil {
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sameGraph(t, got, want)
 	if got.M() != 4 {
 		t.Fatalf("M=%d, want 4 after coalescing", got.M())
 	}
@@ -93,21 +44,21 @@ func TestStreamingDuplicatesAndLoops(t *testing.T) {
 	}
 }
 
-// TestStreamingRejectsBadInput mirrors the ReadEdgeList error cases through
-// the streaming reader: both share parseEdgeList, so rejection must match.
+// TestStreamingRejectsBadInput checks the edge-list reader's error cases.
 func TestStreamingRejectsBadInput(t *testing.T) {
 	for _, body := range []string{
-		"",                // missing header
-		"2\n",             // short header
-		"2 1\n",           // promised edge missing
-		"2 1\n0 1\n0 1\n", // extra edge
-		"2 1\n0 2\n",      // out of range
-		"2 1\n0 1 0\n",    // zero weight
-		"2 1\n0 1 NaN\n",  // NaN weight
-		"-1 0\n",          // negative n
-		"2 -1\n",          // negative m
+		"",                    // missing header
+		"2\n",                 // short header
+		"2 1\n",               // promised edge missing
+		"2 1\n0 1\n0 1\n",     // extra edge
+		"2 1\n0 2\n",          // out of range
+		"2 1\n0 1 0\n",        // zero weight
+		"2 1\n0 1 NaN\n",      // NaN weight
+		"-1 0\n",              // negative n
+		"2 -1\n",              // negative m
+		"2 1\n0 4294967297\n", // wraps to 1 in 32 bits
 	} {
-		if _, err := ReadEdgeListStreaming(strings.NewReader(body)); err == nil {
+		if _, err := ReadEdgeList(strings.NewReader(body)); err == nil {
 			t.Fatalf("input %q should be rejected", body)
 		}
 	}
@@ -127,17 +78,12 @@ func TestHeaderLimits(t *testing.T) {
 		{fmt.Sprintf("4 %d\n", maxSerializedEdges+1), "int32 adjacency limit"},
 	}
 	for _, c := range cases {
-		for _, read := range []func(string) error{
-			func(s string) error { _, err := ReadEdgeList(strings.NewReader(s)); return err },
-			func(s string) error { _, err := ReadEdgeListStreaming(strings.NewReader(s)); return err },
-		} {
-			err := read(c.body)
-			if err == nil {
-				t.Fatalf("header %q should be rejected", c.body)
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("header %q: error %q does not mention %q", c.body, err, c.want)
-			}
+		_, err := ReadEdgeList(strings.NewReader(c.body))
+		if err == nil {
+			t.Fatalf("header %q should be rejected", c.body)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("header %q: error %q does not mention %q", c.body, err, c.want)
 		}
 	}
 }
@@ -183,25 +129,28 @@ func TestNewBuilderVertexLimit(t *testing.T) {
 	NewBuilder(int(int64(MaxVertices) + 1))
 }
 
-// TestCSRIngestVertexLimit checks the assembler-side guards directly:
-// negative and past-MaxVertices counts are rejected with descriptive errors
-// before any allocation, and out-of-range endpoints error on add.
-func TestCSRIngestVertexLimit(t *testing.T) {
-	if _, err := newCSRIngest(-1); err == nil {
-		t.Fatal("negative n should be rejected")
-	}
-	if int64(int(^uint(0)>>1)) > int64(MaxVertices) {
-		_, err := newCSRIngest(int(int64(MaxVertices) + 1))
-		if err == nil || !strings.Contains(err.Error(), "int32 CSR limit") {
-			t.Fatalf("error %v should mention the int32 CSR limit", err)
+// TestBuilderAddErrors checks the error-returning add behind AddEdge,
+// AddWeightedEdge and ReadEdgeList: out-of-range endpoints and invalid
+// weights are rejected and leave the builder unchanged.
+func TestBuilderAddErrors(t *testing.T) {
+	b := NewBuilder(3)
+	for _, c := range []struct {
+		u, v     int32
+		w        float64
+		weighted bool
+	}{
+		{0, 3, 1, false},
+		{-1, 0, 1, false},
+		{0, 1, 0, true},
+		{0, 1, math.NaN(), true},
+		{0, 1, math.Inf(1), true},
+	} {
+		if err := b.add(c.u, c.v, c.w, c.weighted); err == nil {
+			t.Fatalf("add(%d,%d,%v,%v) should be rejected", c.u, c.v, c.w, c.weighted)
 		}
 	}
-	in, err := newCSRIngest(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.add(0, 3, 1, false); err == nil {
-		t.Fatal("out-of-range endpoint should be rejected")
+	if b.EdgeCount() != 0 || b.wts != nil {
+		t.Fatalf("rejected edges were recorded: %d edges, weights %v", b.EdgeCount(), b.wts)
 	}
 }
 

