@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -182,21 +181,5 @@ func BenchmarkGraphBuild(b *testing.B) {
 				c.build()
 			}
 		})
-	}
-}
-
-// BenchmarkReadEdgeList times the text reader on a weighted hub whose
-// leaves are listed in descending order.
-func BenchmarkReadEdgeList(b *testing.B) {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "40001 40000\n")
-	for leaf := 40000; leaf >= 1; leaf-- {
-		fmt.Fprintf(&buf, "0 %d %d.5\n", leaf, leaf)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadEdgeList(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

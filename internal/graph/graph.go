@@ -508,9 +508,6 @@ func finishRows(offsets, adj []int32, wts []float64, name string) *Graph {
 	return g
 }
 
-// shortRow is the length up to which rowSorter uses insertion sort.
-const shortRow = 16
-
 // rowSorter sorts weighted rows by neighbour, carrying the weights and
 // keeping equal neighbours in row order, so duplicate weights later sum in
 // input order. Its scratch is reused from row to row.
@@ -520,18 +517,6 @@ type rowSorter struct {
 }
 
 func (s *rowSorter) sort(nb []int32, w []float64) {
-	if len(nb) <= shortRow {
-		for i := 1; i < len(nb); i++ {
-			x, xw := nb[i], w[i]
-			j := i - 1
-			for j >= 0 && nb[j] > x {
-				nb[j+1], w[j+1] = nb[j], w[j]
-				j--
-			}
-			nb[j+1], w[j+1] = x, xw
-		}
-		return
-	}
 	// Key = neighbour<<32 | position: keys are distinct, so sorting them
 	// is stable in the neighbour and O(d log d) for a hub row of degree d.
 	s.keys = s.keys[:0]

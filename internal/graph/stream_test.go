@@ -254,7 +254,7 @@ func TestOpenBinaryMapped(t *testing.T) {
 }
 
 // TestOpenSniffsFormat checks Open routes binary payloads to the binary
-// reader and everything else to the streaming text reader.
+// reader and everything else to ReadEdgeList.
 func TestOpenSniffsFormat(t *testing.T) {
 	g := Torus2D(6)
 	dir := t.TempDir()
