@@ -194,15 +194,6 @@ func BenchmarkEngineKHit64(b *testing.B) {
 	}
 }
 
-func BenchmarkWalkerSteps(b *testing.B) {
-	g := manywalks.NewTorus2D(64)
-	w := manywalks.NewWalker(g, 0, manywalks.NewRand(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step()
-	}
-}
-
 func BenchmarkSingleCoverTorus32(b *testing.B) {
 	g := manywalks.NewTorus2D(32)
 	opts := manywalks.MCOptions{Trials: 8, Seed: 1, MaxSteps: 1 << 26, Workers: 8}

@@ -10,57 +10,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"manywalks"
+	"manywalks/internal/graph"
 )
 
-func buildGraph(kind string, n int, r *manywalks.Rand) (*manywalks.Graph, int32, error) {
-	switch kind {
-	case "cycle":
-		return manywalks.NewCycle(n), 0, nil
-	case "complete":
-		return manywalks.NewComplete(n, false), 0, nil
-	case "torus2d":
-		side := int(math.Round(math.Sqrt(float64(n))))
-		return manywalks.NewTorus2D(side), 0, nil
-	case "hypercube":
-		dim := int(math.Round(math.Log2(float64(n))))
-		return manywalks.NewHypercube(dim), 0, nil
-	case "expander":
-		m := int(math.Round(math.Sqrt(float64(n))))
-		return manywalks.NewMargulisExpander(m), 0, nil
-	case "tree":
-		height := int(math.Round(math.Log2(float64(n+1)))) - 1
-		if height < 1 {
-			height = 1
-		}
-		return manywalks.NewBalancedTree(2, height), 0, nil
-	case "barbell":
-		if n%2 == 0 {
-			n++
-		}
-		g, c := manywalks.NewBarbell(n)
-		return g, c, nil
-	case "er":
-		p := 3 * math.Log(float64(n)) / float64(n)
-		g, err := manywalks.NewConnectedErdosRenyi(n, p, r, 50)
-		return g, 0, err
-	default:
-		return nil, 0, fmt.Errorf("unknown graph kind %q", kind)
-	}
-}
-
 func main() {
-	kind := flag.String("graph", "expander", "graph family")
+	kind := flag.String("graph", "expander", "graph family or kind:params spec")
 	n := flag.Int("n", 256, "approximate vertex count")
 	mixBudget := flag.Int("mixbudget", 0, "mixing-time step budget (0 = auto)")
 	seed := flag.Uint64("seed", 20080614, "RNG seed")
 	flag.Parse()
 
 	r := manywalks.NewRand(*seed)
-	g, _, err := buildGraph(*kind, *n, r)
+	g, _, err := graph.BuildFamily(*kind, *n, r)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"manywalks"
+	"manywalks/internal/graph"
 	"manywalks/internal/kernelflag"
 )
 
@@ -31,7 +32,7 @@ func usage(err error) error { return fmt.Errorf("%w: %w", errUsage, err) }
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("covertime", flag.ContinueOnError)
 	fs.SetOutput(out)
-	kind := fs.String("graph", "torus2d", "graph family (see cmd/speedup for the list)")
+	kind := fs.String("graph", "torus2d", "graph family or kind:params spec")
 	n := fs.Int("n", 256, "approximate vertex count")
 	k := fs.Int("k", 4, "number of parallel walks")
 	kernelFlag := fs.String("kernel", "uniform", kernelflag.Usage())
@@ -53,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		return usage(err)
 	}
 	r := manywalks.NewRand(*seed)
-	g, start, err := buildGraph(*kind, *n, r)
+	g, start, err := graph.BuildFamily(*kind, *n, r)
 	if err != nil {
 		return usage(err)
 	}

@@ -15,65 +15,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 
 	"manywalks"
+	"manywalks/internal/graph"
 	"manywalks/internal/kernelflag"
 )
 
 var errUsage = errors.New("usage error")
 
 func usage(err error) error { return fmt.Errorf("%w: %w", errUsage, err) }
-
-func buildGraph(kind string, n int, r *manywalks.Rand) (*manywalks.Graph, error) {
-	switch kind {
-	case "cycle":
-		return manywalks.NewCycle(n), nil
-	case "path":
-		return manywalks.NewPath(n), nil
-	case "complete":
-		return manywalks.NewComplete(n, false), nil
-	case "star":
-		return manywalks.NewStar(n), nil
-	case "wheel":
-		return manywalks.NewWheel(n), nil
-	case "torus2d":
-		side := int(math.Round(math.Sqrt(float64(n))))
-		return manywalks.NewTorus2D(side), nil
-	case "hypercube":
-		return manywalks.NewHypercube(int(math.Round(math.Log2(float64(n))))), nil
-	case "tree":
-		h := int(math.Round(math.Log2(float64(n+1)))) - 1
-		if h < 1 {
-			h = 1
-		}
-		return manywalks.NewBalancedTree(2, h), nil
-	case "barbell":
-		if n%2 == 0 {
-			n++
-		}
-		g, _ := manywalks.NewBarbell(n)
-		return g, nil
-	case "lollipop":
-		return manywalks.NewLollipop(n/2, n-n/2), nil
-	case "expander":
-		return manywalks.NewMargulisExpander(int(math.Round(math.Sqrt(float64(n))))), nil
-	case "er":
-		p := 3 * math.Log(float64(n)) / float64(n)
-		return manywalks.NewConnectedErdosRenyi(n, p, r, 50)
-	case "regular":
-		return manywalks.NewConnectedRandomRegular(n, 4, r, 200)
-	case "rgg":
-		radius := 2 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
-		return manywalks.NewRandomGeometric(n, radius, r), nil
-	default:
-		// Fall back to the compact spec grammar ("hypercube:20",
-		// "margulis:64", ...), so one flag reaches every generator.
-		return manywalks.ParseGraphSpec(kind)
-	}
-}
 
 // fmtBytes renders a byte count in the largest sensible binary unit.
 func fmtBytes(b int64) string {
@@ -175,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	if *input != "" {
 		g, err = manywalks.OpenGraph(*input)
 	} else {
-		g, err = buildGraph(*kind, *n, r)
+		g, _, err = graph.BuildFamily(*kind, *n, r)
 	}
 	if err != nil {
 		return usage(err)

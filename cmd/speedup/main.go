@@ -7,9 +7,10 @@
 //
 //	speedup -graph cycle -n 512 -kmax 64 [-kernel lazy:0.5] [-trials N] [-seed S] [-start V]
 //
-// Graphs: cycle, path, complete, torus2d, grid3d, hypercube, tree, barbell,
-// lollipop, expander, chords, er, regular. For barbell the default start is
-// the center vertex.
+// Graphs: the families of graph.BuildFamily (cycle, path, complete, star,
+// wheel, torus2d, grid3d, hypercube, tree, barbell, lollipop, expander,
+// chords, er, regular, rgg) or a "kind:params" spec. For barbell the
+// default start is the center vertex.
 package main
 
 import (
@@ -17,10 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"manywalks"
+	"manywalks/internal/graph"
 	"manywalks/internal/kernelflag"
 )
 
@@ -31,76 +32,13 @@ var errUsage = errors.New("usage error")
 
 func usage(err error) error { return fmt.Errorf("%w: %w", errUsage, err) }
 
-func buildGraph(kind string, n int, r *manywalks.Rand) (*manywalks.Graph, int32, error) {
-	switch kind {
-	case "cycle":
-		return manywalks.NewCycle(n), 0, nil
-	case "path":
-		return manywalks.NewPath(n), 0, nil
-	case "complete":
-		return manywalks.NewComplete(n, false), 0, nil
-	case "torus2d":
-		side := int(math.Round(math.Sqrt(float64(n))))
-		return manywalks.NewTorus2D(side), 0, nil
-	case "grid3d":
-		side := int(math.Round(math.Cbrt(float64(n))))
-		return manywalks.NewGrid([]int{side, side, side}, true), 0, nil
-	case "hypercube":
-		dim := int(math.Round(math.Log2(float64(n))))
-		return manywalks.NewHypercube(dim), 0, nil
-	case "tree":
-		height := int(math.Round(math.Log2(float64(n+1)))) - 1
-		if height < 1 {
-			height = 1
-		}
-		return manywalks.NewBalancedTree(2, height), 0, nil
-	case "barbell":
-		if n%2 == 0 {
-			n++
-		}
-		g, center := manywalks.NewBarbell(n)
-		return g, center, nil
-	case "lollipop":
-		return manywalks.NewLollipop(n/2, n-n/2), 0, nil
-	case "expander":
-		m := int(math.Round(math.Sqrt(float64(n))))
-		return manywalks.NewMargulisExpander(m), 0, nil
-	case "chords":
-		for !isPrime(n) {
-			n++
-		}
-		return manywalks.NewCycleWithChords(n), 0, nil
-	case "er":
-		p := 3 * math.Log(float64(n)) / float64(n)
-		g, err := manywalks.NewConnectedErdosRenyi(n, p, r, 50)
-		return g, 0, err
-	case "regular":
-		g, err := manywalks.NewConnectedRandomRegular(n, 4, r, 200)
-		return g, 0, err
-	default:
-		return nil, 0, fmt.Errorf("unknown graph kind %q", kind)
-	}
-}
-
-func isPrime(p int) bool {
-	if p < 2 {
-		return false
-	}
-	for f := 2; f*f <= p; f++ {
-		if p%f == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // run executes the command against args, writing the sweep to out; main is
 // a thin exit-code shim so tests can drive the whole flag-to-report path
 // in process.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("speedup", flag.ContinueOnError)
 	fs.SetOutput(out)
-	kind := fs.String("graph", "cycle", "graph family")
+	kind := fs.String("graph", "cycle", "graph family or kind:params spec")
 	n := fs.Int("n", 256, "approximate vertex count")
 	kmax := fs.Int("kmax", 64, "largest k in the doubling sweep")
 	kernelFlag := fs.String("kernel", "uniform", kernelflag.Usage())
@@ -123,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		return usage(err)
 	}
 	r := manywalks.NewRand(*seed)
-	g, start, err := buildGraph(*kind, *n, r)
+	g, start, err := graph.BuildFamily(*kind, *n, r)
 	if err != nil {
 		return usage(err)
 	}

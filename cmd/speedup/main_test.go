@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"manywalks"
 )
 
 // TestRunTinySweep drives the whole flag-to-sweep path on a tiny graph.
@@ -32,19 +30,5 @@ func TestRunFlagAndInputErrors(t *testing.T) {
 	}
 	if err := run([]string{"-graph", "moebius"}, &out); err == nil || !strings.Contains(err.Error(), "unknown graph") {
 		t.Fatalf("bad graph kind: %v", err)
-	}
-}
-
-func TestBuildGraphFamilies(t *testing.T) {
-	r := manywalks.NewRand(1)
-	for _, kind := range []string{"cycle", "path", "complete", "torus2d", "grid3d", "hypercube",
-		"tree", "barbell", "lollipop", "expander", "chords", "er", "regular"} {
-		g, start, err := buildGraph(kind, 32, r)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if g.N() < 2 || int(start) >= g.N() {
-			t.Fatalf("%s: degenerate graph n=%d start=%d", kind, g.N(), start)
-		}
 	}
 }

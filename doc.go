@@ -29,13 +29,13 @@
 // # The batched k-walk engine
 //
 // The hot path under every estimate is Engine, a batched simulator of the
-// paper's synchronized k-walk. Instead of advancing one pointer-chasing
-// Walker at a time, the engine keeps walker positions in a flat []int32,
-// gives walker i the deterministic RNG stream (seed, i), and advances the
-// whole array in vectorized rounds over the graph's CSR adjacency. Results
-// are bit-for-bit reproducible: for a fixed (graph, starts, seed, budget)
+// paper's synchronized k-walk. Instead of advancing one walker object at a
+// time, the engine keeps walker positions in a flat []int32, gives walker
+// i the deterministic RNG stream (seed, i), and advances the whole array
+// in vectorized rounds over the graph's CSR adjacency. Results are
+// bit-for-bit reproducible: for a fixed (graph, starts, seed, budget)
 // every option configuration returns the identical answer, and the engine
-// beats the legacy per-walker loop by ≥2x on the paper's families.
+// beats a per-walker loop by ≥2x on the paper's families.
 //
 //	eng := manywalks.NewEngine(g, manywalks.EngineOptions{})
 //	res := eng.KCoverFrom(0, 64, seed, 1<<30)      // C^64 sample, in rounds
@@ -115,7 +115,7 @@
 // and cmd/walkload the coalesced-vs-naive load generator.
 //
 // The full experiment suite — every table, figure and theorem check — lives
-// in the cmd/ binaries (cmd/table1, cmd/barbell, cmd/experiments, ...) and
+// in the cmd/ binaries (cmd/table1, cmd/experiments, ...) and
 // in the benchmarks at the repository root; ARCHITECTURE.md documents the
 // layer structure, the time-vs-rounds conventions, and the engine's
 // determinism guarantees.

@@ -159,16 +159,6 @@ func RunMembershipSampling(g *Graph, origin int32, count, walkLen int, r *Rand) 
 
 // Non-backtracking walks (the "one bit of memory" ablation).
 
-// NBWalker is a single walker under a step kernel; NewNBWalker returns one
-// under the non-backtracking kernel.
-type NBWalker = walk.KernelWalker
-
-// NewNBWalker places a non-backtracking walker (the NoBacktrack kernel) at
-// start.
-func NewNBWalker(g *Graph, start int32, r *Rand) *NBWalker {
-	return walk.NewKernelWalker(g, walk.NoBacktrack(), start, r)
-}
-
 // NBCoverTime estimates the expected cover time of k synchronized
 // non-backtracking walkers from start, on the engine's NoBacktrack kernel.
 func NBCoverTime(g *Graph, start int32, k int, opts MCOptions) (Estimate, error) {

@@ -146,10 +146,6 @@ func TestFacadeNBAndDistribution(t *testing.T) {
 	if nb.Mean() != 31 {
 		t.Fatalf("NB cycle cover %v, want exactly 31", nb.Mean())
 	}
-	w := manywalks.NewNBWalker(g, 0, manywalks.NewRand(16))
-	if w.Pos() != 0 {
-		t.Fatal("walker start")
-	}
 	// Exact distribution machinery.
 	tiny := manywalks.NewCycle(6)
 	dist, leftover, err := manywalks.CoverTimeDistribution(tiny, 0, 500)

@@ -246,6 +246,9 @@ func EstimateKCoverUnderChurn(g *graph.Graph, start int32, k int, churner Churne
 	if !g.IsConnected() {
 		return walk.Estimate{}, fmt.Errorf("dynamic: start topology must be connected")
 	}
+	if start < 0 || int(start) >= g.N() {
+		return walk.Estimate{}, fmt.Errorf("dynamic: start vertex %d out of range [0,%d)", start, g.N())
+	}
 	results, err := walk.MonteCarlo(opts, func(_ int, r *rng.Source) float64 {
 		res := KCoverUnderChurn(g, start, k, churner, r, opts.MaxSteps)
 		return float64(res.Steps)

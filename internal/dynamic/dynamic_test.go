@@ -1,6 +1,8 @@
 package dynamic
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +187,15 @@ func TestKCoverUnderChurnValidation(t *testing.T) {
 	b.AddEdge(0, 1)
 	if _, err := EstimateKCoverUnderChurn(b.Build("disc"), 0, 1, NopChurner{}, walk.MCOptions{Trials: 2, MaxSteps: 10}); err == nil {
 		t.Fatal("disconnected accepted")
+	}
+	// An out-of-range start is an error naming the vertex, never an index
+	// panic inside a Monte Carlo worker goroutine, which no caller could
+	// recover.
+	for _, start := range []int32{99, -1} {
+		_, err := EstimateKCoverUnderChurn(g, start, 2, NopChurner{}, walk.MCOptions{Trials: 2, MaxSteps: 10})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(start)) {
+			t.Fatalf("start %d: want an out-of-range error naming it, got %v", start, err)
+		}
 	}
 	defer func() {
 		if recover() == nil {

@@ -2,9 +2,74 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+
+	"manywalks/internal/rng"
 )
+
+// BuildFamily builds the graph family kind at about n vertices — the
+// "-graph kind -n N" flags the commands share — and returns it with the
+// family's default start vertex (the barbell's center, else 0). Kinds:
+// cycle, path, complete, star, wheel, torus2d, grid3d, hypercube, tree,
+// barbell, lollipop, expander, chords, er, regular and rgg; the random
+// families (er, regular, rgg) draw from r. A kind containing ':' is a
+// ParseSpec spec and ignores n.
+func BuildFamily(kind string, n int, r *rng.Source) (*Graph, int32, error) {
+	side := int(math.Round(math.Sqrt(float64(n))))
+	switch kind {
+	case "cycle":
+		return Cycle(n), 0, nil
+	case "path":
+		return Path(n), 0, nil
+	case "complete":
+		return Complete(n, false), 0, nil
+	case "star":
+		return Star(n), 0, nil
+	case "wheel":
+		return Wheel(n), 0, nil
+	case "torus2d":
+		return Torus2D(side), 0, nil
+	case "grid3d":
+		s := int(math.Round(math.Cbrt(float64(n))))
+		return Grid([]int{s, s, s}, true), 0, nil
+	case "hypercube":
+		return Hypercube(int(math.Round(math.Log2(float64(n))))), 0, nil
+	case "tree":
+		height := int(math.Round(math.Log2(float64(n+1)))) - 1
+		return BalancedTree(2, max(height, 1)), 0, nil
+	case "barbell":
+		if n%2 == 0 {
+			n++
+		}
+		g, center := Barbell(n)
+		return g, center, nil
+	case "lollipop":
+		return Lollipop(n/2, n-n/2), 0, nil
+	case "expander":
+		return MargulisExpander(side), 0, nil
+	case "chords":
+		for !isPrime(n) {
+			n++
+		}
+		return CycleWithChords(n), 0, nil
+	case "er":
+		g, err := ConnectedErdosRenyi(n, 3*math.Log(float64(n))/float64(n), r, 50)
+		return g, 0, err
+	case "regular":
+		g, err := ConnectedRandomRegular(n, 4, r, 200)
+		return g, 0, err
+	case "rgg":
+		radius := 2 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
+		return RandomGeometric(n, radius, r), 0, nil
+	}
+	if strings.Contains(kind, ":") {
+		g, err := ParseSpec(kind)
+		return g, 0, err
+	}
+	return nil, 0, fmt.Errorf("unknown graph kind %q (want cycle, path, complete, star, wheel, torus2d, grid3d, hypercube, tree, barbell, lollipop, expander, chords, er, regular, rgg, or a kind:params spec)", kind)
+}
 
 // ParseSpec builds a deterministic graph from a compact "kind:params" spec
 // string — the shape the serving daemon and load generator take on the

@@ -3,6 +3,8 @@ package graph
 import (
 	"strings"
 	"testing"
+
+	"manywalks/internal/rng"
 )
 
 // TestParseSpecKinds pins every spec kind against its generator.
@@ -69,5 +71,24 @@ func TestParseSpecErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), "graph:") {
 			t.Fatalf("ParseSpec(%q): undescriptive error %v", spec, err)
 		}
+	}
+}
+
+// TestBuildGraphFamilies builds every family of the commands' -graph flag
+// (and one spec) at n = 32 and checks the default start is a vertex.
+func TestBuildGraphFamilies(t *testing.T) {
+	r := rng.New(1)
+	for _, kind := range []string{"cycle", "path", "complete", "star", "wheel", "torus2d", "grid3d",
+		"hypercube", "tree", "barbell", "lollipop", "expander", "chords", "er", "regular", "rgg", "margulis:6"} {
+		g, start, err := BuildFamily(kind, 32, r)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if g.N() < 2 || int(start) >= g.N() {
+			t.Fatalf("%s: degenerate graph n=%d start=%d", kind, g.N(), start)
+		}
+	}
+	if _, _, err := BuildFamily("moebius", 32, r); err == nil || !strings.Contains(err.Error(), "unknown graph") {
+		t.Fatalf("unknown kind: %v", err)
 	}
 }

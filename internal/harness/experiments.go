@@ -400,19 +400,14 @@ func RunLemma19ExpanderVisit(cfg Config) (*Report, error) {
 		if u == v {
 			v = (v + 1) % int32(n)
 		}
+		// A walk of walkLen steps visits v iff its hitting trial stops
+		// within the budget, so P[visit] is the stopped share.
 		opts := cfg.mc(hashKey(fmt.Sprintf("lem19-%d", i)), walkLen)
-		samples, err := walk.MonteCarlo(opts, func(_ int, rr *rng.Source) float64 {
-			steps, hit := walk.HitFrom(g, u, v, rr, walkLen)
-			_ = steps
-			if hit {
-				return 1
-			}
-			return 0
-		})
+		est, err := walk.EstimateHittingTime(g, u, v, opts)
 		if err != nil {
 			return nil, err
 		}
-		pVisit := stats.Summarize(samples).Mean
+		pVisit := 1 - float64(est.Truncated)/float64(opts.Trials)
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", u), fmt.Sprintf("%d", v),
 			f(pVisit), f(bound), f(pVisit / bound),
@@ -615,7 +610,8 @@ func RunAblationLazyWalk(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		lazy, err := estimateLazyCover(g, 0, cfg.mc(hashKey("alazy2"+g.Name()), nlognBudget(g.N())*8))
+		lazy, err := walk.EstimateKernelCoverTime(g, walk.Lazy(0.5), 0,
+			cfg.mc(hashKey("alazy2"+g.Name()), nlognBudget(g.N())*8))
 		if err != nil {
 			return nil, err
 		}
@@ -629,36 +625,6 @@ func RunAblationLazyWalk(cfg Config) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// estimateLazyCover is a cover-time estimator for the lazy walk: each step
-// the walker stays put with probability 1/2.
-func estimateLazyCover(g *graph.Graph, start int32, opts walk.MCOptions) (walk.Estimate, error) {
-	samples, err := walk.MonteCarlo(opts, func(_ int, r *rng.Source) float64 {
-		n := g.N()
-		visited := make([]bool, n)
-		visited[start] = true
-		remaining := n - 1
-		pos := start
-		for t := int64(1); t <= opts.MaxSteps; t++ {
-			if !r.Bool() {
-				nb := g.Neighbors(pos)
-				pos = nb[r.Intn(len(nb))]
-				if !visited[pos] {
-					visited[pos] = true
-					remaining--
-					if remaining == 0 {
-						return float64(t)
-					}
-				}
-			}
-		}
-		return float64(opts.MaxSteps)
-	})
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	return walk.Estimate{Summary: stats.Summarize(samples)}, nil
 }
 
 // Experiment pairs a report ID with its runner so callers can select

@@ -10,21 +10,20 @@ import (
 	"manywalks/internal/graph"
 )
 
-// This file implements the batched k-walk engine, the hot path behind every
-// cover-time, partial-cover, and hit-time estimate in the repository.
+// This file implements the batched k-walk engine, the simulator behind
+// every estimate, served query and corpus in the repository.
 //
-// The legacy simulators in walk.go advance walkers through Walker.Step,
-// paying a slice-header construction and a non-inlinable shared-RNG call
-// per step. The engine instead keeps all walker state in flat arrays —
-// positions in a []int32, one xoshiro256++ stream per walker in a
-// []rng.Source — and advances them strictly round-major (all walkers step
-// round t before any steps t+1), which keeps the per-walker load chains
-// independent so the CPU overlaps their cache misses. Each walker
-// stretches one 64-bit xoshiro draw across a *group* of rounds through a
-// per-walker bit reservoir (see the draw discipline below), so the
-// generator state is loaded and stored once per group instead of once per
-// step. Runs are driven by the trial-lane driver of grouped.go; a single
-// run is a pass of one lane.
+// A per-walker loop (the test oracles keep one) pays a slice-header
+// construction and a non-inlinable shared-RNG call per step. The engine
+// instead keeps all walker state in flat arrays — positions in a []int32,
+// one xoshiro256++ stream per walker in a []rng.Source — and advances
+// them strictly round-major (all walkers step round t before any steps
+// t+1), which keeps the per-walker load chains independent so the CPU
+// overlaps their cache misses. Each walker stretches one 64-bit xoshiro
+// draw across a *group* of rounds through a per-walker bit reservoir (see
+// the draw discipline below), so the generator state is loaded and stored
+// once per group instead of once per step. Runs are driven by the
+// trial-lane driver of grouped.go; a single run is a pass of one lane.
 //
 // Draw discipline (pinned by TestEngineMatchesWalkerReplay against an
 // independent reimplementation): walker i consumes the stream
@@ -115,8 +114,7 @@ const (
 
 // NewEngine returns an engine for g. It panics if any vertex is isolated
 // (a walker there would have no move) or if opts.Kernel is invalid,
-// mirroring Walker's constructor contract of rejecting impossible
-// configurations up front.
+// rejecting impossible configurations up front.
 func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	offsets, adj := g.CSR()
 	n := g.N()
@@ -410,8 +408,9 @@ func (e *Engine) Run(spec RunSpec, observers ...Observer) (RunResult, error) {
 	return RunResult{Rounds: res.Rounds[0], Stopped: res.Stopped[0]}, nil
 }
 
-// mustRun is the shim behind the legacy convenience wrappers, which keep
-// their documented panic-on-misuse contract on top of Run's error returns.
+// mustRun is the shim behind the convenience wrappers (KCover, KHit, ...),
+// which keep their documented panic-on-misuse contract on top of Run's
+// error returns.
 func (e *Engine) mustRun(spec RunSpec, obs ...Observer) RunResult {
 	res, err := e.Run(spec, obs...)
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 // Engine-versus-legacy benchmarks on the paper's graph families. Each
 // measures one full k=64 cover from the family's canonical start, the
 // workload behind every C^k estimate. The legacy baseline is the original
-// per-walker loop (KCoverFrom); the engine rows run the batched kernel.
+// per-walker loop (legacyKCover in oracle_test.go); the engine rows run the
+// batched kernel.
 
 type benchFamily struct {
 	name  string
@@ -36,7 +37,7 @@ func BenchmarkKCoverLegacy(b *testing.B) {
 			g, start := fam.build()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := KCoverFrom(g, start, benchK, rng.NewStream(42, uint64(i)), 1<<40)
+				res := legacyKCover(g, commonStarts(start, benchK), rng.NewStream(42, uint64(i)), 1<<40)
 				if !res.Covered {
 					b.Fatal("not covered")
 				}
@@ -130,7 +131,7 @@ func BenchmarkKHitLegacy(b *testing.B) {
 	g, starts, marked := hitBenchSetup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !KHitFromVertices(g, starts, marked, rng.NewStream(42, uint64(i)), 1<<20).Hit {
+		if !legacyKernelKHit(g, Uniform(), starts, marked, rng.NewStream(42, uint64(i)), 1<<20).Hit {
 			b.Fatal("no hit")
 		}
 	}
@@ -178,7 +179,7 @@ func BenchmarkKWalkThroughput(b *testing.B) {
 	const rounds = 2000
 	b.Run("legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if KCoverFrom(g, 0, benchK, rng.NewStream(42, uint64(i)), rounds).Covered {
+			if legacyKCover(g, commonStarts(0, benchK), rng.NewStream(42, uint64(i)), rounds).Covered {
 				b.Fatal("unexpected cover; raise n")
 			}
 		}

@@ -82,7 +82,7 @@ type Kernel interface {
 	// TransitionProbs returns the kernel's transition distribution out of v
 	// as parallel (vertices, probabilities) slices; a possible stay-at-v
 	// outcome is included explicitly. It is the reference law the alias
-	// compiler, the legacy loops, and markov.ChainForKernel all share, so
+	// compiler, the test oracles, and markov.ChainForKernel all share, so
 	// the layers cannot drift apart. Kernels that are not Markov chains on
 	// vertices (no-backtrack) return an error.
 	TransitionProbs(g *graph.Graph, v int32) ([]int32, []float64, error)

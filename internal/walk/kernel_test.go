@@ -306,7 +306,7 @@ func TestEngineKernelMatchesLegacyStats(t *testing.T) {
 				t.Fatalf("%s: engine truncated", kern)
 			}
 			engSamples[i] = float64(res.Steps)
-			leg := KernelKCoverFromVertices(g, kern, starts, rng.NewStream(9000, uint64(i)), budget)
+			leg := legacyKernelKCover(g, kern, starts, rng.NewStream(9000, uint64(i)), budget)
 			if !leg.Covered {
 				t.Fatalf("%s: legacy truncated", kern)
 			}

@@ -30,7 +30,7 @@ package walk
 //	                   x); in the latter case, landing on prev's slot
 //	                   swaps in the last neighbor, i.e. the classic
 //	                   "sample d-1 slots, patch the collision" scheme
-//	                   KernelWalker's no-backtrack step uses.
+//	                   the per-walker reference sampler uses.
 
 // stepRoundLazyPad advances one lazy round in padded mode.
 func (e *Engine) stepRoundLazyPad(st *walkers, lo, hi int) {

@@ -95,6 +95,16 @@ func checkStarts(g *graph.Graph, starts []int32) error {
 	return nil
 }
 
+// checkNoIsolated rejects a graph with an isolated vertex — a walker there
+// would have no move, and NewEngine panics on it — for the estimators that
+// do not already reject disconnected graphs.
+func checkNoIsolated(g *graph.Graph) error {
+	if min, _ := g.DegreeStats(); min == 0 {
+		return fmt.Errorf("walk: graph has an isolated vertex; walkers there would have no move")
+	}
+	return nil
+}
+
 // Estimate holds a Monte Carlo estimate with its uncertainty plus coverage
 // accounting: Truncated counts trials that exhausted MaxSteps; their
 // (censored) values are included in the summary, biasing it low, so any
@@ -169,7 +179,7 @@ func EstimateFromTrials(res GroupedResult) Estimate {
 // start. Trials run as one trial-fused engine pass (RunGrouped) on the
 // batched engine.
 func EstimateCoverTime(g *graph.Graph, start int32, opts MCOptions) (Estimate, error) {
-	return EstimateKCoverTime(g, start, 1, opts)
+	return EstimateKernelKCoverTime(g, nil, start, 1, opts)
 }
 
 // EstimateKCoverTime estimates the expected k-walk cover time (in rounds)
@@ -178,8 +188,25 @@ func EstimateCoverTime(g *graph.Graph, start int32, opts MCOptions) (Estimate, e
 // bit-for-bit equal to an Engine run with the MonteCarlo stream
 // derivation.
 func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Estimate, error) {
+	return EstimateKernelKCoverTime(g, nil, start, k, opts)
+}
+
+// EstimateKernelCoverTime estimates the expected single-walk cover time
+// from start under kernel k, on the batched engine.
+func EstimateKernelCoverTime(g *graph.Graph, k Kernel, start int32, opts MCOptions) (Estimate, error) {
+	return EstimateKernelKCoverTime(g, k, start, 1, opts)
+}
+
+// EstimateKernelKCoverTime estimates the expected k-walk cover time (in
+// rounds) from a common start vertex under kernel kern; a nil kernel is
+// the uniform walk.
+func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
+	}
+	kern = KernelOrUniform(kern)
+	if err := kern.Validate(g); err != nil {
+		return Estimate{}, err
 	}
 	if !g.IsConnected() {
 		return Estimate{}, fmt.Errorf("walk: cover time diverges on disconnected graphs")
@@ -191,7 +218,10 @@ func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Est
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	// Trials fuse into one grouped pass (the generic lane driver steps
+	// every kernel; uniform pad-table graphs take the pair-table fast
+	// path).
+	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: kern})
 	res, err := runCoverTrials(eng, opts, commonStarts(start, k), 0, nil)
 	if err != nil {
 		return Estimate{}, err
@@ -231,6 +261,17 @@ func EstimateKCoverTimeStationary(g *graph.Graph, k int, opts MCOptions) (Estima
 // graphs. Trials run as one trial-fused engine pass of single-walker
 // lanes.
 func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (Estimate, error) {
+	return EstimateKernelHittingTime(g, nil, start, target, opts)
+}
+
+// EstimateKernelHittingTime estimates h(start, target) under kernel k (nil
+// is the uniform walk); the kernel cross-validation tests compare it
+// against the absorbing-chain expectation of markov.ChainForKernel.
+func EstimateKernelHittingTime(g *graph.Graph, k Kernel, start, target int32, opts MCOptions) (Estimate, error) {
+	k = KernelOrUniform(k)
+	if err := k.Validate(g); err != nil {
+		return Estimate{}, err
+	}
 	if !g.IsConnected() {
 		return Estimate{}, fmt.Errorf("walk: hitting time diverges on disconnected graphs")
 	}
@@ -241,7 +282,7 @@ func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (E
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: k})
 	marked := make([]bool, g.N())
 	marked[target] = true
 	res, err := runHitTrials(eng, opts, []int32{start}, marked)
@@ -271,6 +312,9 @@ func runHitTrials(eng *Engine, opts MCOptions, starts []int32, marked []bool) (G
 func CoverTimeTail(g *graph.Graph, start int32, horizon int64, opts MCOptions) (float64, error) {
 	if horizon <= 0 {
 		return 0, fmt.Errorf("walk: horizon must be > 0")
+	}
+	if err := checkNoIsolated(g); err != nil {
+		return 0, err
 	}
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return 0, err

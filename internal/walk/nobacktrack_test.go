@@ -8,16 +8,16 @@ import (
 )
 
 // The non-backtracking walk ("one bit of memory") is the NoBacktrack
-// kernel: KernelWalker steps it with a shared stream, the engine with the
-// no-backtrack step program.
+// kernel: the oracle's kernelStep samples it from a shared stream, the
+// engine with the no-backtrack step program.
 
 func TestNBWalkerNeverBacktracks(t *testing.T) {
 	g := graph.Torus2D(5) // degree 4 everywhere: backtracking never forced
-	w := NewKernelWalker(g, NoBacktrack(), 0, rng.New(1))
-	prev := w.Pos()
-	cur := w.Step()
+	r := rng.New(1)
+	prev := int32(0)
+	cur := kernelStep(g, NoBacktrack(), prev, -1, r)
 	for i := 0; i < 5000; i++ {
-		next := w.Step()
+		next := kernelStep(g, NoBacktrack(), cur, prev, r)
 		if next == prev {
 			t.Fatalf("backtracked %d -> %d -> %d at step %d", prev, cur, next, i)
 		}
@@ -31,9 +31,9 @@ func TestNBWalkerNeverBacktracks(t *testing.T) {
 func TestNBWalkerDegreeOneFallsBack(t *testing.T) {
 	// On a path the endpoints force a reversal.
 	g := graph.Path(3)
-	w := NewKernelWalker(g, NoBacktrack(), 1, rng.New(2))
-	first := w.Step() // to 0 or 2
-	second := w.Step()
+	r := rng.New(2)
+	first := kernelStep(g, NoBacktrack(), 1, -1, r) // to 0 or 2
+	second := kernelStep(g, NoBacktrack(), first, 1, r)
 	if second != 1 {
 		t.Fatalf("endpoint must bounce back to 1, got %d (via %d)", second, first)
 	}
@@ -46,9 +46,8 @@ func TestNBWalkerUniformAmongAllowed(t *testing.T) {
 	counts := map[int32]int{}
 	const trials = 30000
 	for i := 0; i < trials; i++ {
-		w := NewKernelWalker(g, NoBacktrack(), 0, rng.NewStream(3, uint64(i)))
-		w.prev = g.Neighbors(0)[0] // pretend we came from the first neighbor
-		counts[w.Step()]++
+		// Pretend we came from the first neighbor.
+		counts[kernelStep(g, NoBacktrack(), 0, g.Neighbors(0)[0], rng.NewStream(3, uint64(i)))]++
 	}
 	if len(counts) != 3 {
 		t.Fatalf("allowed targets %d, want 3", len(counts))
@@ -67,7 +66,7 @@ func TestNBCoverCycleIsBallistic(t *testing.T) {
 	n := 64
 	g := graph.Cycle(n)
 	for trial := 0; trial < 20; trial++ {
-		res := KernelCoverFrom(g, NoBacktrack(), 0, rng.NewStream(5, uint64(trial)), 1<<20)
+		res := legacyKernelKCover(g, NoBacktrack(), []int32{0}, rng.NewStream(5, uint64(trial)), 1<<20)
 		if !res.Covered || res.Steps != int64(n-1) {
 			t.Fatalf("NB cycle cover %+v, want exactly %d", res, n-1)
 		}
@@ -123,10 +122,4 @@ func TestNBValidation(t *testing.T) {
 	if _, err := EstimateKernelKCoverTime(b.Build("disc"), NoBacktrack(), 0, 1, MCOptions{Trials: 2, MaxSteps: 10}); err == nil {
 		t.Fatal("disconnected accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for bad start")
-		}
-	}()
-	NewKernelWalker(g, NoBacktrack(), 9, rng.New(1))
 }

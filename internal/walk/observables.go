@@ -4,43 +4,8 @@ import (
 	"fmt"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 	"manywalks/internal/stats"
 )
-
-// PartialCoverFrom runs a k-walk from start until a fraction alpha of the
-// vertices has been visited (α=1 is full cover). The paper's linear-speed-up
-// proofs hinge on the last few vertices dominating the cover time; partial
-// cover times expose that structure directly.
-func PartialCoverFrom(g *graph.Graph, start int32, k int, alpha float64, r *rng.Source, maxRounds int64) CoverResult {
-	if alpha <= 0 || alpha > 1 {
-		panic("walk: alpha must be in (0,1]")
-	}
-	n := g.N()
-	target := int(alpha * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	seen := newVisitSet(n)
-	pos := make([]int32, k)
-	for i := range pos {
-		pos[i] = start
-	}
-	if seen.visit(start) >= target {
-		return CoverResult{Steps: 0, Covered: true}
-	}
-	for t := int64(1); t <= maxRounds; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			np := nb[r.Intn(len(nb))]
-			pos[i] = np
-			if seen.visit(np) >= target {
-				return CoverResult{Steps: t, Covered: true}
-			}
-		}
-	}
-	return CoverResult{Steps: maxRounds, Covered: false}
-}
 
 // EstimatePartialCoverTime estimates the expected α-partial k-walk cover
 // time from start. Trials run as trial-lane passes with a count-target
@@ -69,140 +34,6 @@ func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64,
 		return Estimate{}, err
 	}
 	return EstimateFromTrials(res), nil
-}
-
-// LastVertexFrom runs a single walk to full cover and returns the identity
-// of the last vertex covered (and the cover time). The distribution of the
-// last vertex concentrates on the far side of the start — the structure
-// Matthews-style arguments exploit.
-func LastVertexFrom(g *graph.Graph, start int32, r *rng.Source, maxSteps int64) (last int32, steps int64, covered bool) {
-	n := g.N()
-	seen := newVisitSet(n)
-	seen.visit(start)
-	last = start
-	if seen.count == n {
-		return last, 0, true
-	}
-	w := NewWalker(g, start, r)
-	for t := int64(1); t <= maxSteps; t++ {
-		v := w.Step()
-		before := seen.count
-		if seen.visit(v) != before {
-			last = v
-			if seen.count == n {
-				return last, t, true
-			}
-		}
-	}
-	return last, maxSteps, false
-}
-
-// MeetingTimeFrom runs two independent walks from u and v stepping in
-// synchronized rounds and returns the first round at which they occupy the
-// same vertex (checked after both have moved). The hunter/prey pursuit of
-// the paper's introduction is exactly this process. On bipartite graphs
-// walks started on opposite sides can never meet on-node under simultaneous
-// moves; callers handle the truncation.
-func MeetingTimeFrom(g *graph.Graph, u, v int32, r *rng.Source, maxRounds int64) (int64, bool) {
-	if u == v {
-		return 0, true
-	}
-	a := NewWalker(g, u, r)
-	b := NewWalker(g, v, r)
-	for t := int64(1); t <= maxRounds; t++ {
-		if a.Step() == b.Step() {
-			return t, true
-		}
-	}
-	return maxRounds, false
-}
-
-// KMeetingFromVertices is the legacy per-walker reference loop for the
-// k-walk meeting time: all walkers step through one shared rng.Source and
-// the first round any two occupy the same vertex is returned (duplicate
-// starts meet at round 0). It is the statistical baseline the engine's
-// collision lanes are validated against; estimators run on the engine.
-func KMeetingFromVertices(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) (int64, bool) {
-	coal, _, _ := legacyCollisionLoop(g, starts, r, maxRounds, true)
-	return coal.round, coal.ok
-}
-
-// KCoalescenceFromVertices is the legacy reference loop for the k-walk
-// coalescence time under the union-of-meetings relation: walkers that have
-// once shared a vertex merge into one class, and the loop reports the
-// round the classes collapse to one, plus the first meeting round of the
-// same trajectory.
-func KCoalescenceFromVertices(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) (coalesce int64, meet int64, ok bool) {
-	res, firstMeet, _ := legacyCollisionLoop(g, starts, r, maxRounds, false)
-	return res.round, firstMeet, res.ok
-}
-
-type legacyCollision struct {
-	round int64
-	ok    bool
-}
-
-// legacyCollisionLoop shares the meeting/coalescence bookkeeping of the two
-// legacy loops above. With stopAtMeet the loop returns at the first
-// collision; otherwise it runs to full coalescence.
-func legacyCollisionLoop(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64, stopAtMeet bool) (legacyCollision, int64, int) {
-	k := len(starts)
-	if k < 2 {
-		panic("walk: collision loop requires at least 2 walkers")
-	}
-	parent := make([]int, k)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(i int) int
-	find = func(i int) int {
-		if parent[i] != i {
-			parent[i] = find(parent[i])
-		}
-		return parent[i]
-	}
-	groups := k
-	firstMeet := int64(-1)
-	at := make(map[int32]int, k)
-	observe := func(t int64, pos []int32) (done bool) {
-		clear(at)
-		for i, p := range pos {
-			j, hit := at[p]
-			if !hit {
-				at[p] = i
-				continue
-			}
-			if firstMeet < 0 {
-				firstMeet = t
-			}
-			if ra, rb := find(j), find(i); ra != rb {
-				if ra > rb {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
-				groups--
-			}
-		}
-		if stopAtMeet {
-			return firstMeet >= 0
-		}
-		return groups == 1
-	}
-	pos := make([]int32, k)
-	copy(pos, starts)
-	if observe(0, pos) {
-		return legacyCollision{0, true}, firstMeet, groups
-	}
-	for t := int64(1); t <= maxRounds; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			pos[i] = nb[r.Intn(len(nb))]
-		}
-		if observe(t, pos) {
-			return legacyCollision{t, true}, firstMeet, groups
-		}
-	}
-	return legacyCollision{maxRounds, false}, firstMeet, groups
 }
 
 // EstimateMeetingTime estimates the expected meeting round of two walks on
@@ -358,38 +189,17 @@ func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []floa
 	return ests, nil
 }
 
-// CoverageProfile runs one k-walk for exactly horizon rounds and returns
-// the number of distinct vertices visited after each round (index 0 is the
-// state at t=0). Averaging profiles across trials yields the coverage curve
-// ("fraction covered vs time") whose long flat tail explains why the last
-// few vertices dominate C^k.
-func CoverageProfile(g *graph.Graph, start int32, k int, r *rng.Source, horizon int64) []int {
-	n := g.N()
-	seen := newVisitSet(n)
-	pos := make([]int32, k)
-	for i := range pos {
-		pos[i] = start
-	}
-	seen.visit(start)
-	profile := make([]int, horizon+1)
-	profile[0] = seen.count
-	for t := int64(1); t <= horizon; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			np := nb[r.Intn(len(nb))]
-			pos[i] = np
-			seen.visit(np)
-		}
-		profile[t] = seen.count
-	}
-	return profile
-}
-
-// MeanCoverageProfile averages CoverageProfile over opts.Trials trials and
-// returns the expected coverage count per round.
+// MeanCoverageProfile runs opts.Trials k-walks from start for exactly
+// horizon rounds and returns the expected number of distinct vertices
+// visited after each round (index 0 is the state at t=0) — the coverage
+// curve whose long flat tail explains why the last few vertices dominate
+// C^k.
 func MeanCoverageProfile(g *graph.Graph, start int32, k int, horizon int64, opts MCOptions) ([]float64, error) {
 	if k < 1 || horizon < 1 {
 		return nil, fmt.Errorf("walk: need k >= 1 and horizon >= 1")
+	}
+	if err := checkNoIsolated(g); err != nil {
+		return nil, err
 	}
 	// Each trial derives its profile from the engine's first-visit rounds:
 	// the coverage count after round t is the number of vertices whose

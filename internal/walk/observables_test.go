@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"manywalks/internal/graph"
-	"manywalks/internal/rng"
 )
 
 func TestPartialCoverMonotoneInAlpha(t *testing.T) {
@@ -72,20 +71,29 @@ func TestPartialCoverValidation(t *testing.T) {
 	if _, err := EstimatePartialCoverTime(g, 0, 0, 0.5, opts); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PartialCoverFrom alpha panic missing")
+}
+
+// lastVertexCovered returns the vertex with the latest first visit and
+// that round, from a single walk's KFirstVisits; covered is false if some
+// vertex stayed unvisited.
+func lastVertexCovered(first []int64) (last int32, round int64, covered bool) {
+	for v, f := range first {
+		if f < 0 {
+			return -1, -1, false
 		}
-	}()
-	PartialCoverFrom(g, 0, 1, -1, rng.New(1), 10)
+		if f > round {
+			last, round = int32(v), f
+		}
+	}
+	return last, round, true
 }
 
 func TestLastVertexOnPathIsFarEnd(t *testing.T) {
 	// From endpoint 0 of a path the last vertex covered is always n-1.
 	g := graph.Path(8)
-	r := rng.New(41)
-	for trial := 0; trial < 50; trial++ {
-		last, _, covered := LastVertexFrom(g, 0, r, 1<<20)
+	eng := NewEngine(g, EngineOptions{})
+	for seed := uint64(0); seed < 50; seed++ {
+		last, _, covered := lastVertexCovered(eng.KFirstVisits([]int32{0}, 41+seed, 1<<20))
 		if !covered {
 			t.Fatal("truncated")
 		}
@@ -97,9 +105,9 @@ func TestLastVertexOnPathIsFarEnd(t *testing.T) {
 
 func TestLastVertexCycleNeverStart(t *testing.T) {
 	g := graph.Cycle(12)
-	r := rng.New(43)
-	for trial := 0; trial < 50; trial++ {
-		last, steps, covered := LastVertexFrom(g, 0, r, 1<<20)
+	eng := NewEngine(g, EngineOptions{})
+	for seed := uint64(0); seed < 50; seed++ {
+		last, steps, covered := lastVertexCovered(eng.KFirstVisits([]int32{0}, 43+seed, 1<<20))
 		if !covered || steps <= 0 {
 			t.Fatal("truncated or zero-step cover")
 		}
@@ -112,8 +120,8 @@ func TestLastVertexCycleNeverStart(t *testing.T) {
 func TestMeetingTimeBasics(t *testing.T) {
 	g := graph.Complete(16, true)
 	// Same start: meet at round 0.
-	if steps, met := MeetingTimeFrom(g, 3, 3, rng.New(1), 10); !met || steps != 0 {
-		t.Fatal("co-located walkers must meet at 0")
+	if res, err := NewEngine(g, EngineOptions{}).KMeetingTime([]int32{3, 3}, 1, 10); err != nil || !res.Met || res.Rounds != 0 {
+		t.Fatalf("co-located walkers must meet at 0: %+v, %v", res, err)
 	}
 	est, err := EstimateMeetingTime(g, 0, 5, MCOptions{Trials: 2000, Seed: 45, MaxSteps: 1 << 20})
 	if err != nil {
@@ -130,20 +138,25 @@ func TestMeetingTimeBipartiteParity(t *testing.T) {
 	// Opposite sides of an even cycle: simultaneous moves preserve the
 	// parity difference, so they can never co-locate.
 	g := graph.Cycle(8)
-	_, met := MeetingTimeFrom(g, 0, 1, rng.New(47), 5000)
-	if met {
+	eng := NewEngine(g, EngineOptions{})
+	res, err := eng.KMeetingTime([]int32{0, 1}, 47, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Met {
 		t.Fatal("parity-separated walkers met on a bipartite graph")
 	}
 	// Same side (even distance) meets fine.
-	_, met = MeetingTimeFrom(g, 0, 2, rng.New(47), 1<<20)
-	if !met {
-		t.Fatal("same-parity walkers failed to meet")
+	if res, err = eng.KMeetingTime([]int32{0, 2}, 47, 1<<20); err != nil || !res.Met {
+		t.Fatalf("same-parity walkers failed to meet: %v", err)
 	}
 }
 
 func TestCoverageProfileShape(t *testing.T) {
 	g := graph.Torus2D(6)
-	profile := CoverageProfile(g, 0, 4, rng.New(49), 2000)
+	const horizon = 2000
+	first := NewEngine(g, EngineOptions{}).KFirstVisits(commonStarts(0, 4), 49, horizon)
+	profile := coverageProfile(first, horizon)
 	if profile[0] != 1 {
 		t.Fatalf("profile[0] = %d", profile[0])
 	}

@@ -106,6 +106,17 @@ func TestEstimatorValidationErrors(t *testing.T) {
 	if _, err := CoverTimeTail(g, 99, 10, opts); err == nil {
 		t.Fatal("tail: want out-of-range error")
 	}
+	// Vertex 2 is isolated: the estimators that accept disconnected graphs
+	// must still refuse it with an error, not an engine panic.
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	iso := b.Build("isolated")
+	if _, err := MeanCoverageProfile(iso, 0, 1, 10, opts); err == nil || !strings.Contains(err.Error(), "isolated") {
+		t.Fatalf("coverage profile: want isolated-vertex error, got %v", err)
+	}
+	if _, err := CoverTimeTail(iso, 0, 10, opts); err == nil || !strings.Contains(err.Error(), "isolated") {
+		t.Fatalf("tail: want isolated-vertex error, got %v", err)
+	}
 	// Options are validated before anything is sized by Trials.
 	if _, err := MeanPartialCoverRounds(g, 0, 2, []float64{0.5}, MCOptions{Trials: -1, MaxSteps: 10}); err == nil {
 		t.Fatal("partial rounds: want an error for Trials < 0")
@@ -217,11 +228,11 @@ func TestMeetingMatchesLegacyStats(t *testing.T) {
 			t.Fatal("engine meeting truncated")
 		}
 		engSamples[i] = float64(res.Rounds)
-		steps, met := KMeetingFromVertices(g, starts, rng.NewStream(900, uint64(i)), 1<<20)
-		if !met {
+		leg, _, _ := legacyCollisionLoop(g, starts, rng.NewStream(900, uint64(i)), 1<<20, true)
+		if !leg.ok {
 			t.Fatal("legacy meeting truncated")
 		}
-		legSamples[i] = float64(steps)
+		legSamples[i] = float64(leg.round)
 	}
 	es, ls := stats.Summarize(engSamples), stats.Summarize(legSamples)
 	if diff := math.Abs(es.Mean - ls.Mean); diff > es.CI95()+ls.CI95() {
@@ -250,14 +261,14 @@ func TestCoalescenceMatchesLegacyStats(t *testing.T) {
 			t.Fatalf("first meeting %d outside [0, %d]", res.FirstMeeting, res.Rounds)
 		}
 		engSamples[i] = float64(res.Rounds)
-		coal, meet, ok := KCoalescenceFromVertices(g, starts, rng.NewStream(901, uint64(i)), 1<<22)
-		if !ok {
+		coal, meet, _ := legacyCollisionLoop(g, starts, rng.NewStream(901, uint64(i)), 1<<22, false)
+		if !coal.ok {
 			t.Fatal("legacy coalescence truncated")
 		}
-		if meet < 0 || meet > coal {
-			t.Fatalf("legacy first meeting %d outside [0, %d]", meet, coal)
+		if meet < 0 || meet > coal.round {
+			t.Fatalf("legacy first meeting %d outside [0, %d]", meet, coal.round)
 		}
-		legSamples[i] = float64(coal)
+		legSamples[i] = float64(coal.round)
 	}
 	es, ls := stats.Summarize(engSamples), stats.Summarize(legSamples)
 	if diff := math.Abs(es.Mean - ls.Mean); diff > es.CI95()+ls.CI95() {
@@ -544,26 +555,5 @@ func TestRunToHorizon(t *testing.T) {
 		if f != want[v] {
 			t.Fatalf("first[%d] = %d != %d", v, f, want[v])
 		}
-	}
-}
-
-// TestLegacyMeetingLoopAgreesWithMeetingTimeFrom sanity-checks the k=2
-// legacy loop against the original two-walker reference.
-func TestLegacyMeetingLoopAgreesWithMeetingTimeFrom(t *testing.T) {
-	g := graph.Complete(9, false)
-	const trials = 3000
-	a := make([]float64, trials)
-	b := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		s1, ok1 := KMeetingFromVertices(g, []int32{0, 5}, rng.NewStream(77, uint64(i)), 1<<20)
-		s2, ok2 := MeetingTimeFrom(g, 0, 5, rng.NewStream(78, uint64(i)), 1<<20)
-		if !ok1 || !ok2 {
-			t.Fatal("truncated")
-		}
-		a[i], b[i] = float64(s1), float64(s2)
-	}
-	as, bs := stats.Summarize(a), stats.Summarize(b)
-	if math.Abs(as.Mean-bs.Mean) > as.CI95()+bs.CI95() {
-		t.Fatalf("k-loop %v±%v vs pair loop %v±%v", as.Mean, as.CI95(), bs.Mean, bs.CI95())
 	}
 }

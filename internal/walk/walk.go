@@ -1,9 +1,8 @@
-// Package walk implements the random-walk simulators at the heart of the
-// reproduction: single simple random walks, the paper's synchronized k-walk
-// (k independent walkers advancing in parallel rounds), cover-time and
-// hitting-time sampling, and a deterministic parallel Monte Carlo driver
-// that fans trials out over a fixed worker pool with one RNG stream per
-// trial.
+// Package walk implements the random-walk simulator at the heart of the
+// reproduction: the paper's synchronized k-walk (k independent walkers
+// advancing in parallel rounds) on a batched engine, every observable of it
+// (cover, partial cover, hitting, meeting, coalescence), and the Monte
+// Carlo estimators that run many trials as trial lanes of one engine pass.
 //
 // Time convention: for a single walk, time is the number of steps taken.
 // For a k-walk, time is the number of *rounds*; in one round every one of
@@ -13,179 +12,14 @@
 package walk
 
 import (
-	"fmt"
-
 	"manywalks/internal/graph"
 	"manywalks/internal/rng"
 )
-
-// Walker is a simple random walker on a graph. It is the single-walk
-// reference simulator; batch workloads (cover/hit estimation over many
-// walkers or trials) run on Engine, which advances flat walker arrays in
-// vectorized rounds instead of pointer-chasing Step calls.
-type Walker struct {
-	g   *graph.Graph
-	pos int32
-	r   *rng.Source
-}
-
-// NewWalker places a walker at start.
-func NewWalker(g *graph.Graph, start int32, r *rng.Source) *Walker {
-	if start < 0 || int(start) >= g.N() {
-		panic(fmt.Sprintf("walk: start %d out of range", start))
-	}
-	return &Walker{g: g, pos: start, r: r}
-}
-
-// Pos returns the current vertex.
-func (w *Walker) Pos() int32 { return w.pos }
-
-// Step moves to a uniformly random neighbor and returns the new position.
-func (w *Walker) Step() int32 {
-	nb := w.g.Neighbors(w.pos)
-	w.pos = nb[w.r.Intn(len(nb))]
-	return w.pos
-}
-
-// visitSet is a bitset tracking visited vertices with a running count.
-type visitSet struct {
-	bits  []uint64
-	count int
-}
-
-func newVisitSet(n int) *visitSet {
-	return &visitSet{bits: make([]uint64, (n+63)/64)}
-}
-
-// visit marks v and reports the updated count of distinct visited vertices.
-func (s *visitSet) visit(v int32) int {
-	w, b := v>>6, uint(v&63)
-	if s.bits[w]&(1<<b) == 0 {
-		s.bits[w] |= 1 << b
-		s.count++
-	}
-	return s.count
-}
 
 // CoverResult reports one cover-time trial.
 type CoverResult struct {
 	Steps   int64 // steps (single walk) or rounds (k-walk) until covered
 	Covered bool  // false if MaxSteps was exhausted first
-}
-
-// CoverFrom runs one simple random walk from start until every vertex has
-// been visited or maxSteps steps have elapsed.
-func CoverFrom(g *graph.Graph, start int32, r *rng.Source, maxSteps int64) CoverResult {
-	n := g.N()
-	seen := newVisitSet(n)
-	if seen.visit(start) == n {
-		return CoverResult{Steps: 0, Covered: true}
-	}
-	w := NewWalker(g, start, r)
-	for t := int64(1); t <= maxSteps; t++ {
-		if seen.visit(w.Step()) == n {
-			return CoverResult{Steps: t, Covered: true}
-		}
-	}
-	return CoverResult{Steps: maxSteps, Covered: false}
-}
-
-// KCoverFrom runs the paper's k-walk from a single start vertex: k
-// independent walkers all begin at start and advance one step per round;
-// the result counts rounds until the union of trajectories covers V.
-func KCoverFrom(g *graph.Graph, start int32, k int, r *rng.Source, maxRounds int64) CoverResult {
-	starts := make([]int32, k)
-	for i := range starts {
-		starts[i] = start
-	}
-	return KCoverFromVertices(g, starts, r, maxRounds)
-}
-
-// KCoverFromVertices runs a k-walk whose walkers begin at the given
-// vertices (not necessarily distinct). This generalization supports the
-// paper's §1.1 remark about walks started from the stationary distribution.
-//
-// This is the legacy per-walker reference loop, kept as the baseline the
-// engine is validated and benchmarked against (engine_bench_test.go); the
-// estimators run on Engine.KCover, which is ≥2x faster.
-func KCoverFromVertices(g *graph.Graph, starts []int32, r *rng.Source, maxRounds int64) CoverResult {
-	if len(starts) == 0 {
-		panic("walk: k-walk requires at least one walker")
-	}
-	n := g.N()
-	seen := newVisitSet(n)
-	pos := make([]int32, len(starts))
-	for i, s := range starts {
-		if s < 0 || int(s) >= n {
-			panic(fmt.Sprintf("walk: start %d out of range", s))
-		}
-		pos[i] = s
-		if seen.visit(s) == n {
-			return CoverResult{Steps: 0, Covered: true}
-		}
-	}
-	for t := int64(1); t <= maxRounds; t++ {
-		for i, p := range pos {
-			nb := g.Neighbors(p)
-			np := nb[r.Intn(len(nb))]
-			pos[i] = np
-			if seen.visit(np) == n {
-				return CoverResult{Steps: t, Covered: true}
-			}
-		}
-	}
-	return CoverResult{Steps: maxRounds, Covered: false}
-}
-
-// HitFrom returns the number of steps for a single walk from start to first
-// reach target, and whether it did so within maxSteps. A walk already at
-// the target has hitting time 0.
-func HitFrom(g *graph.Graph, start, target int32, r *rng.Source, maxSteps int64) (int64, bool) {
-	if start == target {
-		return 0, true
-	}
-	w := NewWalker(g, start, r)
-	for t := int64(1); t <= maxSteps; t++ {
-		if w.Step() == target {
-			return t, true
-		}
-	}
-	return maxSteps, false
-}
-
-// FirstVisitTimes runs a single walk for exactly horizon steps and returns
-// the first-visit time of every vertex (-1 if unvisited). Index start gets 0.
-func FirstVisitTimes(g *graph.Graph, start int32, r *rng.Source, horizon int64) []int64 {
-	n := g.N()
-	first := make([]int64, n)
-	for i := range first {
-		first[i] = -1
-	}
-	first[start] = 0
-	w := NewWalker(g, start, r)
-	remaining := n - 1
-	for t := int64(1); t <= horizon && remaining > 0; t++ {
-		v := w.Step()
-		if first[v] < 0 {
-			first[v] = t
-			remaining--
-		}
-	}
-	return first
-}
-
-// VisitCounts runs a single walk for exactly horizon steps and returns how
-// many times each vertex was occupied (the start counts once at time 0).
-// Long-run frequencies converge to the stationary distribution; tests use
-// this to validate the walker against the operator algebra.
-func VisitCounts(g *graph.Graph, start int32, r *rng.Source, horizon int64) []int64 {
-	counts := make([]int64, g.N())
-	counts[start] = 1
-	w := NewWalker(g, start, r)
-	for t := int64(0); t < horizon; t++ {
-		counts[w.Step()]++
-	}
-	return counts
 }
 
 // StationaryStarts samples k start vertices approximately from the

@@ -9,13 +9,15 @@ import (
 	"manywalks/internal/rng"
 )
 
+// The step-law tests below check the oracle's uniform sampler
+// (kernelStep), the per-walker reference the engine is validated against.
+
 func TestWalkerStaysOnEdges(t *testing.T) {
 	g := graph.Lollipop(6, 4)
 	r := rng.New(1)
-	w := NewWalker(g, 0, r)
-	prev := w.Pos()
+	prev := int32(0)
 	for i := 0; i < 10000; i++ {
-		next := w.Step()
+		next := kernelStep(g, Uniform(), prev, -1, r)
 		if !g.HasEdge(prev, next) {
 			t.Fatalf("illegal move %d -> %d", prev, next)
 		}
@@ -30,8 +32,7 @@ func TestWalkerUniformNeighborChoice(t *testing.T) {
 	counts := make(map[int32]int)
 	const trials = 40000
 	for i := 0; i < trials; i++ {
-		w := NewWalker(g, 0, r)
-		counts[w.Step()]++
+		counts[kernelStep(g, Uniform(), 0, -1, r)]++
 	}
 	for leaf := int32(1); leaf < 5; leaf++ {
 		frac := float64(counts[leaf]) / trials
@@ -41,21 +42,12 @@ func TestWalkerUniformNeighborChoice(t *testing.T) {
 	}
 }
 
-func TestNewWalkerPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewWalker(graph.Cycle(3), 3, rng.New(1))
-}
-
 func TestCoverFromAlreadyCovered(t *testing.T) {
 	// A single-vertex "graph" can't be built (generators require n >= 2),
-	// so check the 0-step path: complete graph covered after n-1 visits is
-	// not 0, but a K2 from either endpoint covers in exactly 1 step.
+	// so check the shortest cover instead: a K2 from either endpoint covers
+	// in exactly one round.
 	g := graph.Complete(2, false)
-	res := CoverFrom(g, 0, rng.New(3), 100)
+	res := NewEngine(g, EngineOptions{}).KCoverFrom(0, 1, 3, 100)
 	if !res.Covered || res.Steps != 1 {
 		t.Fatalf("K2 cover %+v", res)
 	}
@@ -141,8 +133,12 @@ func TestHittingMatchesExact(t *testing.T) {
 }
 
 func TestHitFromSelf(t *testing.T) {
-	steps, hit := HitFrom(graph.Cycle(5), 2, 2, rng.New(1), 10)
-	if steps != 0 || !hit {
+	// A walker starting on the marked vertex hits at round 0.
+	g := graph.Cycle(5)
+	marked := make([]bool, g.N())
+	marked[2] = true
+	res := NewEngine(g, EngineOptions{}).KHit([]int32{2}, marked, 1, 10)
+	if res.Rounds != 0 || !res.Hit {
 		t.Fatal("self hit should be 0")
 	}
 }
@@ -218,23 +214,10 @@ func TestDisconnectedRejected(t *testing.T) {
 	}
 }
 
-func TestVisitCountsApproachStationary(t *testing.T) {
-	// Long-run occupancy ∝ degree. Star(5): center π = 1/2, leaves 1/8.
-	g := graph.Star(5)
-	counts := VisitCounts(g, 0, rng.New(7), 200000)
-	total := int64(0)
-	for _, c := range counts {
-		total += c
-	}
-	centerFrac := float64(counts[0]) / float64(total)
-	if math.Abs(centerFrac-0.5) > 0.02 {
-		t.Fatalf("center occupancy %.3f, want ≈0.5", centerFrac)
-	}
-}
-
 func TestFirstVisitTimes(t *testing.T) {
 	g := graph.Path(6)
-	fv := FirstVisitTimes(g, 0, rng.New(9), 1<<20)
+	eng := NewEngine(g, EngineOptions{})
+	fv := eng.KFirstVisits([]int32{0}, 9, 1<<20)
 	if fv[0] != 0 {
 		t.Fatal("start first-visit must be 0")
 	}
@@ -246,7 +229,7 @@ func TestFirstVisitTimes(t *testing.T) {
 		}
 	}
 	// A zero-length horizon leaves everything but the start unvisited.
-	fv0 := FirstVisitTimes(g, 2, rng.New(9), 0)
+	fv0 := eng.KFirstVisits([]int32{2}, 9, 0)
 	for i, v := range fv0 {
 		if i == 2 && v != 0 {
 			t.Fatal("start mismatch")
@@ -279,7 +262,7 @@ func TestKCoverFromVerticesDistinctStarts(t *testing.T) {
 	// Walkers planted at every vertex cover instantly.
 	g := graph.Cycle(6)
 	starts := []int32{0, 1, 2, 3, 4, 5}
-	res := KCoverFromVertices(g, starts, rng.New(4), 100)
+	res := NewEngine(g, EngineOptions{}).KCover(starts, 4, 100)
 	if !res.Covered || res.Steps != 0 {
 		t.Fatalf("full placement should cover at t=0: %+v", res)
 	}

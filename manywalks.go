@@ -105,14 +105,6 @@ func NewCycleWithChords(p int) *Graph { return graph.CycleWithChords(p) }
 
 // Simulation API.
 
-// Walker is a simple random walker; drive it with Step. For batch
-// workloads prefer Engine, which advances many walkers in vectorized
-// rounds.
-type Walker = walk.Walker
-
-// NewWalker places a walker on g at start.
-func NewWalker(g *Graph, start int32, r *Rand) *Walker { return walk.NewWalker(g, start, r) }
-
 // Engine is the batched k-walk engine: walker positions in flat arrays,
 // one deterministic RNG stream per walker, rounds advanced in batches, with
 // the trial lanes of a grouped pass sharded across a worker pool. Results

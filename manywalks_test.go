@@ -106,12 +106,8 @@ func TestPublicAPIWalkerAndBuilder(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)
 	g := b.Build("triangle")
-	w := manywalks.NewWalker(g, 0, manywalks.NewRandStream(5, 0))
-	for i := 0; i < 100; i++ {
-		v := w.Step()
-		if v < 0 || v > 2 {
-			t.Fatalf("walker escaped: %d", v)
-		}
+	if res := manywalks.NewEngine(g, manywalks.EngineOptions{}).KCoverFrom(0, 1, 5, 100); !res.Covered {
+		t.Fatalf("triangle not covered in 100 steps: %+v", res)
 	}
 	ht, err := manywalks.ComputeHittingTimes(g)
 	if err != nil {
