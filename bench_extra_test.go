@@ -1,4 +1,4 @@
-// Benchmarks for the extension experiments (DESIGN.md second wave): the
+// Benchmarks for the extension experiments (harness.Experiments()): the
 // Theorem 24 lower bound, partial cover, the lollipop worst case, the extra
 // Theorem 4 families, churn robustness, coverage profiles and the network
 // search trade-off.

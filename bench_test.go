@@ -1,7 +1,8 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper, as indexed in DESIGN.md. Each benchmark runs the corresponding
-// harness experiment end to end and reports the headline quantities as
-// custom benchmark metrics (speedup, cover-rounds, bound margins), so
+// paper, as listed by harness.Experiments(). Each benchmark runs the
+// corresponding harness experiment end to end and reports the headline
+// quantities as custom benchmark metrics (speedup, cover-rounds, bound
+// margins), so
 //
 //	go test -bench=. -benchmem
 //

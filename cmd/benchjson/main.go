@@ -5,9 +5,9 @@
 // shapes, trials/sec — for the serving rows that is served queries/sec, the
 // unit the coalescing dispatcher is gated on (256 concurrent clients
 // issuing k=1 hitting-time queries on the Table-1 expander, coalesced vs
-// naive per-request dispatch). Since BENCH_PR6 the estimator and coalesced
-// serving rows sweep Workers over {1,4,8}; every sweep point draws
-// bit-identical samples, so the rows measure pure lane-shard scaling.
+// the standalone per-request call). Since BENCH_PR6 the estimator and
+// coalesced serving rows sweep Workers over {1,4,8}; every sweep point
+// draws bit-identical samples, so the rows measure pure lane-shard scaling.
 // Since BENCH_PR7 the set adds GenerateCorpus rows — bulk truncated walks
 // from every vertex streamed to a discard sink — reporting steps_per_sec
 // (walker-steps/sec), the corpus acceptance unit. Since BENCH_PR8 the set
@@ -52,6 +52,7 @@ import (
 	"manywalks/internal/cluster"
 	"manywalks/internal/graph"
 	"manywalks/internal/httpapi"
+	"manywalks/internal/netsim"
 	"manywalks/internal/serve"
 	"manywalks/internal/walk"
 )
@@ -252,7 +253,8 @@ func pinned() []pinnedBench {
 	// hitting-time walk queries (the cmd/walkload acceptance shape);
 	// trials/sec is served queries/sec. The coalesced row sweeps the
 	// server's per-pass worker count (the w-less name is the w1 row of the
-	// earlier snapshots); the naive path has no grouped passes to shard.
+	// earlier snapshots); the naive row times the standalone call each
+	// served answer equals, which has no grouped passes to shard.
 	rows = append(rows, pinnedBench{"ServeWalkQuery/expander576_c256_naive", 1, 0, nil, servedThroughput(expander, true, 1)})
 	for _, w := range benchWorkerGrid {
 		rows = append(rows, pinnedBench{"ServeWalkQuery/expander576_c256_coalesced" + workerSuffix(w), 1, 0, nil, servedThroughput(expander, false, w)})
@@ -300,24 +302,36 @@ func corpusThroughput(g *graph.Graph, format walk.CorpusFormat, workers int) fun
 	}
 }
 
-// servedThroughput benchmarks one query served through an in-process
-// serve.Server under 256 persistent concurrent clients; each op is one
-// query, so ns/op is the served per-query latency budget and trials/sec
-// (trials = 1) is queries/sec.
+// servedThroughput benchmarks one walk query under 256 persistent
+// concurrent clients: served through an in-process serve.Server, or with
+// naive set, the standalone netsim.RunWalkQueryEngine call on an engine
+// compiled untimed. Each op is one query, so ns/op is the per-query
+// latency budget and trials/sec (trials = 1) is queries/sec.
 func servedThroughput(g *graph.Graph, naive bool, workers int) func(b *testing.B) {
 	return func(b *testing.B) {
-		s := serve.NewServer(serve.Options{NoCoalesce: naive, Workers: workers})
-		defer s.Close()
-		if err := s.RegisterGraph("g", g); err != nil {
-			b.Fatal(err)
+		var query func(seed uint64) error
+		if naive {
+			eng := walk.NewEngine(g, walk.EngineOptions{Workers: workers})
+			hasItem := make([]bool, g.N())
+			hasItem[300] = true
+			query = func(seed uint64) error {
+				netsim.RunWalkQueryEngine(eng, 0, 1, 1<<20, hasItem, seed)
+				return nil
+			}
+		} else {
+			s := serve.NewServer(serve.Options{Workers: workers})
+			defer s.Close()
+			if err := s.RegisterGraph("g", g); err != nil {
+				b.Fatal(err)
+			}
+			query = func(seed uint64) error {
+				_, err := s.WalkQuery(context.Background(), serve.WalkQueryRequest{
+					Graph: "g", Origin: 0, K: 1, TTL: 1 << 20, Targets: []int32{300}, Seed: seed,
+				})
+				return err
+			}
 		}
-		query := func(seed uint64) error {
-			_, err := s.WalkQuery(context.Background(), serve.WalkQueryRequest{
-				Graph: "g", Origin: 0, K: 1, TTL: 1 << 20, Targets: []int32{300}, Seed: seed,
-			})
-			return err
-		}
-		if err := query(^uint64(0)); err != nil { // warm the engine cache untimed
+		if err := query(^uint64(0)); err != nil { // warm untimed
 			b.Fatal(err)
 		}
 		var seed atomic.Uint64

@@ -1,6 +1,7 @@
 // Command experiments runs the complete reproduction suite: Table 1 plus
-// every theorem/figure/ablation experiment catalogued in DESIGN.md, printing
-// each report and exiting non-zero if any bound or shape check fails.
+// every theorem/figure/ablation experiment listed by harness.Experiments(),
+// printing each report and exiting non-zero if any bound or shape check
+// fails.
 //
 // Usage:
 //

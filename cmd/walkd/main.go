@@ -10,8 +10,8 @@
 // Usage:
 //
 //	walkd [-addr :8371] [-graphs id=spec,...] [-tick 200us] [-deadline 30s]
-//	      [-max-batch 4096] [-max-pending 65536] [-cache 8] [-naive]
-//	      [-warm kernel,...]
+//	      [-max-batch 4096] [-max-pending 65536] [-cache 8] [-workers 0]
+//	      [-warm kernel,...] [-drain 10s]
 //
 // Endpoints: see internal/httpapi. /v1/stats reports the served-traffic
 // counters, the engine-cache hit/miss counters, and per-shape pass/lane
@@ -61,7 +61,6 @@ func run(args []string, out io.Writer) error {
 	maxPending := fs.Int("max-pending", 1<<16, "max queued lanes before 429")
 	cache := fs.Int("cache", 8, "compiled-engine cache size (graph × kernel, LRU)")
 	workers := fs.Int("workers", 0, "workers per grouped pass (0 = engine default)")
-	naive := fs.Bool("naive", false, "disable coalescing: serve each request with its own engine run")
 	warm := fs.String("warm", "", "pre-compile engines at startup: comma-separated kernels, each warmed on every registered graph (\"help\" lists kernels)")
 	drainWait := fs.Duration("drain", 10*time.Second, "graceful shutdown budget for in-flight HTTP requests")
 	if err := fs.Parse(args); err != nil {
@@ -76,7 +75,6 @@ func run(args []string, out io.Writer) error {
 		MaxPending:  *maxPending,
 		EngineCache: *cache,
 		Workers:     *workers,
-		NoCoalesce:  *naive,
 	})
 	if err != nil {
 		return usage(err)
@@ -133,8 +131,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	st := srv.Stats()
-	fmt.Fprintf(out, "walkd: served %d requests (%d grouped passes, %d lanes, %d naive)\n",
-		st.Requests, st.Passes, st.Lanes, st.Naive)
+	fmt.Fprintf(out, "walkd: served %d requests (%d grouped passes, %d lanes)\n",
+		st.Requests, st.Passes, st.Lanes)
 	return nil
 }
 

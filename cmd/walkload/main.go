@@ -1,9 +1,10 @@
 // Command walkload is the concurrent load generator for the serving layer:
-// it spins up an in-process serve.Server, points many concurrent clients at
-// it with same-shape hitting-time walk queries, and measures served
-// queries/sec under the two dispatch modes — coalesced (requests folded
-// into grouped engine passes) and naive (one Engine.Run per request) — then
-// verifies every pair of answers is bit-for-bit equal.
+// it points many concurrent clients at an in-process serve.Server with
+// same-shape hitting-time walk queries and measures served queries/sec
+// against the naive baseline — the same clients and seeds issuing the
+// standalone call, netsim.RunWalkQueryEngine, on one engine compiled
+// outside the timed window — then verifies every coalesced answer is
+// bit-for-bit equal to its standalone counterpart.
 //
 // The default shape is the acceptance workload: 256 concurrent clients
 // issuing k=1 hitting-time queries on the Table-1 expander (margulis:24,
@@ -45,9 +46,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"manywalks/internal/cluster"
@@ -85,29 +88,15 @@ func latencyLine(latencies []float64) string {
 		stats.Quantile(latencies, 0.99))
 }
 
-// runLoad drives clients × queries walk queries through one server and
-// collects the answers in issue order (client-major), so the two modes'
-// answer vectors are directly comparable.
-func runLoad(g *graph.Graph, kernel walk.Kernel, opts serve.Options,
-	clients, queries, k, ttl int, origin int32, targets []int32, seed uint64, workers int) (loadResult, error) {
-	opts.Workers = workers
-	srv := serve.NewServer(opts)
-	defer srv.Close()
-	if err := srv.RegisterGraph("load", g); err != nil {
-		return loadResult{}, err
-	}
-	// Warm the engine cache outside the timed window: both modes pay
-	// compilation once, not inside the throughput measurement.
-	if _, err := srv.WalkQuery(context.Background(), serve.WalkQueryRequest{
-		Graph: "load", Kernel: kernel, Origin: origin, K: k, TTL: ttl, Targets: targets, Seed: ^seed,
-	}); err != nil {
-		return loadResult{}, err
-	}
+// runLoad drives clients × queries walk queries through query, query i
+// seeded seed+i, and collects the answers in issue order (client-major), so
+// the two modes' answer vectors are directly comparable.
+func runLoad(clients, queries int, seed uint64, query func(seed uint64) (netsim.QueryResult, error)) loadResult {
 	res := loadResult{
 		answers:   make([]netsim.QueryResult, clients*queries),
 		latencies: make([]float64, clients*queries),
 	}
-	var errCount sync.Map
+	var errCount atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -117,13 +106,10 @@ func runLoad(g *graph.Graph, kernel walk.Kernel, opts serve.Options,
 			for q := 0; q < queries; q++ {
 				i := c*queries + q
 				t0 := time.Now()
-				a, err := srv.WalkQuery(context.Background(), serve.WalkQueryRequest{
-					Graph: "load", Kernel: kernel, Origin: origin, K: k, TTL: ttl,
-					Targets: targets, Seed: seed + uint64(i),
-				})
+				a, err := query(seed + uint64(i))
 				res.latencies[i] = float64(time.Since(t0)) / float64(time.Millisecond)
 				if err != nil {
-					errCount.Store(i, err)
+					errCount.Add(1)
 					continue
 				}
 				res.answers[i] = a
@@ -132,7 +118,27 @@ func runLoad(g *graph.Graph, kernel walk.Kernel, opts serve.Options,
 	}
 	wg.Wait()
 	res.elapsed = time.Since(start)
-	errCount.Range(func(any, any) bool { res.errs++; return true })
+	res.errs = int(errCount.Load())
+	return res
+}
+
+// runCoalesced serves the load through an in-process coalescing server,
+// warming its engine cache with one untimed query first.
+func runCoalesced(g *graph.Graph, opts serve.Options, req serve.WalkQueryRequest, clients, queries int, seed uint64) (loadResult, error) {
+	srv := serve.NewServer(opts)
+	defer srv.Close()
+	if err := srv.RegisterGraph(req.Graph, g); err != nil {
+		return loadResult{}, err
+	}
+	query := func(seed uint64) (netsim.QueryResult, error) {
+		r := req
+		r.Seed = seed
+		return srv.WalkQuery(context.Background(), r)
+	}
+	if _, err := query(^seed); err != nil {
+		return loadResult{}, err
+	}
+	res := runLoad(clients, queries, seed, query)
 	res.stats = srv.Stats()
 	return res, nil
 }
@@ -415,7 +421,7 @@ func runClusterLoad(out io.Writer, g *graph.Graph, kernel walk.Kernel, cfg clust
 	}
 
 	if cfg.verify {
-		eng := walk.NewEngine(g, walk.EngineOptions{Workers: 1})
+		eng := walk.NewEngine(g, walk.EngineOptions{Workers: 1, Kernel: kernel})
 		hasItem := make([]bool, g.N())
 		for i := 0; i < total; i++ {
 			hasItem[targets[i]] = true
@@ -468,7 +474,7 @@ func run(args []string, out io.Writer) error {
 	origin := fs.Int("origin", 0, "query origin vertex")
 	seed := fs.Uint64("seed", 1, "base seed; query i uses seed+i")
 	kernelFlag := fs.String("kernel", "uniform", kernelflag.Usage())
-	mode := fs.String("mode", "both", "naive, coalesced, both (both verifies bit-for-bit equality), adaptive (time-to-tolerance), or cluster (HTTP fleet through the shape-affinity router)")
+	mode := fs.String("mode", "both", "naive (the standalone call), coalesced, both (both verifies bit-for-bit equality), adaptive (time-to-tolerance), or cluster (HTTP fleet through the shape-affinity router)")
 	tick := fs.Duration("tick", 200*time.Microsecond, "coalescer gather window")
 	workers := fs.Int("workers", 1, "workers per grouped pass (0 = engine default)")
 	trials := fs.Int("trials", 1024, "adaptive mode: fixed trial budget per estimate")
@@ -504,6 +510,17 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return usage(err)
 	}
+	// The standalone baseline does not validate its input, so a shape the
+	// server would refuse is a usage error before any load runs.
+	if *k < 1 || *ttl < 1 {
+		return usage(fmt.Errorf("k and ttl must be >= 1"))
+	}
+	if *origin < 0 || *origin >= g.N() {
+		return usage(fmt.Errorf("origin %d out of range [0,%d)", *origin, g.N()))
+	}
+	if err := kernel.Validate(g); err != nil {
+		return usage(err)
+	}
 	total := *clients * *queries
 	switch *mode {
 	case "naive", "coalesced", "both", "adaptive", "cluster":
@@ -537,23 +554,28 @@ func run(args []string, out io.Writer) error {
 			*clients, *k, int64(*ttl), int32(*origin), *seed, *trials,
 			walk.Precision{RTol: *rtol, Confidence: *confidence}, *workers)
 	}
+	if slices.ContainsFunc(targets, func(v int32) bool { return v < 0 || int(v) >= g.N() }) {
+		return usage(fmt.Errorf("targets %v out of range [0,%d)", targets, g.N()))
+	}
 	fmt.Fprintf(out, "walkload: %s (n=%d) k=%d ttl=%d targets=%v kernel=%s  %d clients x %d queries = %d\n",
 		*spec, g.N(), *k, *ttl, targets, kernel, *clients, *queries, total)
 
 	var naive, coalesced loadResult
-	runMode := func(noCoalesce bool) (loadResult, error) {
-		return runLoad(g, kernel, serve.Options{Tick: *tick, NoCoalesce: noCoalesce},
-			*clients, *queries, *k, *ttl, int32(*origin), targets, *seed, *workers)
-	}
 	if *mode == "naive" || *mode == "both" {
-		if naive, err = runMode(true); err != nil {
-			return err
+		eng := walk.NewEngine(g, walk.EngineOptions{Workers: *workers, Kernel: kernel})
+		hasItem := make([]bool, g.N())
+		for _, v := range targets {
+			hasItem[v] = true
 		}
-		fmt.Fprintf(out, "naive      %6d queries in %12v  -> %8.0f q/s   %s   (per-request Engine.Run)\n",
+		naive = runLoad(*clients, *queries, *seed, func(seed uint64) (netsim.QueryResult, error) {
+			return netsim.RunWalkQueryEngine(eng, int32(*origin), *k, *ttl, hasItem, seed), nil
+		})
+		fmt.Fprintf(out, "naive      %6d queries in %12v  -> %8.0f q/s   %s   (standalone RunWalkQueryEngine)\n",
 			total, naive.elapsed.Round(time.Millisecond), naive.qps(), latencyLine(naive.latencies))
 	}
 	if *mode == "coalesced" || *mode == "both" {
-		if coalesced, err = runMode(false); err != nil {
+		req := serve.WalkQueryRequest{Graph: "load", Kernel: kernel, Origin: int32(*origin), K: *k, TTL: *ttl, Targets: targets}
+		if coalesced, err = runCoalesced(g, serve.Options{Tick: *tick, Workers: *workers}, req, *clients, *queries, *seed); err != nil {
 			return err
 		}
 		st := coalesced.stats
@@ -564,17 +586,17 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "coalesced  %6d queries in %12v  -> %8.0f q/s   %s   (%d grouped passes, mean %.0f lanes/pass)\n",
 			total, coalesced.elapsed.Round(time.Millisecond), coalesced.qps(), latencyLine(coalesced.latencies), st.Passes, meanLanes)
 	}
-	if naive.errs+coalesced.errs > 0 {
-		return fmt.Errorf("request errors: naive %d, coalesced %d", naive.errs, coalesced.errs)
+	if coalesced.errs > 0 {
+		return fmt.Errorf("request errors: coalesced %d", coalesced.errs)
 	}
 	if *mode == "both" {
 		for i := range naive.answers {
 			if naive.answers[i] != coalesced.answers[i] {
-				return fmt.Errorf("answer %d differs: naive %+v, coalesced %+v", i, naive.answers[i], coalesced.answers[i])
+				return fmt.Errorf("answer %d differs: standalone %+v, coalesced %+v", i, naive.answers[i], coalesced.answers[i])
 			}
 		}
 		speedup := coalesced.qps() / naive.qps()
-		fmt.Fprintf(out, "verify: all %d coalesced answers bit-for-bit equal to naive dispatch\n", total)
+		fmt.Fprintf(out, "verify: all %d coalesced answers bit-for-bit equal to the standalone call\n", total)
 		fmt.Fprintf(out, "speedup: %.2fx\n", speedup)
 	}
 	return nil

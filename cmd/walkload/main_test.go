@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,33 @@ func TestRunFlagErrors(t *testing.T) {
 	} {
 		if err := run(bad, &out); err == nil {
 			t.Fatalf("args %v accepted", bad)
+		}
+	}
+}
+
+// TestRunRejectsBadQueryShape pins input validation ahead of the load: the
+// standalone baseline does not validate, so a vertex outside the graph, a
+// non-positive k or TTL, or a kernel the graph rejects must be a usage
+// error (exit 2) before any query runs.
+func TestRunRejectsBadQueryShape(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-origin", "9999"},
+		{"-origin", "-1"},
+		{"-targets", "9999"},
+		{"-targets", "40,-3"},
+		{"-k", "0"},
+		{"-ttl", "0"},
+		{"-graph", "cycle:4096", "-kernel", "hopper:power"},
+		{"-mode", "adaptive", "-origin", "9999"},
+		{"-mode", "cluster", "-k", "0"},
+	} {
+		var out strings.Builder
+		args := append([]string{"-graph", "margulis:8", "-clients", "2", "-queries", "1", "-ttl", "64"}, bad...)
+		if err := run(args, &out); !errors.Is(err, errUsage) {
+			t.Fatalf("args %v: got %v, want a usage error", bad, err)
+		}
+		if strings.Contains(out.String(), "queries in") {
+			t.Fatalf("args %v: load ran before the usage error:\n%s", bad, out.String())
 		}
 	}
 }

@@ -112,7 +112,8 @@
 // wave by wave so converged requests release capacity early, with
 // WaveStat progress streamed through OnProgress. cmd/walkd is its
 // HTTP+JSON daemon (adaptive requests stream waves as chunked NDJSON)
-// and cmd/walkload the coalesced-vs-naive load generator.
+// and cmd/walkload the load generator that measures coalesced serving
+// against the standalone call.
 //
 // The full experiment suite — every table, figure and theorem check — lives
 // in the cmd/ binaries (cmd/table1, cmd/experiments, ...) and

@@ -634,7 +634,7 @@ type Experiment struct {
 	Run func(Config) (*Report, error)
 }
 
-// Experiments lists every non-Table-1 experiment in DESIGN.md order.
+// Experiments lists every non-Table-1 experiment, in catalogue order.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"F1-barbell", RunBarbellFigure},
@@ -680,7 +680,7 @@ func RunExperiments(cfg Config, list []Experiment) ([]*Report, error) {
 	return reports, nil
 }
 
-// AllExperiments runs every non-Table-1 experiment in DESIGN.md order.
+// AllExperiments runs every non-Table-1 experiment in Experiments() order.
 func AllExperiments(cfg Config) ([]*Report, error) {
 	return RunExperiments(cfg, Experiments())
 }

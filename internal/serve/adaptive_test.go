@@ -124,93 +124,51 @@ func testServedAdaptiveMatchesStandalone(t *testing.T, workers int) {
 	}
 }
 
-// TestServedAdaptiveNaiveMatchesCoalesced pins the NoCoalesce adaptive path
-// against the coalesced one: both share walk.AdaptiveState, so they must
-// stop at the same trial and answer identically.
-func TestServedAdaptiveNaiveMatchesCoalesced(t *testing.T) {
-	co := newTestServer(t, Options{Workers: 2})
-	na := newTestServer(t, Options{NoCoalesce: true})
-	prec := serveAdaptivePrecision()
-	req := CoverTimeRequest{Graph: "expander64", Start: 3, K: 4, Trials: serveAdaptiveBudget,
-		Seed: 9, MaxSteps: 1 << 16, Precision: prec}
-	a, err := co.CoverTime(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := na.CoverTime(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("adaptive cover: coalesced %+v != naive %+v", a, b)
-	}
-	if st := na.Stats(); st.Passes != 0 || st.Naive != st.Requests {
-		t.Fatalf("naive server ran grouped passes: %+v", st)
-	}
-	hreq := HittingTimeRequest{Graph: "complete16", Start: 0, Target: 8, Trials: serveAdaptiveBudget,
-		Seed: 5, MaxSteps: 1 << 16, Precision: prec}
-	a, err = co.HittingTime(context.Background(), hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err = na.HittingTime(context.Background(), hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("adaptive hitting: coalesced %+v != naive %+v", a, b)
-	}
-}
-
 // TestServedAdaptiveProgressStream checks the OnProgress wave stream a
 // served adaptive request emits: contiguous wave indices, strictly growing
 // trial counts, Done exactly on the last wave, and a final snapshot that
 // agrees with the answer.
 func TestServedAdaptiveProgressStream(t *testing.T) {
-	for _, noCoalesce := range []bool{false, true} {
-		t.Run(fmt.Sprintf("noCoalesce=%v", noCoalesce), func(t *testing.T) {
-			s := newTestServer(t, Options{NoCoalesce: noCoalesce})
-			var mu sync.Mutex
-			var waves []walk.WaveStat
-			est, err := s.HittingTime(context.Background(), HittingTimeRequest{
-				Graph: "complete16", Start: 0, Target: 8, Trials: serveAdaptiveBudget,
-				Seed: 11, MaxSteps: 1 << 16, Precision: serveAdaptivePrecision(),
-				OnProgress: func(ws walk.WaveStat) {
-					mu.Lock()
-					waves = append(waves, ws)
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	s := newTestServer(t, Options{})
+	var mu sync.Mutex
+	var waves []walk.WaveStat
+	est, err := s.HittingTime(context.Background(), HittingTimeRequest{
+		Graph: "complete16", Start: 0, Target: 8, Trials: serveAdaptiveBudget,
+		Seed: 11, MaxSteps: 1 << 16, Precision: serveAdaptivePrecision(),
+		OnProgress: func(ws walk.WaveStat) {
 			mu.Lock()
-			defer mu.Unlock()
-			if len(waves) != est.Waves || len(waves) < 2 {
-				t.Fatalf("got %d wave snapshots, estimate says %d waves", len(waves), est.Waves)
-			}
-			prevTrials := 0
-			for i, ws := range waves {
-				if ws.Wave != i {
-					t.Fatalf("wave %d has index %d", i, ws.Wave)
-				}
-				if ws.Trials <= prevTrials {
-					t.Fatalf("wave %d trials %d not increasing past %d", i, ws.Trials, prevTrials)
-				}
-				prevTrials = ws.Trials
-				if got, want := ws.Done, i == len(waves)-1; got != want {
-					t.Fatalf("wave %d Done=%v, want %v", i, got, want)
-				}
-			}
-			last := waves[len(waves)-1]
-			// The wave stream's running mean comes from the one-pass Welford
-			// accumulator, the answer's from the two-pass Summarize — both
-			// deterministic, but a few ULPs apart on the same samples.
-			if last.Trials != est.Summary.N || last.Converged != est.Converged ||
-				math.Abs(last.Mean-est.Summary.Mean) > 1e-9*math.Abs(est.Summary.Mean) {
-				t.Fatalf("final wave %+v disagrees with estimate %+v", last, est)
-			}
-		})
+			waves = append(waves, ws)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(waves) != est.Waves || len(waves) < 2 {
+		t.Fatalf("got %d wave snapshots, estimate says %d waves", len(waves), est.Waves)
+	}
+	prevTrials := 0
+	for i, ws := range waves {
+		if ws.Wave != i {
+			t.Fatalf("wave %d has index %d", i, ws.Wave)
+		}
+		if ws.Trials <= prevTrials {
+			t.Fatalf("wave %d trials %d not increasing past %d", i, ws.Trials, prevTrials)
+		}
+		prevTrials = ws.Trials
+		if got, want := ws.Done, i == len(waves)-1; got != want {
+			t.Fatalf("wave %d Done=%v, want %v", i, got, want)
+		}
+	}
+	last := waves[len(waves)-1]
+	// The wave stream's running mean comes from the one-pass Welford
+	// accumulator, the answer's from the two-pass Summarize — both
+	// deterministic, but a few ULPs apart on the same samples.
+	if last.Trials != est.Summary.N || last.Converged != est.Converged ||
+		math.Abs(last.Mean-est.Summary.Mean) > 1e-9*math.Abs(est.Summary.Mean) {
+		t.Fatalf("final wave %+v disagrees with estimate %+v", last, est)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"manywalks/internal/netsim"
@@ -124,7 +125,7 @@ func TestArenaReuseNoStateLeak(t *testing.T) {
 	// Pass C: a cover estimate through the same arena (reusing the arena's
 	// cover observer after the hit passes touched its sibling).
 	const trials, maxSteps = 10, int64(1 << 16)
-	cseeds := trialSeeds(77, trials)
+	cseeds := waveSeeds(77, 0, trials)
 	cb := &bucket{
 		key:    shapeKey{graph: "expander64", kernel: walk.Uniform().String(), obs: obsCover, k: 4, horizon: maxSteps},
 		kernel: walk.Uniform(),
@@ -165,6 +166,30 @@ func TestArenaReuseNoStateLeak(t *testing.T) {
 		want := netsim.RunWalkQueryEngine(eng, r.starts[0], 2, 1<<12, marked, r.seeds[0])
 		if a.query != want {
 			t.Fatalf("query %d after cover pass: %+v != standalone %+v", i, a.query, want)
+		}
+	}
+}
+
+// TestOversizedRequestRejectedBeforeSeeds pins admission ahead of seed
+// derivation: a request whose own lanes exceed MaxPending can never be
+// admitted, so it must fail with ErrOverloaded before deriving its seeds,
+// which costs one allocation per trial. The lanes are Trials for a
+// fixed-count request and the first wave for an adaptive one.
+func TestOversizedRequestRejectedBeforeSeeds(t *testing.T) {
+	s := newTestServer(t, Options{MaxPending: 64})
+	fixed := CoverTimeRequest{Graph: "expander64", Start: 0, K: 2, Trials: 1 << 20, Seed: 1, MaxSteps: 1 << 16}
+	adaptive := fixed
+	adaptive.Precision = walk.Precision{RTol: 0.05, Wave: 1 << 20}
+	for name, req := range map[string]CoverTimeRequest{"fixed": fixed, "adaptive": adaptive} {
+		var err error
+		allocs := testing.AllocsPerRun(3, func() {
+			_, err = s.CoverTime(context.Background(), req)
+		})
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("%s: got %v, want ErrOverloaded", name, err)
+		}
+		if allocs >= 100 {
+			t.Fatalf("%s: rejected request made %.0f allocations, want < 100", name, allocs)
 		}
 	}
 }

@@ -118,15 +118,20 @@ type adaptiveRun struct {
 // bindSeeds sets p's lane seeds: the full trial schedule for a fixed-count
 // request, or just the first wave of an adaptive run — later waves enter
 // the queue one at a time as earlier ones fold, so a converged run releases
-// its pass capacity early.
-func (p *pending) bindSeeds(st *walk.AdaptiveState, seed uint64, trials int, onProgress func(walk.WaveStat)) {
-	if st == nil {
-		p.seeds = trialSeeds(seed, trials)
-		return
+// its pass capacity early. Lanes wider than maxPending could never be
+// admitted, so they fail with ErrOverloaded before any seed is derived:
+// derivation allocates per trial, and the trial count is client input.
+func (p *pending) bindSeeds(st *walk.AdaptiveState, seed uint64, trials, maxPending int, onProgress func(walk.WaveStat)) error {
+	lo, hi := 0, trials
+	if st != nil {
+		lo, hi = st.WaveSpan()
+		p.adaptive = &adaptiveRun{state: st, seed: seed, onProgress: onProgress}
 	}
-	lo, hi := st.WaveSpan()
+	if hi-lo > maxPending {
+		return ErrOverloaded
+	}
 	p.seeds = waveSeeds(seed, lo, hi)
-	p.adaptive = &adaptiveRun{state: st, seed: seed, onProgress: onProgress}
+	return nil
 }
 
 type answer struct {

@@ -277,51 +277,6 @@ func TestWarmPrecompilesEngines(t *testing.T) {
 	}
 }
 
-// TestNaiveMatchesCoalesced pins the two dispatch modes against each other:
-// the naive per-request path and the coalesced path must serve identical
-// answers for identical requests, at every coalesced worker count.
-func TestNaiveMatchesCoalesced(t *testing.T) {
-	for _, workers := range serveWorkerGrid() {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			testNaiveMatchesCoalesced(t, workers)
-		})
-	}
-}
-
-func testNaiveMatchesCoalesced(t *testing.T, workers int) {
-	co := newTestServer(t, Options{Workers: workers})
-	na := newTestServer(t, Options{NoCoalesce: true})
-	for seed := uint64(0); seed < 8; seed++ {
-		req := WalkQueryRequest{Graph: "expander64", Origin: int32(seed), K: 2, TTL: 1 << 14, Targets: []int32{60}, Seed: seed}
-		a, err := co.WalkQuery(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := na.WalkQuery(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("seed %d: coalesced %+v != naive %+v", seed, a, b)
-		}
-	}
-	hreq := HittingTimeRequest{Graph: "cycle32", Start: 0, Target: 16, Trials: 16, Seed: 7, MaxSteps: 1 << 16}
-	a, err := co.HittingTime(context.Background(), hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := na.HittingTime(context.Background(), hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("hitting: coalesced %+v != naive %+v", a, b)
-	}
-	if st := na.Stats(); st.Naive != st.Requests || st.Passes != 0 {
-		t.Fatalf("naive server ran grouped passes: %+v", st)
-	}
-}
-
 // TestOverCapBudgetRunsCoalesced: budgets past the old 2^31-1 round cap
 // run as coalesced passes like any other request. Trials that finish well
 // under either budget give identical samples across the boundary; a
@@ -343,7 +298,7 @@ func TestOverCapBudgetRunsCoalesced(t *testing.T) {
 	if a != b {
 		t.Fatalf("budget boundary changed finished-trial samples: under %+v over %+v", a, b)
 	}
-	if st := s.Stats(); st.Naive != 0 || st.Passes == 0 {
+	if st := s.Stats(); st.Passes == 0 {
 		t.Fatalf("over-cap request did not run as a coalesced pass: %+v", st)
 	}
 

@@ -564,21 +564,19 @@ func addHTTPCases(t *testing.T, s *goldenSet) {
 		}, nil},
 	}
 	for _, w := range goldenWorkers {
-		for _, noCoalesce := range []bool{false, true} {
-			srv, err := httpapi.BuildServer("m8=margulis:8,c64=cycle:64,k2048=complete:2048,lp=lollipop:12:12",
-				serve.Options{Workers: w, NoCoalesce: noCoalesce})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mux := httpapi.NewMux(srv, 0)
-			for _, c := range cases {
-				anchor := post(mux, c.path, c.body(bigBudget))
-				for _, b := range budgets(answerStop(anchor)) {
-					s.add(t, fmt.Sprintf("HTTP %s budget=%d w=%d naive=%t", c.name, b, w, noCoalesce), post(mux, c.path, c.body(b)))
-				}
-			}
-			srv.Close()
+		srv, err := httpapi.BuildServer("m8=margulis:8,c64=cycle:64,k2048=complete:2048,lp=lollipop:12:12",
+			serve.Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
 		}
+		mux := httpapi.NewMux(srv, 0)
+		for _, c := range cases {
+			anchor := post(mux, c.path, c.body(bigBudget))
+			for _, b := range budgets(answerStop(anchor)) {
+				s.add(t, fmt.Sprintf("HTTP %s budget=%d w=%d", c.name, b, w), post(mux, c.path, c.body(b)))
+			}
+		}
+		srv.Close()
 	}
 }
 

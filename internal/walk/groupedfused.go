@@ -307,7 +307,7 @@ func pairScanTail(first, ents []uint32, base, t1 uint32, cnt int32) int32 {
 // one lane (the leftover round of an odd-length draw group). Padding
 // sentinels redraw inline through the walker's stream — the redraw's
 // generator math inlines, so the loop stays a leaf — and the first-visit
-// probe is branchless for the same reason as pairPassFast's.
+// probe is branchless for the same reason as pairScan64's.
 func singleRoundFast(pad []int32, first []uint32, pos []int32, res []uint64, streams []rng.Source,
 	base, shift, t uint32, cnt int32) int32 {
 	mask := uint64(1)<<shift - 1
@@ -340,9 +340,10 @@ func singleRoundFast(pad []int32, first []uint32, pos []int32, res []uint64, str
 // laneGroup advances one trial lane through one draw group: the fill pass
 // banks each walker's fresh draw into the reservoir lane (block-generated
 // draws — the per-walker stream sequence is identical to stepRound's
-// draw-at-group-start), the pair passes run pairPassFast and then
-// replay its deferred sentinel pairs hop-by-hop with the exact redraw
-// semantics, and an odd group length finishes with one single-step round.
+// draw-at-group-start), the pair passes run pairStep64 and then replay its
+// deferred sentinel pairs hop-by-hop with the exact redraw semantics
+// before pairScan64 probes the cells, and an odd group length finishes
+// with one single-step round.
 // The lane early-exits at the first pass that crosses its target
 // (overshoot is at most one pass), leaving the exact crossing round to
 // resolveCrossing. t0 and the rounds inside are relative to the window

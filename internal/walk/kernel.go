@@ -63,7 +63,7 @@ const (
 // or the engine will refuse to compile it.
 //
 // The contract, checked per-kernel by the conformance suite
-// (kernelconformance_test.go):
+// (conformance_test.go):
 //
 //   - ParseKernel(k.String()) must return a kernel rendering the identical
 //     string (canonical spelling; load-bearing for engine-cache keys,
@@ -306,34 +306,20 @@ func DenseTableFits(g *graph.Graph) error {
 
 // buildAliasTable compiles kernel k's transition law on g into an alias
 // table via Vose's algorithm, run per vertex with index-ordered worklists so
-// compilation is deterministic. It is the sparse-support path: rows are
-// neighbor lists (plus stay), so the table is O(m) and needs no accounting.
+// compilation is deterministic. A sparse-support table holds neighbor rows
+// (plus stay), so it is O(m) and unbounded. A dense-support row-bank runs
+// against maxDenseKernelBytes: compilation stops with a descriptive error
+// the moment the bank would cross it, instead of allocating n² columns
+// first and failing later. The table grows by append with its rows:
+// preallocating the worst case, or doubling on growth, each raised the
+// simulate benchmark's peak RSS by about a fifth (2-vCPU Xeon).
 func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	n := g.N()
 	at := &aliasTable{meta: make([]uint64, n)}
-	var vs voseScratch
-	for v := 0; v < n; v++ {
-		outs, probs, err := k.TransitionProbs(g, int32(v))
-		if err != nil {
-			return nil, err
-		}
-		if err := at.appendRow(v, outs, probs, &vs); err != nil {
-			return nil, err
-		}
+	budget := int64(math.MaxInt64)
+	if k.Support() == SupportDense {
+		budget = maxDenseKernelBytes - int64(n)*8
 	}
-	return at, nil
-}
-
-// buildAliasBank compiles a dense-support kernel into the same alias layout
-// with running memory accounting: compilation stops with a descriptive
-// error the moment the bank would cross maxDenseKernelBytes, instead of
-// allocating n² columns first and failing later. The bank grows by append
-// with its rows: preallocating the worst case, or doubling on growth, each
-// raised the simulate benchmark's peak RSS by about a fifth (2-vCPU Xeon).
-func buildAliasBank(g *graph.Graph, k Kernel) (*aliasTable, error) {
-	n := g.N()
-	at := &aliasTable{meta: make([]uint64, n)}
-	budget := maxDenseKernelBytes - int64(n)*8
 	var vs voseScratch
 	for v := 0; v < n; v++ {
 		outs, probs, err := k.TransitionProbs(g, int32(v))
@@ -454,10 +440,11 @@ type kernelProgram struct {
 // CSR fast path unchanged); Lazy and NoBacktrack keep their dedicated step
 // kernels; everything else — the built-in alias kernels and every
 // registered family — compiles through TransitionProbs into an alias
-// table, routed by Support() to the sparse path or to the accounted dense
-// row-bank. Kernels whose spelling does not round-trip through ParseKernel
-// are rejected up front: an unparseable spelling could alias distinct laws
-// into one engine-cache entry or coalescer bucket downstream.
+// table, whose byte budget Support() sets: unbounded for sparse rows,
+// maxDenseKernelBytes for a dense row-bank. Kernels whose spelling does
+// not round-trip through ParseKernel are rejected up front: an unparseable
+// spelling could alias distinct laws into one engine-cache entry or
+// coalescer bucket downstream.
 func compileKernel(g *graph.Graph, k Kernel) (kernelProgram, error) {
 	k = KernelOrUniform(k)
 	if err := k.Validate(g); err != nil {
@@ -474,13 +461,7 @@ func compileKernel(g *graph.Graph, k Kernel) (kernelProgram, error) {
 	case noBacktrackKernel:
 		return kernelProgram{kind: progNoBacktrack, needPrev: true}, nil
 	}
-	var at *aliasTable
-	var err error
-	if k.Support() == SupportDense {
-		at, err = buildAliasBank(g, k)
-	} else {
-		at, err = buildAliasTable(g, k)
-	}
+	at, err := buildAliasTable(g, k)
 	if err != nil {
 		return kernelProgram{}, err
 	}

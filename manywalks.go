@@ -497,9 +497,10 @@ type CoverTimeRequest = serve.CoverTimeRequest
 // MeetingTimeRequest is a served k-walk meeting-time estimate request.
 type MeetingTimeRequest = serve.MeetingTimeRequest
 
-// NewServer returns a running query server; see cmd/walkd for the
-// HTTP+JSON front end and cmd/walkload for the load generator that
-// measures coalesced vs naive dispatch.
+// NewServer returns a running query server. Every request runs through
+// its coalescer, and every answer equals the standalone call bit for bit;
+// see cmd/walkd for the HTTP+JSON front end and cmd/walkload for the load
+// generator that measures coalescing against the standalone call.
 func NewServer(opts ServerOptions) *Server { return serve.NewServer(opts) }
 
 // SpeedupPoint is one measured (k, S^k) with provenance and CI band.
