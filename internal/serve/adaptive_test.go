@@ -129,47 +129,51 @@ func testServedAdaptiveMatchesStandalone(t *testing.T, workers int) {
 // trial counts, Done exactly on the last wave, and a final snapshot that
 // agrees with the answer.
 func TestServedAdaptiveProgressStream(t *testing.T) {
-	s := newTestServer(t, Options{})
-	var mu sync.Mutex
-	var waves []walk.WaveStat
-	est, err := s.HittingTime(context.Background(), HittingTimeRequest{
-		Graph: "complete16", Start: 0, Target: 8, Trials: serveAdaptiveBudget,
-		Seed: 11, MaxSteps: 1 << 16, Precision: serveAdaptivePrecision(),
-		OnProgress: func(ws walk.WaveStat) {
-			mu.Lock()
-			waves = append(waves, ws)
-			mu.Unlock()
-		},
+	// The subtest name marks the coalesced dispatch path, the one every
+	// served request takes.
+	t.Run("noCoalesce=false", func(t *testing.T) {
+		s := newTestServer(t, Options{})
+		var mu sync.Mutex
+		var waves []walk.WaveStat
+		est, err := s.HittingTime(context.Background(), HittingTimeRequest{
+			Graph: "complete16", Start: 0, Target: 8, Trials: serveAdaptiveBudget,
+			Seed: 11, MaxSteps: 1 << 16, Precision: serveAdaptivePrecision(),
+			OnProgress: func(ws walk.WaveStat) {
+				mu.Lock()
+				waves = append(waves, ws)
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(waves) != est.Waves || len(waves) < 2 {
+			t.Fatalf("got %d wave snapshots, estimate says %d waves", len(waves), est.Waves)
+		}
+		prevTrials := 0
+		for i, ws := range waves {
+			if ws.Wave != i {
+				t.Fatalf("wave %d has index %d", i, ws.Wave)
+			}
+			if ws.Trials <= prevTrials {
+				t.Fatalf("wave %d trials %d not increasing past %d", i, ws.Trials, prevTrials)
+			}
+			prevTrials = ws.Trials
+			if got, want := ws.Done, i == len(waves)-1; got != want {
+				t.Fatalf("wave %d Done=%v, want %v", i, got, want)
+			}
+		}
+		last := waves[len(waves)-1]
+		// The wave stream's running mean comes from the one-pass Welford
+		// accumulator, the answer's from the two-pass Summarize — both
+		// deterministic, but a few ULPs apart on the same samples.
+		if last.Trials != est.Summary.N || last.Converged != est.Converged ||
+			math.Abs(last.Mean-est.Summary.Mean) > 1e-9*math.Abs(est.Summary.Mean) {
+			t.Fatalf("final wave %+v disagrees with estimate %+v", last, est)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(waves) != est.Waves || len(waves) < 2 {
-		t.Fatalf("got %d wave snapshots, estimate says %d waves", len(waves), est.Waves)
-	}
-	prevTrials := 0
-	for i, ws := range waves {
-		if ws.Wave != i {
-			t.Fatalf("wave %d has index %d", i, ws.Wave)
-		}
-		if ws.Trials <= prevTrials {
-			t.Fatalf("wave %d trials %d not increasing past %d", i, ws.Trials, prevTrials)
-		}
-		prevTrials = ws.Trials
-		if got, want := ws.Done, i == len(waves)-1; got != want {
-			t.Fatalf("wave %d Done=%v, want %v", i, got, want)
-		}
-	}
-	last := waves[len(waves)-1]
-	// The wave stream's running mean comes from the one-pass Welford
-	// accumulator, the answer's from the two-pass Summarize — both
-	// deterministic, but a few ULPs apart on the same samples.
-	if last.Trials != est.Summary.N || last.Converged != est.Converged ||
-		math.Abs(last.Mean-est.Summary.Mean) > 1e-9*math.Abs(est.Summary.Mean) {
-		t.Fatalf("final wave %+v disagrees with estimate %+v", last, est)
-	}
 }
 
 // TestServedAdaptiveSurvivesClose pins the drain contract: a server closed
