@@ -548,11 +548,14 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	if *mode == "adaptive" {
+		prec := walk.Precision{RTol: *rtol, Confidence: *confidence}
+		if _, err := walk.NewAdaptiveState(prec, *trials); err != nil {
+			return usage(err)
+		}
 		fmt.Fprintf(out, "walkload: %s (n=%d) k=%d kernel=%s  %d adaptive cover estimates, budget %d trials, rtol %g\n",
 			*spec, g.N(), *k, kernel, *clients, *trials, *rtol)
 		return runAdaptiveLoad(out, g, kernel, serve.Options{Tick: *tick},
-			*clients, *k, int64(*ttl), int32(*origin), *seed, *trials,
-			walk.Precision{RTol: *rtol, Confidence: *confidence}, *workers)
+			*clients, *k, int64(*ttl), int32(*origin), *seed, *trials, prec, *workers)
 	}
 	if slices.ContainsFunc(targets, func(v int32) bool { return v < 0 || int(v) >= g.N() }) {
 		return usage(fmt.Errorf("targets %v out of range [0,%d)", targets, g.N()))

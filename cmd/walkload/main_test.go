@@ -108,8 +108,9 @@ func TestRunFlagErrors(t *testing.T) {
 
 // TestRunRejectsBadQueryShape pins input validation ahead of the load: the
 // standalone baseline does not validate, so a vertex outside the graph, a
-// non-positive k or TTL, or a kernel the graph rejects must be a usage
-// error (exit 2) before any query runs.
+// non-positive k or TTL, a kernel the graph rejects, or an adaptive
+// precision the estimators cannot run must be a usage error (exit 2)
+// before any query or estimate runs.
 func TestRunRejectsBadQueryShape(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-origin", "9999"},
@@ -120,6 +121,10 @@ func TestRunRejectsBadQueryShape(t *testing.T) {
 		{"-ttl", "0"},
 		{"-graph", "cycle:4096", "-kernel", "hopper:power"},
 		{"-mode", "adaptive", "-origin", "9999"},
+		{"-mode", "adaptive", "-rtol", "0"},
+		{"-mode", "adaptive", "-rtol", "-0.1"},
+		{"-mode", "adaptive", "-trials", "0"},
+		{"-mode", "adaptive", "-confidence", "1.5"},
 		{"-mode", "cluster", "-k", "0"},
 	} {
 		var out strings.Builder
@@ -127,7 +132,7 @@ func TestRunRejectsBadQueryShape(t *testing.T) {
 		if err := run(args, &out); !errors.Is(err, errUsage) {
 			t.Fatalf("args %v: got %v, want a usage error", bad, err)
 		}
-		if strings.Contains(out.String(), "queries in") {
+		if strings.Contains(out.String(), "queries in") || strings.Contains(out.String(), "estimates x") {
 			t.Fatalf("args %v: load ran before the usage error:\n%s", bad, out.String())
 		}
 	}

@@ -15,60 +15,77 @@ import (
 // cycle, path, complete, star, wheel, torus2d, grid3d, hypercube, tree,
 // barbell, lollipop, expander, chords, er, regular and rgg; the random
 // families (er, regular, rgg) draw from r. A kind containing ':' is a
-// ParseSpec spec and ignores n.
-func BuildFamily(kind string, n int, r *rng.Source) (*Graph, int32, error) {
+// ParseSpec spec and ignores n. A size the family cannot take (n < 2, or
+// below a generator's minimum) and a graph with an isolated vertex (a
+// sparse rgg draw) are errors, not panics: n arrives from a flag.
+func BuildFamily(kind string, n int, r *rng.Source) (g *Graph, start int32, err error) {
+	if strings.Contains(kind, ":") {
+		g, err = ParseSpec(kind)
+		return g, 0, err
+	}
+	if n < 2 {
+		return nil, 0, fmt.Errorf("graph: family %q needs n >= 2, got %d", kind, n)
+	}
+	defer errorOnPanic(&err, fmt.Sprintf("family %q at n=%d", kind, n))
 	side := int(math.Round(math.Sqrt(float64(n))))
 	switch kind {
 	case "cycle":
-		return Cycle(n), 0, nil
+		g = Cycle(n)
 	case "path":
-		return Path(n), 0, nil
+		g = Path(n)
 	case "complete":
-		return Complete(n, false), 0, nil
+		g = Complete(n, false)
 	case "star":
-		return Star(n), 0, nil
+		g = Star(n)
 	case "wheel":
-		return Wheel(n), 0, nil
+		g = Wheel(n)
 	case "torus2d":
-		return Torus2D(side), 0, nil
+		g = Torus2D(side)
 	case "grid3d":
 		s := int(math.Round(math.Cbrt(float64(n))))
-		return Grid([]int{s, s, s}, true), 0, nil
+		g = Grid([]int{s, s, s}, true)
 	case "hypercube":
-		return Hypercube(int(math.Round(math.Log2(float64(n))))), 0, nil
+		g = Hypercube(int(math.Round(math.Log2(float64(n)))))
 	case "tree":
 		height := int(math.Round(math.Log2(float64(n+1)))) - 1
-		return BalancedTree(2, max(height, 1)), 0, nil
+		g = BalancedTree(2, max(height, 1))
 	case "barbell":
-		if n%2 == 0 {
-			n++
-		}
-		g, center := Barbell(n)
-		return g, center, nil
+		g, start = Barbell(n | 1)
 	case "lollipop":
-		return Lollipop(n/2, n-n/2), 0, nil
+		g = Lollipop(n/2, n-n/2)
 	case "expander":
-		return MargulisExpander(side), 0, nil
+		g = MargulisExpander(side)
 	case "chords":
 		for !isPrime(n) {
 			n++
 		}
-		return CycleWithChords(n), 0, nil
+		g = CycleWithChords(n)
 	case "er":
-		g, err := ConnectedErdosRenyi(n, 3*math.Log(float64(n))/float64(n), r, 50)
-		return g, 0, err
+		g, err = ConnectedErdosRenyi(n, 3*math.Log(float64(n))/float64(n), r, 50)
 	case "regular":
-		g, err := ConnectedRandomRegular(n, 4, r, 200)
-		return g, 0, err
+		g, err = ConnectedRandomRegular(n, 4, r, 200)
 	case "rgg":
 		radius := 2 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
-		return RandomGeometric(n, radius, r), 0, nil
+		g = RandomGeometric(n, radius, r)
+	default:
+		return nil, 0, fmt.Errorf("unknown graph kind %q (want cycle, path, complete, star, wheel, torus2d, grid3d, hypercube, tree, barbell, lollipop, expander, chords, er, regular, rgg, or a kind:params spec)", kind)
 	}
-	if strings.Contains(kind, ":") {
-		g, err := ParseSpec(kind)
-		return g, 0, err
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil, 0, fmt.Errorf("unknown graph kind %q (want cycle, path, complete, star, wheel, torus2d, grid3d, hypercube, tree, barbell, lollipop, expander, chords, er, regular, rgg, or a kind:params spec)", kind)
+	if min, _ := g.DegreeStats(); min == 0 {
+		return nil, 0, fmt.Errorf("graph: %s has an isolated vertex", g.Name())
+	}
+	return g, start, nil
+}
+
+// errorOnPanic converts a generator's precondition panic (the generators'
+// documented library contract) into *err, for sizes and specs that arrive
+// from flags. Call it deferred.
+func errorOnPanic(err *error, what string) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("graph: bad %s: %v", what, r)
+	}
 }
 
 // ParseSpec builds a deterministic graph from a compact "kind:params" spec
@@ -93,14 +110,7 @@ func BuildFamily(kind string, n int, r *rng.Source) (*Graph, int32, error) {
 // (generator preconditions like cycle's n >= 3 or barbell's odd n) surface
 // as errors, not panics — the specs arrive from daemon flags.
 func ParseSpec(spec string) (g *Graph, err error) {
-	defer func() {
-		// The generators guard their preconditions with panics (their
-		// documented library contract); a flag-supplied spec converts
-		// them to errors instead of crashing the daemon.
-		if r := recover(); r != nil {
-			g, err = nil, fmt.Errorf("graph: bad spec %q: %v", spec, r)
-		}
-	}()
+	defer errorOnPanic(&err, fmt.Sprintf("spec %q", spec))
 	kind, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	kind = strings.ToLower(kind)
 	args := []int{}

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"manywalks/internal/rng"
 )
@@ -90,5 +92,40 @@ func TestBuildGraphFamilies(t *testing.T) {
 	}
 	if _, _, err := BuildFamily("moebius", 32, r); err == nil || !strings.Contains(err.Error(), "unknown graph") {
 		t.Fatalf("unknown kind: %v", err)
+	}
+}
+
+// TestBuildFamilySmallN feeds every family the sizes a -n flag can carry
+// below the generators' minimums: each must return an error or a graph a
+// walk can run on (no isolated vertex), and must neither panic nor hang.
+func TestBuildFamilySmallN(t *testing.T) {
+	for _, kind := range []string{"cycle", "path", "complete", "star", "wheel", "torus2d", "grid3d",
+		"hypercube", "tree", "barbell", "lollipop", "expander", "chords", "er", "regular", "rgg"} {
+		for _, n := range []int{-1, 0, 1, 2, 3} {
+			fail := make(chan string, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						fail <- fmt.Sprintf("panicked: %v", r)
+					}
+				}()
+				g, _, err := BuildFamily(kind, n, rng.New(1))
+				if err == nil {
+					if min, _ := g.DegreeStats(); min == 0 {
+						fail <- fmt.Sprintf("%s has an isolated vertex", g.Name())
+						return
+					}
+				}
+				fail <- ""
+			}()
+			select {
+			case msg := <-fail:
+				if msg != "" {
+					t.Errorf("BuildFamily(%q, %d): %s", kind, n, msg)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("BuildFamily(%q, %d) did not return", kind, n)
+			}
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package httpapi is the HTTP+JSON surface of the serving layer: the
 // endpoint mux cmd/walkd mounts, factored out of the daemon so every layer
 // that needs a real walkd-shaped backend — the cluster router's tests, the
-// load generator's cluster mode, the benchmark snapshotter's fleet rows —
-// can build one in-process instead of shelling out to the binary. The wire
+// load generator's cluster mode, the walkbench fleet workload — can build
+// one in-process instead of shelling out to the binary. The wire
 // contract is walkd's: the same paths, the same JSON fields, the same
 // status mapping, byte-for-byte.
 //

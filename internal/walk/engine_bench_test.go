@@ -2,6 +2,7 @@ package walk
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"manywalks/internal/graph"
@@ -50,14 +51,7 @@ func BenchmarkKCoverEngine(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		b.Run(fam.name, func(b *testing.B) {
 			g, start := fam.build()
-			eng := NewEngine(g, EngineOptions{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := eng.KCoverFrom(start, benchK, uint64(i), 1<<40)
-				if !res.Covered {
-					b.Fatal("not covered")
-				}
-			}
+			benchKCover(b, NewEngine(g, EngineOptions{}), start, benchK)
 		})
 	}
 }
@@ -68,15 +62,19 @@ func BenchmarkKCoverEngineSeq(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		b.Run(fam.name, func(b *testing.B) {
 			g, start := fam.build()
-			eng := NewEngine(g, EngineOptions{Workers: 1})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := eng.KCoverFrom(start, benchK, uint64(i), 1<<40)
-				if !res.Covered {
-					b.Fatal("not covered")
-				}
-			}
+			benchKCover(b, NewEngine(g, EngineOptions{Workers: 1}), start, benchK)
 		})
+	}
+}
+
+// benchKCover times one full k-walk cover from start per op, seeded by
+// the op index, and fails on a run the 2^40-round budget leaves uncovered.
+func benchKCover(b *testing.B, eng *Engine, start int32, k int) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !eng.KCoverFrom(start, k, uint64(i), 1<<40).Covered {
+			b.Fatal("not covered")
+		}
 	}
 }
 
@@ -90,24 +88,60 @@ var estimatorWorkerGrid = []int{1, 4, 8}
 // the paper-facing workload behind every Table-1 number — at the pinned
 // shape: the Table-1 expander (n=576), k=64 walkers, 256 trials. The w1
 // row is the PR-4 acceptance baseline (>=2x trials/sec against
-// sequential trials); the multicore rows track lane-shard scaling.
+// sequential trials); the multicore rows track lane-shard scaling. k16_w1
+// is the fixed-count twin of the adaptive k=16 row.
 func BenchmarkEstimateKCoverTime(b *testing.B) {
 	g := graph.MargulisExpander(24)
 	const trials = 256
-	for _, workers := range estimatorWorkerGrid {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				est, err := EstimateKCoverTime(g, 0, benchK, MCOptions{
-					Trials:   trials,
-					Workers:  workers,
-					Seed:     uint64(i),
-					MaxSteps: 1 << 20,
+	kcover := func(k, workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			benchEstimates(b, trials, func(seed uint64) (Estimate, error) {
+				return EstimateKCoverTime(g, 0, k, MCOptions{
+					Trials: trials, Workers: workers, Seed: seed, MaxSteps: 1 << 20,
 				})
-				if err != nil || est.Truncated != 0 {
-					b.Fatalf("estimate failed: %v (truncated %d)", err, est.Truncated)
+			})
+		}
+	}
+	for _, workers := range estimatorWorkerGrid {
+		b.Run(fmt.Sprintf("w%d", workers), kcover(benchK, workers))
+	}
+	b.Run("k16_w1", kcover(16, 1))
+}
+
+// benchEstimates times one estimate per op, seeded by the op index, fails
+// on an error or a truncated trial, and reports trials/sec.
+func benchEstimates(b *testing.B, trials int, estimate func(seed uint64) (Estimate, error)) {
+	for i := 0; i < b.N; i++ {
+		est, err := estimate(uint64(i))
+		if err != nil || est.Truncated != 0 {
+			b.Fatalf("estimate failed: %v (truncated %d)", err, est.Truncated)
+		}
+	}
+	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
+}
+
+// BenchmarkAdaptiveEstimateKCoverTime runs the k=64 and k=16 cover
+// estimates of BenchmarkEstimateKCoverTime under sequential stopping at
+// rtol 0.05 @95%, with the fixed 256 trials as the budget. trials_used/op
+// is the mean trials an estimate ran before it stopped: 256 over it is the
+// trials-to-tolerance saving, and the ns/op ratio against the fixed w1 or
+// k16_w1 row the wall-clock saving.
+func BenchmarkAdaptiveEstimateKCoverTime(b *testing.B) {
+	g := graph.MargulisExpander(24)
+	for _, k := range []int{benchK, 16} {
+		b.Run(fmt.Sprintf("k%d_rtol05", k), func(b *testing.B) {
+			used := 0
+			for i := 0; i < b.N; i++ {
+				est, err := EstimateKCoverTime(g, 0, k, MCOptions{
+					Trials: 256, Workers: 1, Seed: uint64(i), MaxSteps: 1 << 20,
+					Precision: Precision{RTol: 0.05, Confidence: 0.95, Wave: 16},
+				})
+				if err != nil || !est.Converged {
+					b.Fatalf("adaptive estimate did not converge: err=%v est=%+v", err, est)
 				}
+				used += est.Summary.N
 			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
+			b.ReportMetric(float64(used)/float64(b.N), "trials_used/op")
 		})
 	}
 }
@@ -158,14 +192,19 @@ func BenchmarkKCoverKernels(b *testing.B) {
 	})
 	for _, kern := range Kernels() {
 		b.Run(kern.String(), func(b *testing.B) {
-			eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: kern})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := eng.KCoverFrom(0, benchK, uint64(i), 1<<40)
-				if !res.Covered {
-					b.Fatal("not covered")
-				}
-			}
+			benchKCover(b, NewEngine(g, EngineOptions{Workers: 1, Kernel: kern}), 0, benchK)
+		})
+	}
+	// The multi-hopper headline pair (Estrada et al.): one walker covering
+	// cycle:1024 under the uniform walk (Θ(n²) rounds) and the power-law
+	// hopper (about n·ln n rounds).
+	cycle := graph.Cycle(1024)
+	for _, row := range []struct {
+		name string
+		kern Kernel
+	}{{"cycle1024_uniform_k1", Uniform()}, {"cycle1024_hopper_power1_k1", HopperPower(1)}} {
+		b.Run(row.name, func(b *testing.B) {
+			benchKCover(b, NewEngine(cycle, EngineOptions{Workers: 1, Kernel: row.kern}), 0, 1)
 		})
 	}
 }
@@ -203,45 +242,63 @@ func BenchmarkEstimateCoverTimeK1(b *testing.B) {
 	const trials = 64
 	for _, workers := range estimatorWorkerGrid {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				est, err := EstimateCoverTime(g, 0, MCOptions{
-					Trials:   trials,
-					Workers:  workers,
-					Seed:     uint64(i),
-					MaxSteps: 1 << 24,
+			benchEstimates(b, trials, func(seed uint64) (Estimate, error) {
+				return EstimateCoverTime(g, 0, MCOptions{
+					Trials: trials, Workers: workers, Seed: seed, MaxSteps: 1 << 24,
 				})
-				if err != nil || est.Truncated != 0 {
-					b.Fatalf("estimate failed: %v (truncated %d)", err, est.Truncated)
-				}
-			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
+			})
 		})
 	}
 }
 
 // BenchmarkEstimateHittingTime measures the hitting-time estimator — 256
-// single-walker trials hunting one target on the Table-1 expander, the
-// acceptance workload of the multicore sharding PR: trials/sec at w4 vs
-// w1 is the scaling figure recorded in BENCH_PR6.json.
+// single-walker trials hunting vertex n/2 = 288 of the Table-1 expander
+// with a 2^20-round budget; trials/sec at w4 vs w1 is the lane-shard
+// scaling figure. (BENCH_PR6.json recorded a neighbouring shape: target
+// 300 with a 2^24-round budget.)
 func BenchmarkEstimateHittingTime(b *testing.B) {
 	g := graph.MargulisExpander(24)
 	const trials = 256
 	target := int32(g.N() / 2)
 	for _, workers := range estimatorWorkerGrid {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				est, err := EstimateHittingTime(g, 0, target, MCOptions{
-					Trials:   trials,
-					Workers:  workers,
-					Seed:     uint64(i),
-					MaxSteps: 1 << 20,
+			benchEstimates(b, trials, func(seed uint64) (Estimate, error) {
+				return EstimateHittingTime(g, 0, target, MCOptions{
+					Trials: trials, Workers: workers, Seed: seed, MaxSteps: 1 << 20,
 				})
-				if err != nil || est.Truncated != 0 {
-					b.Fatalf("estimate failed: %v (truncated %d)", err, est.Truncated)
-				}
-			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
+			})
 		})
+	}
+}
+
+// BenchmarkGenerateCorpus times GenerateCorpus end to end — grouped passes
+// and the encoder — for 10 walks of length 80 from every vertex of the
+// 4096-vertex expander, streamed to io.Discard so the row measures
+// generation, not disk. Text and binary differ only in encoder cost;
+// walker-steps/sec is the corpus throughput unit.
+func BenchmarkGenerateCorpus(b *testing.B) {
+	g := graph.MargulisExpander(64)
+	for _, workers := range []int{1, 4} {
+		for _, format := range []struct {
+			name string
+			enc  CorpusFormat
+		}{{"text", CorpusText}, {"binary", CorpusBinary}} {
+			b.Run(fmt.Sprintf("%s_w%d", format.name, workers), func(b *testing.B) {
+				eng := NewEngine(g, EngineOptions{Workers: workers})
+				var steps int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st, err := eng.GenerateCorpus(CorpusSpec{
+						WalksPerVertex: 10, Length: 80, Seed: uint64(i), Format: format.enc, Workers: workers,
+					}, io.Discard)
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += st.Steps
+				}
+				b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "walker-steps/sec")
+			})
+		}
 	}
 }
 

@@ -96,13 +96,22 @@ func checkStarts(g *graph.Graph, starts []int32) error {
 }
 
 // checkNoIsolated rejects a graph with an isolated vertex — a walker there
-// would have no move, and NewEngine panics on it — for the estimators that
-// do not already reject disconnected graphs.
+// would have no move, and NewEngine panics on it.
 func checkNoIsolated(g *graph.Graph) error {
 	if min, _ := g.DegreeStats(); min == 0 {
 		return fmt.Errorf("walk: graph has an isolated vertex; walkers there would have no move")
 	}
 	return nil
+}
+
+// checkConnected rejects a graph on which quantity diverges (a
+// disconnected one) or the walk cannot run: the one-vertex graph without
+// a self-loop is connected but isolated.
+func checkConnected(g *graph.Graph, quantity string) error {
+	if !g.IsConnected() {
+		return fmt.Errorf("walk: %s diverges on disconnected graphs", quantity)
+	}
+	return checkNoIsolated(g)
 }
 
 // Estimate holds a Monte Carlo estimate with its uncertainty plus coverage
@@ -208,8 +217,8 @@ func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, o
 	if err := kern.Validate(g); err != nil {
 		return Estimate{}, err
 	}
-	if !g.IsConnected() {
-		return Estimate{}, fmt.Errorf("walk: cover time diverges on disconnected graphs")
+	if err := checkConnected(g, "cover time"); err != nil {
+		return Estimate{}, err
 	}
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return Estimate{}, err
@@ -238,8 +247,8 @@ func EstimateKCoverTimeStationary(g *graph.Graph, k int, opts MCOptions) (Estima
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
 	}
-	if !g.IsConnected() {
-		return Estimate{}, fmt.Errorf("walk: cover time diverges on disconnected graphs")
+	if err := checkConnected(g, "cover time"); err != nil {
+		return Estimate{}, err
 	}
 	opts, err := opts.normalized()
 	if err != nil {
@@ -272,8 +281,8 @@ func EstimateKernelHittingTime(g *graph.Graph, k Kernel, start, target int32, op
 	if err := k.Validate(g); err != nil {
 		return Estimate{}, err
 	}
-	if !g.IsConnected() {
-		return Estimate{}, fmt.Errorf("walk: hitting time diverges on disconnected graphs")
+	if err := checkConnected(g, "hitting time"); err != nil {
+		return Estimate{}, err
 	}
 	if err := checkStarts(g, []int32{start, target}); err != nil {
 		return Estimate{}, err

@@ -17,8 +17,8 @@ func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64,
 	if alpha <= 0 || alpha > 1 {
 		return Estimate{}, fmt.Errorf("walk: alpha must be in (0,1]")
 	}
-	if !g.IsConnected() {
-		return Estimate{}, fmt.Errorf("walk: cover time diverges on disconnected graphs")
+	if err := checkConnected(g, "cover time"); err != nil {
+		return Estimate{}, err
 	}
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return Estimate{}, err
@@ -47,8 +47,8 @@ func EstimateMeetingTime(g *graph.Graph, u, v int32, opts MCOptions) (Estimate, 
 // started on opposite sides never meet under simultaneous moves; such
 // trials exhaust MaxSteps and count as Truncated.
 func EstimateKMeetingTime(g *graph.Graph, starts []int32, opts MCOptions) (Estimate, error) {
-	if !g.IsConnected() {
-		return Estimate{}, fmt.Errorf("walk: meeting time diverges on disconnected graphs")
+	if err := checkConnected(g, "meeting time"); err != nil {
+		return Estimate{}, err
 	}
 	if err := checkStarts(g, starts); err != nil {
 		return Estimate{}, err
@@ -82,8 +82,8 @@ func EstimateKMeetingTime(g *graph.Graph, starts []int32, opts MCOptions) (Estim
 // of the synchronized k-walk, together with the expected first-meeting
 // round of the same runs (for k = 2 the two coincide).
 func EstimateKCoalescenceTime(g *graph.Graph, starts []int32, opts MCOptions) (coalesce, meet Estimate, err error) {
-	if !g.IsConnected() {
-		return Estimate{}, Estimate{}, fmt.Errorf("walk: coalescence time diverges on disconnected graphs")
+	if err := checkConnected(g, "coalescence time"); err != nil {
+		return Estimate{}, Estimate{}, err
 	}
 	if err := checkStarts(g, starts); err != nil {
 		return Estimate{}, Estimate{}, err
@@ -145,8 +145,8 @@ func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []floa
 	if len(fractions) == 0 {
 		return nil, fmt.Errorf("walk: need at least one fraction")
 	}
-	if !g.IsConnected() {
-		return nil, fmt.Errorf("walk: cover time diverges on disconnected graphs")
+	if err := checkConnected(g, "cover time"); err != nil {
+		return nil, err
 	}
 	if err := checkStarts(g, []int32{start}); err != nil {
 		return nil, err
