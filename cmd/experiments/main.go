@@ -5,11 +5,13 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-trials N] [-seed S] [-only substr]
+//	experiments [-quick] [-trials N] [-seed S] [-only substr | -family key]
 //
 // -only restricts the run to experiments whose ID contains the given
 // substring (case-insensitive), e.g. -only E-collab or -only thm; Table 1
-// runs only when -only is empty or matches "T1".
+// runs only when -only is empty or matches "T1". -family runs one Table 1
+// row (cycle, grid2d, grid3d, hypercube, complete, expander, errandom) and
+// prints its full k-sweep; an unknown key is a usage error (exit 2).
 package main
 
 import (
@@ -38,11 +40,15 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 0, "root RNG seed (0 = default)")
 	workers := fs.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
 	only := fs.String("only", "", "run only experiments whose ID contains this substring")
+	family := fs.String("family", "", "run one Table 1 row with its k-sweep (cycle, grid2d, grid3d, hypercube, complete, expander, errandom)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
 		}
 		return err
+	}
+	if *family != "" && *only != "" {
+		return fmt.Errorf("-family and -only are exclusive")
 	}
 
 	cfg := harness.DefaultConfig()
@@ -56,6 +62,9 @@ func run(args []string, out io.Writer) error {
 		cfg.Seed = *seed
 	}
 	cfg.Workers = *workers
+	if *family != "" {
+		return runFamily(out, *family, cfg)
+	}
 
 	match := func(id string) bool {
 		return *only == "" || strings.Contains(strings.ToLower(id), strings.ToLower(*only))
@@ -98,6 +107,27 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "FAIL")
 	return errSuiteFailed
+}
+
+// runFamily prints one Table 1 row: the family's cover time, maximum
+// hitting time, mixing time and regime, then one line per k of its sweep.
+func runFamily(out io.Writer, key string, cfg harness.Config) error {
+	fam, err := harness.FamilyByKey(key)
+	if err != nil {
+		return err
+	}
+	row, err := harness.RunTable1Row(fam, cfg)
+	if err != nil {
+		return fmt.Errorf("table1: %w", err)
+	}
+	fmt.Fprintf(out, "family %s: n=%d C=%s hmax=%.4g t_m=%d regime=%s\n",
+		fam.Key, row.N, row.Cover.Summary, row.Hmax, row.MixingTime,
+		row.Classification.Regime)
+	for _, p := range row.Points {
+		fmt.Fprintf(out, "  k=%-4d C^k=%-24s S^k=%-8.2f S^k/k=%.2f\n",
+			p.K, p.Multi.Summary, p.Speedup, p.PerWalker)
+	}
+	return nil
 }
 
 func main() {

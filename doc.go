@@ -116,7 +116,7 @@
 // against the standalone call.
 //
 // The full experiment suite — every table, figure and theorem check — lives
-// in the cmd/ binaries (cmd/table1, cmd/experiments, ...) and
+// in cmd/experiments (-only T1 is Table 1, -family key one row of it) and
 // in the benchmarks at the repository root; ARCHITECTURE.md documents the
 // layer structure, the time-vs-rounds conventions, and the engine's
 // determinism guarantees.

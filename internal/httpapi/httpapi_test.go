@@ -31,6 +31,13 @@ func TestStatusMapping(t *testing.T) {
 		{"unknown graph", http.MethodPost, "/v1/query", `{"graph":"nope","origin":0,"k":2,"ttl":64,"targets":[16]}`, 0, false, http.StatusNotFound},
 		{"GET on query", http.MethodGet, "/v1/query", "", 0, false, http.StatusMethodNotAllowed},
 		{"trials above MaxPending", http.MethodPost, "/v1/cover", `{"graph":"c32","start":0,"k":2,"trials":1048576,"seed":1,"max_steps":64}`, 0, false, http.StatusTooManyRequests},
+		// The per-request walker limit is 1024: k = 1025 is the first k
+		// refused, and k = 2^40 must be refused before anything is sized
+		// by it (serve's TestRegistryAndValidationErrors pins the text).
+		{"k above walker limit", http.MethodPost, "/v1/query", `{"graph":"c32","origin":0,"k":1025,"ttl":64,"targets":[16],"seed":1}`, 0, false, http.StatusBadRequest},
+		{"k 2^40", http.MethodPost, "/v1/query", `{"graph":"c32","origin":0,"k":1099511627776,"ttl":64,"targets":[16],"seed":1}`, 0, false, http.StatusBadRequest},
+		{"cover k above walker limit", http.MethodPost, "/v1/cover", `{"graph":"c32","start":0,"k":1025,"trials":4,"seed":1,"max_steps":64}`, 0, false, http.StatusBadRequest},
+		{"cover k 2^40", http.MethodPost, "/v1/cover", `{"graph":"c32","start":0,"k":1099511627776,"trials":4,"seed":1,"max_steps":64}`, 0, false, http.StatusBadRequest},
 		{"after Close", http.MethodPost, "/v1/query", query, 0, true, http.StatusServiceUnavailable},
 		{"deadline expired", http.MethodPost, "/v1/query", query, time.Nanosecond, false, http.StatusGatewayTimeout},
 	}

@@ -173,16 +173,11 @@ func RunWalkQueriesEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem [
 	if len(seeds) == 0 {
 		return out
 	}
-	if hasItem[origin] {
+	if hasItem[origin] || ttl <= 0 {
+		// Found at round 0, or no round to spend: every query ends where
+		// it started.
 		for i := range out {
-			out[i] = QueryResult{Found: true, Rounds: 0, Messages: 0}
-		}
-		return out
-	}
-	if ttl <= 0 {
-		// No round to spend: every query fails where it started.
-		for i := range out {
-			out[i] = QueryResult{Found: false, Rounds: ttl, Messages: int64(k) * int64(ttl)}
+			out[i] = LaneQueryResult(k, int64(ttl), hasItem[origin], 0)
 		}
 		return out
 	}
@@ -200,11 +195,19 @@ func RunWalkQueriesEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem [
 		panic(err.Error()) // topology mismatch is a caller bug, as in RunWalkQuery
 	}
 	for i := range out {
-		if res.Stopped[i] {
-			out[i] = QueryResult{Found: true, Rounds: int(res.Rounds[i]), Messages: int64(k) * res.Rounds[i]}
-		} else {
-			out[i] = QueryResult{Found: false, Rounds: ttl, Messages: int64(k) * int64(ttl)}
-		}
+		out[i] = LaneQueryResult(k, int64(ttl), res.Stopped[i], res.Rounds[i])
 	}
 	return out
+}
+
+// LaneQueryResult converts one grouped lane of a k-token walk query with
+// budget ttl into its QueryResult: a lane stopped at round r found the item
+// after k·r messages; an unstopped lane spent the whole budget, so Rounds
+// is ttl and Messages k·ttl. It is the one home of that accounting, shared
+// by RunWalkQueriesEngine and the serving layer's coalesced passes.
+func LaneQueryResult(k int, ttl int64, stopped bool, rounds int64) QueryResult {
+	if !stopped {
+		rounds = ttl
+	}
+	return QueryResult{Found: stopped, Rounds: int(rounds), Messages: int64(k) * rounds}
 }

@@ -63,11 +63,15 @@ type shapeKey struct {
 	prec walk.Precision
 }
 
-// targetDigest is an FNV-1a fold of the target set in sorted order, so the
-// digest is canonical under reordering. Bucket admission still compares the
-// full canonical set — the digest only spreads the map.
-func targetDigest(targets []int32) uint64 {
-	sorted := canonicalTargets(targets)
+// targetDigest is an FNV-1a fold of a target set in canonical order, so
+// the digest is invariant under reordering and duplicates. Bucket admission
+// still compares the full canonical set — the digest only spreads the map.
+func targetDigest(targets []int32) uint64 { return canonicalDigest(canonicalTargets(targets)) }
+
+// canonicalDigest is targetDigest of an already canonical set: submit
+// canonicalizes each request's targets once and feeds that one slice to
+// both the digest and bucket admission.
+func canonicalDigest(sorted []int32) uint64 {
 	h := uint64(1469598103934665603)
 	for _, v := range sorted {
 		for sh := 0; sh < 32; sh += 8 {
@@ -152,10 +156,9 @@ type bucket struct {
 	lanes   int
 }
 
-// enqueue files p under key, creating the bucket on first use, and wakes
-// the dispatcher.
-func (s *Server) enqueue(ge *graphEntry, kernel walk.Kernel, key shapeKey, targets []int32, p *pending) error {
-	canon := canonicalTargets(targets)
+// enqueue admits p against Close and MaxPending, files it under proto's
+// shape over an n-vertex graph, and wakes the dispatcher.
+func (s *Server) enqueue(n int, proto *bucket, p *pending) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -165,28 +168,40 @@ func (s *Server) enqueue(ge *graphEntry, kernel walk.Kernel, key shapeKey, targe
 		s.mu.Unlock()
 		return ErrOverloaded
 	}
+	s.fileLocked(proto, n, p)
+	s.mu.Unlock()
+	s.wake()
+	return nil
+}
+
+// fileLocked appends reqs to the bucket of proto's shape and target set.
+// On first use it creates the bucket from proto, building the hit bitset
+// over n vertices unless proto carries one. A digest collision probes
+// successive salts until the set finds its own bucket. s.mu must be held.
+func (s *Server) fileLocked(proto *bucket, n int, reqs ...*pending) {
+	key := proto.key
+	key.salt = 0
 	var b *bucket
 	for {
 		b = s.buckets[key]
 		if b == nil {
-			b = &bucket{key: key, kernel: kernel, targets: canon}
-			if key.obs == obsHit {
-				b.marked = markedOf(ge.g.N(), canon)
+			b = &bucket{key: key, kernel: proto.kernel, targets: proto.targets, marked: proto.marked}
+			if b.marked == nil && key.obs == obsHit {
+				b.marked = markedOf(n, b.targets)
 			}
 			s.buckets[key] = b
 			break
 		}
-		if slices.Equal(b.targets, canon) {
+		if slices.Equal(b.targets, proto.targets) {
 			break
 		}
 		key.salt++ // digest collision: probe the next salt
 	}
-	b.reqs = append(b.reqs, p)
-	b.lanes += len(p.seeds)
-	s.pendingLanes += len(p.seeds)
-	s.mu.Unlock()
-	s.wake()
-	return nil
+	for _, r := range reqs {
+		b.reqs = append(b.reqs, r)
+		b.lanes += len(r.seeds)
+		s.pendingLanes += len(r.seeds)
+	}
 }
 
 func (s *Server) wake() {
@@ -196,9 +211,10 @@ func (s *Server) wake() {
 	}
 }
 
-// await enqueues p and blocks for its answer or the context.
-func (s *Server) await(ctx context.Context, ge *graphEntry, kernel walk.Kernel, key shapeKey, targets []int32, p *pending) (answer, error) {
-	if err := s.enqueue(ge, kernel, key, targets, p); err != nil {
+// await enqueues p under proto's shape and blocks for its answer or the
+// context.
+func (s *Server) await(ctx context.Context, ge *graphEntry, proto *bucket, p *pending) (answer, error) {
+	if err := s.enqueue(ge.g.N(), proto, p); err != nil {
 		return answer{}, err
 	}
 	select {
@@ -410,27 +426,8 @@ func (s *Server) runBatch(b *bucket) {
 // checks: these lanes continue runs that were already admitted, and a
 // draining server must still dispatch them so their clients get answers.
 func (s *Server) requeue(b *bucket, reqs []*pending) {
-	key := b.key
-	key.salt = 0
 	s.mu.Lock()
-	var dst *bucket
-	for {
-		dst = s.buckets[key]
-		if dst == nil {
-			dst = &bucket{key: key, kernel: b.kernel, targets: b.targets, marked: b.marked}
-			s.buckets[key] = dst
-			break
-		}
-		if slices.Equal(dst.targets, b.targets) {
-			break
-		}
-		key.salt++ // digest collision: probe the next salt
-	}
-	for _, r := range reqs {
-		dst.reqs = append(dst.reqs, r)
-		dst.lanes += len(r.seeds)
-		s.pendingLanes += len(r.seeds)
-	}
+	s.fileLocked(b, len(b.marked), reqs...)
 	s.mu.Unlock()
 	s.wake()
 }
@@ -442,19 +439,13 @@ func deliverErr(reqs []*pending, err error) {
 }
 
 // answerFor converts a request's slice of the grouped result into its
-// answer, mirroring the standalone paths exactly: walk queries report
-// found/rounds/messages as netsim.RunWalkQueryEngine does, estimates
-// summarize per-trial rounds with truncation accounting as
-// walk.EstimateFromTrials does.
+// answer, mirroring the standalone paths exactly: walk queries convert
+// their one lane as netsim.RunWalkQueryEngine does, estimates summarize
+// per-trial rounds with truncation accounting as walk.EstimateFromTrials
+// does.
 func answerFor(r *pending, part walk.GroupedResult) answer {
-	switch r.kind {
-	case kindQuery:
-		if part.Stopped[0] {
-			rounds := part.Rounds[0]
-			return answer{query: netsim.QueryResult{Found: true, Rounds: int(rounds), Messages: int64(r.k) * rounds}}
-		}
-		return answer{query: netsim.QueryResult{Found: false, Rounds: int(r.ttl), Messages: int64(r.k) * r.ttl}}
-	default:
-		return answer{est: walk.EstimateFromTrials(part)}
+	if r.kind == kindQuery {
+		return answer{query: netsim.LaneQueryResult(r.k, r.ttl, part.Stopped[0], part.Rounds[0])}
 	}
+	return answer{est: walk.EstimateFromTrials(part)}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,7 +244,110 @@ type MeetingTimeRequest struct {
 }
 
 // ---------------------------------------------------------------------------
-// Shared validation helpers
+// Admission
+
+// maxWalkers is the per-request walker limit: the largest k of a walk query
+// or cover estimate, and the longest start list of a meeting estimate. A
+// request's placement and its lanes' walker state are sized by k, so submit
+// checks the limit before anything is; this repository's clients send
+// k <= 16.
+const maxWalkers = 1024
+
+// request is the internal description each public method translates its
+// request into; submit admits it.
+type request struct {
+	what       string // the kind as error text names it: "walk query", ...
+	kind       reqKind
+	obs        obsKind
+	graph      string
+	kernel     walk.Kernel
+	k          int
+	origin     int32   // every walker's start, unless starts is set
+	starts     []int32 // per-walker starts (meeting time), len k
+	targets    []int32
+	horizon    int64 // TTL or MaxSteps
+	trials     int
+	seed       uint64
+	prec       walk.Precision
+	onProgress func(walk.WaveStat)
+}
+
+// submit is the only admission path. It checks r in a fixed order —
+// resolve, the kind's shape, trials and max steps, connectivity, vertices,
+// precision, oversize (before any seed is derived), walker limit — then
+// files r under its shape and waits for the answer.
+func (s *Server) submit(ctx context.Context, r request) (answer, error) {
+	s.nRequests.Add(1)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	r.kernel = walk.KernelOrUniform(r.kernel)
+	ge, err := s.resolve(r.graph, r.kernel)
+	if err != nil {
+		return answer{}, err
+	}
+	switch {
+	case r.obs == obsMeet && r.k < 2:
+		return answer{}, fmt.Errorf("serve: meeting time requires at least 2 walkers, got %d", r.k)
+	case r.k < 1:
+		return answer{}, fmt.Errorf("serve: %s requires k >= 1, got %d", r.what, r.k)
+	case r.kind == kindQuery && r.horizon < 1:
+		return answer{}, fmt.Errorf("serve: walk query requires ttl >= 1, got %d", r.horizon)
+	}
+	if r.kind == kindEstimate {
+		switch {
+		case r.trials < 1:
+			return answer{}, fmt.Errorf("serve: estimate requires trials >= 1, got %d", r.trials)
+		case r.horizon < 1:
+			return answer{}, fmt.Errorf("serve: estimate requires max steps >= 1, got %d", r.horizon)
+		case !ge.connected:
+			return answer{}, fmt.Errorf("serve: %s diverges on disconnected graph %q", r.what, r.graph)
+		}
+	}
+	placed := r.starts
+	if placed == nil {
+		placed = []int32{r.origin}
+	}
+	if err := checkVertices(ge.g, placed, r.targets); err != nil {
+		return answer{}, err
+	}
+	// The normalized precision goes into the shape key, so adaptive
+	// requests that normalize alike share buckets.
+	var ast *walk.AdaptiveState
+	var prec walk.Precision
+	if r.prec.Enabled() {
+		if ast, err = walk.NewAdaptiveState(r.prec, r.trials); err != nil {
+			return answer{}, err
+		}
+		prec = ast.Precision()
+	}
+	p := &pending{kind: r.kind, k: r.k, ttl: r.horizon, ctx: ctx, done: make(chan answer, 1)}
+	if r.kind == kindQuery {
+		p.seeds = []uint64{r.seed} // a walk query's seed is its engine seed
+	} else if err := p.bindSeeds(ast, r.seed, r.trials, s.opts.MaxPending, r.onProgress); err != nil {
+		return answer{}, err
+	}
+	if r.k > maxWalkers {
+		return answer{}, fmt.Errorf("serve: %s requires at most %d walkers (the per-request walker limit), got %d",
+			r.what, maxWalkers, r.k)
+	}
+	if r.starts != nil {
+		p.starts = slices.Clone(r.starts)
+	} else {
+		p.starts = commonStarts(r.origin, r.k)
+	}
+	canon := canonicalTargets(r.targets)
+	key := shapeKey{
+		graph:   r.graph,
+		kernel:  r.kernel.String(),
+		obs:     r.obs,
+		k:       r.k,
+		horizon: r.horizon,
+		digest:  canonicalDigest(canon),
+		prec:    prec,
+	}
+	return s.await(ctx, ge, &bucket{key: key, kernel: r.kernel, targets: canon}, p)
+}
 
 // waveSeeds derives the engine seeds of global trials [lo, hi) of a request
 // exactly as the sequential Monte Carlo path does: trial t's driver stream
@@ -262,21 +366,6 @@ func waveSeeds(seed uint64, lo, hi int) []uint64 {
 	return out
 }
 
-// adaptiveFor builds the sequential-stopping state for an estimate request,
-// or returns nil when the request is fixed-count. The normalized precision
-// is what goes into the coalescing key, so requests that normalize alike
-// share buckets.
-func adaptiveFor(prec walk.Precision, trials int) (*walk.AdaptiveState, walk.Precision, error) {
-	if !prec.Enabled() {
-		return nil, walk.Precision{}, nil
-	}
-	st, err := walk.NewAdaptiveState(prec, trials)
-	if err != nil {
-		return nil, walk.Precision{}, err
-	}
-	return st, st.Precision(), nil
-}
-
 func (s *Server) resolve(graphID string, kernel walk.Kernel) (*graphEntry, error) {
 	ge, err := s.graphEntryFor(graphID)
 	if err != nil {
@@ -288,11 +377,14 @@ func (s *Server) resolve(graphID string, kernel walk.Kernel) (*graphEntry, error
 	return ge, nil
 }
 
-func checkVertices(g *graph.Graph, vs ...int32) error {
+// checkVertices reports the first vertex of lists outside g.
+func checkVertices(g *graph.Graph, lists ...[]int32) error {
 	n := g.N()
-	for _, v := range vs {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("serve: vertex %d out of range [0,%d)", v, n)
+	for _, vs := range lists {
+		for _, v := range vs {
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("serve: vertex %d out of range [0,%d)", v, n)
+			}
 		}
 	}
 	return nil
@@ -317,214 +409,51 @@ func commonStarts(v int32, k int) []int32 {
 }
 
 // ---------------------------------------------------------------------------
-// Submit methods
+// Public request methods: each translates its request for submit.
 
 // WalkQuery answers a k-token search. The coalesced answer equals
 // netsim.RunWalkQueryEngine(engine, Origin, K, TTL, targets, Seed) exactly.
 func (s *Server) WalkQuery(ctx context.Context, req WalkQueryRequest) (netsim.QueryResult, error) {
-	s.nRequests.Add(1)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req.Kernel = walk.KernelOrUniform(req.Kernel)
-	ge, err := s.resolve(req.Graph, req.Kernel)
-	if err != nil {
-		return netsim.QueryResult{}, err
-	}
-	if req.K < 1 {
-		return netsim.QueryResult{}, fmt.Errorf("serve: walk query requires k >= 1, got %d", req.K)
-	}
-	if req.TTL < 1 {
-		return netsim.QueryResult{}, fmt.Errorf("serve: walk query requires ttl >= 1, got %d", req.TTL)
-	}
-	if err := checkVertices(ge.g, req.Origin); err != nil {
-		return netsim.QueryResult{}, err
-	}
-	if err := checkVertices(ge.g, req.Targets...); err != nil {
-		return netsim.QueryResult{}, err
-	}
-	p := &pending{
-		kind:   kindQuery,
-		k:      req.K,
-		ttl:    int64(req.TTL),
-		starts: commonStarts(req.Origin, req.K),
-		seeds:  []uint64{req.Seed},
-		ctx:    ctx,
-		done:   make(chan answer, 1),
-	}
-	key := shapeKey{
-		graph:   req.Graph,
-		kernel:  req.Kernel.String(),
-		obs:     obsHit,
-		k:       req.K,
-		horizon: int64(req.TTL),
-		digest:  targetDigest(req.Targets),
-	}
-	a, err := s.await(ctx, ge, req.Kernel, key, req.Targets, p)
+	a, err := s.submit(ctx, request{
+		what: "walk query", kind: kindQuery, obs: obsHit,
+		graph: req.Graph, kernel: req.Kernel, k: req.K, origin: req.Origin,
+		targets: req.Targets, horizon: int64(req.TTL), seed: req.Seed,
+	})
 	return a.query, err
 }
 
 // HittingTime answers a hitting-time estimate; its per-trial samples equal
 // walk.EstimateHittingTime's bit for bit.
 func (s *Server) HittingTime(ctx context.Context, req HittingTimeRequest) (walk.Estimate, error) {
-	s.nRequests.Add(1)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req.Kernel = walk.KernelOrUniform(req.Kernel)
-	ge, err := s.resolve(req.Graph, req.Kernel)
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	if err := validateEstimate(req.Trials, req.MaxSteps); err != nil {
-		return walk.Estimate{}, err
-	}
-	if !ge.connected {
-		return walk.Estimate{}, fmt.Errorf("serve: hitting time diverges on disconnected graph %q", req.Graph)
-	}
-	if err := checkVertices(ge.g, req.Start, req.Target); err != nil {
-		return walk.Estimate{}, err
-	}
-	ast, prec, err := adaptiveFor(req.Precision, req.Trials)
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	targets := []int32{req.Target}
-	p := &pending{
-		kind:   kindEstimate,
-		k:      1,
-		ttl:    req.MaxSteps,
-		starts: []int32{req.Start},
-		ctx:    ctx,
-		done:   make(chan answer, 1),
-	}
-	if err := p.bindSeeds(ast, req.Seed, req.Trials, s.opts.MaxPending, req.OnProgress); err != nil {
-		return walk.Estimate{}, err
-	}
-	key := shapeKey{
-		graph:   req.Graph,
-		kernel:  req.Kernel.String(),
-		obs:     obsHit,
-		k:       1,
-		horizon: req.MaxSteps,
-		digest:  targetDigest(targets),
-		prec:    prec,
-	}
-	a, err := s.await(ctx, ge, req.Kernel, key, targets, p)
+	a, err := s.submit(ctx, request{
+		what: "hitting time", kind: kindEstimate, obs: obsHit,
+		graph: req.Graph, kernel: req.Kernel, k: 1, origin: req.Start,
+		targets: []int32{req.Target}, horizon: req.MaxSteps, trials: req.Trials,
+		seed: req.Seed, prec: req.Precision, onProgress: req.OnProgress,
+	})
 	return a.est, err
 }
 
 // CoverTime answers a k-walk cover-time estimate; its per-trial samples
 // equal walk.EstimateKCoverTime's bit for bit.
 func (s *Server) CoverTime(ctx context.Context, req CoverTimeRequest) (walk.Estimate, error) {
-	s.nRequests.Add(1)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req.Kernel = walk.KernelOrUniform(req.Kernel)
-	ge, err := s.resolve(req.Graph, req.Kernel)
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	if req.K < 1 {
-		return walk.Estimate{}, fmt.Errorf("serve: cover time requires k >= 1, got %d", req.K)
-	}
-	if err := validateEstimate(req.Trials, req.MaxSteps); err != nil {
-		return walk.Estimate{}, err
-	}
-	if !ge.connected {
-		return walk.Estimate{}, fmt.Errorf("serve: cover time diverges on disconnected graph %q", req.Graph)
-	}
-	if err := checkVertices(ge.g, req.Start); err != nil {
-		return walk.Estimate{}, err
-	}
-	ast, prec, err := adaptiveFor(req.Precision, req.Trials)
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	starts := commonStarts(req.Start, req.K)
-	p := &pending{
-		kind:   kindEstimate,
-		k:      req.K,
-		ttl:    req.MaxSteps,
-		starts: starts,
-		ctx:    ctx,
-		done:   make(chan answer, 1),
-	}
-	if err := p.bindSeeds(ast, req.Seed, req.Trials, s.opts.MaxPending, req.OnProgress); err != nil {
-		return walk.Estimate{}, err
-	}
-	key := shapeKey{
-		graph:   req.Graph,
-		kernel:  req.Kernel.String(),
-		obs:     obsCover,
-		k:       req.K,
-		horizon: req.MaxSteps,
-		prec:    prec,
-	}
-	a, err := s.await(ctx, ge, req.Kernel, key, nil, p)
+	a, err := s.submit(ctx, request{
+		what: "cover time", kind: kindEstimate, obs: obsCover,
+		graph: req.Graph, kernel: req.Kernel, k: req.K, origin: req.Start,
+		horizon: req.MaxSteps, trials: req.Trials,
+		seed: req.Seed, prec: req.Precision, onProgress: req.OnProgress,
+	})
 	return a.est, err
 }
 
 // MeetingTime answers a k-walk meeting-time estimate; its per-trial samples
 // equal walk.EstimateKMeetingTime's bit for bit.
 func (s *Server) MeetingTime(ctx context.Context, req MeetingTimeRequest) (walk.Estimate, error) {
-	s.nRequests.Add(1)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req.Kernel = walk.KernelOrUniform(req.Kernel)
-	ge, err := s.resolve(req.Graph, req.Kernel)
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	if len(req.Starts) < 2 {
-		return walk.Estimate{}, fmt.Errorf("serve: meeting time requires at least 2 walkers, got %d", len(req.Starts))
-	}
-	if err := validateEstimate(req.Trials, req.MaxSteps); err != nil {
-		return walk.Estimate{}, err
-	}
-	if !ge.connected {
-		return walk.Estimate{}, fmt.Errorf("serve: meeting time diverges on disconnected graph %q", req.Graph)
-	}
-	if err := checkVertices(ge.g, req.Starts...); err != nil {
-		return walk.Estimate{}, err
-	}
-	starts := make([]int32, len(req.Starts))
-	copy(starts, req.Starts)
-	ast, prec, err := adaptiveFor(req.Precision, req.Trials)
-	if err != nil {
-		return walk.Estimate{}, err
-	}
-	p := &pending{
-		kind:   kindEstimate,
-		k:      len(starts),
-		ttl:    req.MaxSteps,
-		starts: starts,
-		ctx:    ctx,
-		done:   make(chan answer, 1),
-	}
-	if err := p.bindSeeds(ast, req.Seed, req.Trials, s.opts.MaxPending, req.OnProgress); err != nil {
-		return walk.Estimate{}, err
-	}
-	key := shapeKey{
-		graph:   req.Graph,
-		kernel:  req.Kernel.String(),
-		obs:     obsMeet,
-		k:       len(starts),
-		horizon: req.MaxSteps,
-		prec:    prec,
-	}
-	a, err := s.await(ctx, ge, req.Kernel, key, nil, p)
+	a, err := s.submit(ctx, request{
+		what: "meeting time", kind: kindEstimate, obs: obsMeet,
+		graph: req.Graph, kernel: req.Kernel, k: len(req.Starts), starts: req.Starts,
+		horizon: req.MaxSteps, trials: req.Trials,
+		seed: req.Seed, prec: req.Precision, onProgress: req.OnProgress,
+	})
 	return a.est, err
-}
-
-func validateEstimate(trials int, maxSteps int64) error {
-	if trials < 1 {
-		return fmt.Errorf("serve: estimate requires trials >= 1, got %d", trials)
-	}
-	if maxSteps < 1 {
-		return fmt.Errorf("serve: estimate requires max steps >= 1, got %d", maxSteps)
-	}
-	return nil
 }

@@ -117,7 +117,7 @@ func testServedWalkQueryMatchesStandalone(t *testing.T, workers int) {
 
 // TestServedEstimatesMatchStandalone pins coalesced hitting/cover/meeting
 // estimates against the standalone estimators, submitted concurrently with
-// mixed shapes, at every server worker count.
+// mixed shapes and kernels, at every server worker count.
 func TestServedEstimatesMatchStandalone(t *testing.T) {
 	for _, workers := range serveWorkerGrid() {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
@@ -183,11 +183,15 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 	}
 	// Registry-kernel round: the same bit-for-bit contract must hold for a
 	// dense-compiled hopper kernel sharing the pass with the uniform jobs.
+	// walk.EstimateKMeetingTime is uniform-only, so the meeting reference
+	// is that estimator's own body on a hopper engine: one grouped pass of
+	// the collision observer, summarized by walk.EstimateFromTrials.
 	hopper, err := walk.ParseKernel("hopper:power:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cyc := graphs["cycle32"]
+	hopperEng := walk.NewEngine(cyc, walk.EngineOptions{Workers: 1, Kernel: hopper})
 	for seed := uint64(1); seed <= 2; seed++ {
 		seed := seed
 		wantHit, err := walk.EstimateKernelHittingTime(cyc, hopper, 0, 16, opts(seed))
@@ -213,6 +217,25 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 				})
 			},
 			want: wantCover,
+		})
+		starts := []int32{0, 16, 21}
+		res, err := hopperEng.RunGrouped(walk.GroupedRunSpec{
+			Trials: 12, Starts: starts, Seed: seed, MaxRounds: 1 << 16, Workers: 1,
+		}, walk.NewGroupCollisionObserver(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMeet := walk.EstimateFromTrials(res)
+		if wantMeet.Truncated == 12 || wantMeet.Summary.Max == 0 {
+			t.Fatalf("hopper meeting reference is degenerate: %+v", wantMeet)
+		}
+		jobs = append(jobs, job{
+			run: func() (walk.Estimate, error) {
+				return s.MeetingTime(context.Background(), MeetingTimeRequest{
+					Graph: "cycle32", Kernel: hopper, Starts: starts, Trials: 12, Seed: seed, MaxSteps: 1 << 16,
+				})
+			},
+			want: wantMeet,
 		})
 	}
 	got := make([]walk.Estimate, len(jobs))
@@ -314,11 +337,14 @@ func TestOverCapBudgetRunsCoalesced(t *testing.T) {
 	}
 }
 
-// TestRegistryAndValidationErrors covers the request validators and the
-// registry contract, including the isolated-vertex rejection.
+// TestRegistryAndValidationErrors covers the registry contract, including
+// the isolated-vertex rejection, and pins the exact error of every invalid
+// request of each kind. Rows that fail two checks pin the check order:
+// resolve, kind shape check, trials/max steps, connectivity, vertices,
+// precision, oversize (429 before seeds), walker limit. The k = 2^40 rows
+// would exhaust memory if anything were sized by k before the limit.
 func TestRegistryAndValidationErrors(t *testing.T) {
-	s := newTestServer(t, Options{})
-	ctx := context.Background()
+	s := newTestServer(t, Options{MaxPending: 64})
 	if err := s.RegisterGraph("expander64", graph.Cycle(8)); err == nil {
 		t.Fatal("duplicate registration succeeded")
 	}
@@ -331,27 +357,99 @@ func TestRegistryAndValidationErrors(t *testing.T) {
 	if err := s.RegisterGraph("isolated", b.Build("isolated")); err == nil {
 		t.Fatal("graph with isolated vertex accepted")
 	}
-	if _, err := s.WalkQuery(ctx, WalkQueryRequest{Graph: "nope", Origin: 0, K: 1, TTL: 8, Seed: 1}); !errors.Is(err, ErrUnknownGraph) {
-		t.Fatalf("unknown graph: got %v", err)
+	// Two disjoint triangles: no isolated vertex, but disconnected.
+	b = graph.NewBuilder(6)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
+		b.AddEdge(e[0], e[1])
 	}
-	bad := []error{}
-	_, err := s.WalkQuery(ctx, WalkQueryRequest{Graph: "cycle32", Origin: 99, K: 1, TTL: 8})
-	bad = append(bad, err)
-	_, err = s.WalkQuery(ctx, WalkQueryRequest{Graph: "cycle32", Origin: 0, K: 0, TTL: 8})
-	bad = append(bad, err)
-	_, err = s.WalkQuery(ctx, WalkQueryRequest{Graph: "cycle32", Origin: 0, K: 1, TTL: 0})
-	bad = append(bad, err)
-	_, err = s.WalkQuery(ctx, WalkQueryRequest{Graph: "cycle32", Origin: 0, K: 1, TTL: 8, Targets: []int32{-1}})
-	bad = append(bad, err)
-	_, err = s.HittingTime(ctx, HittingTimeRequest{Graph: "cycle32", Start: 0, Target: 1, Trials: 0, MaxSteps: 8})
-	bad = append(bad, err)
-	_, err = s.MeetingTime(ctx, MeetingTimeRequest{Graph: "cycle32", Starts: []int32{0}, Trials: 1, MaxSteps: 8})
-	bad = append(bad, err)
-	_, err = s.CoverTime(ctx, CoverTimeRequest{Graph: "cycle32", Start: 0, K: 1, Trials: 1, MaxSteps: 0})
-	bad = append(bad, err)
-	for i, err := range bad {
+	if err := s.RegisterGraph("split", b.Build("split")); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	query := func(r WalkQueryRequest) func() error {
+		return func() error { _, err := s.WalkQuery(ctx, r); return err }
+	}
+	hit := func(r HittingTimeRequest) func() error {
+		return func() error { _, err := s.HittingTime(ctx, r); return err }
+	}
+	cover := func(r CoverTimeRequest) func() error {
+		return func() error { _, err := s.CoverTime(ctx, r); return err }
+	}
+	meet := func(r MeetingTimeRequest) func() error {
+		return func() error { _, err := s.MeetingTime(ctx, r); return err }
+	}
+	badPrec := walk.Precision{RTol: 0.1, Confidence: 1.5}
+	const (
+		unknown   = `serve: unknown graph: "nope"`
+		badKernel = "walk: lazy stay probability 1 must be in [0,1)"
+		noTrials  = "serve: estimate requires trials >= 1, got 0"
+		noSteps   = "serve: estimate requires max steps >= 1, got 0"
+		precErr   = "walk: Precision.Confidence must be in (0,1)"
+		overload  = "serve: too many pending requests"
+	)
+	limit := func(what string, k int) string {
+		return fmt.Sprintf("serve: %s requires at most %d walkers (the per-request walker limit), got %d", what, maxWalkers, k)
+	}
+	cases := []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"query/unknown graph", query(WalkQueryRequest{Graph: "nope", K: 0, TTL: 0}), unknown},
+		{"query/kernel", query(WalkQueryRequest{Graph: "cycle32", Kernel: walk.Lazy(1), K: 0, TTL: 0}), badKernel},
+		{"query/k", query(WalkQueryRequest{Graph: "cycle32", Origin: 99, K: 0, TTL: 0}), "serve: walk query requires k >= 1, got 0"},
+		{"query/ttl", query(WalkQueryRequest{Graph: "cycle32", Origin: 99, K: 1, TTL: 0}), "serve: walk query requires ttl >= 1, got 0"},
+		{"query/origin", query(WalkQueryRequest{Graph: "cycle32", Origin: 99, K: 1, TTL: 8, Targets: []int32{-1}}), "serve: vertex 99 out of range [0,32)"},
+		{"query/target", query(WalkQueryRequest{Graph: "cycle32", Origin: 0, K: 1, TTL: 8, Targets: []int32{3, -1}}), "serve: vertex -1 out of range [0,32)"},
+		{"query/walker limit", query(WalkQueryRequest{Graph: "cycle32", K: maxWalkers + 1, TTL: 8, Targets: []int32{3}}), limit("walk query", maxWalkers+1)},
+		{"query/k 2^40", query(WalkQueryRequest{Graph: "cycle32", K: 1 << 40, TTL: 8, Targets: []int32{3}}), limit("walk query", 1<<40)},
+
+		{"hitting/unknown graph", hit(HittingTimeRequest{Graph: "nope"}), unknown},
+		{"hitting/kernel", hit(HittingTimeRequest{Graph: "cycle32", Kernel: walk.Lazy(1)}), badKernel},
+		{"hitting/trials", hit(HittingTimeRequest{Graph: "split", Start: 99, Trials: 0, MaxSteps: 0}), noTrials},
+		{"hitting/max steps", hit(HittingTimeRequest{Graph: "split", Start: 99, Trials: 1, MaxSteps: 0}), noSteps},
+		{"hitting/disconnected", hit(HittingTimeRequest{Graph: "split", Start: 99, Trials: 1, MaxSteps: 8}), `serve: hitting time diverges on disconnected graph "split"`},
+		{"hitting/start", hit(HittingTimeRequest{Graph: "cycle32", Start: 99, Target: 40, Trials: 1, MaxSteps: 8, Precision: badPrec}), "serve: vertex 99 out of range [0,32)"},
+		{"hitting/target", hit(HittingTimeRequest{Graph: "cycle32", Start: 0, Target: 32, Trials: 1, MaxSteps: 8, Precision: badPrec}), "serve: vertex 32 out of range [0,32)"},
+		{"hitting/precision", hit(HittingTimeRequest{Graph: "cycle32", Target: 1, Trials: 1 << 20, MaxSteps: 8, Precision: badPrec}), precErr},
+		{"hitting/oversize", hit(HittingTimeRequest{Graph: "cycle32", Target: 1, Trials: 65, MaxSteps: 8}), overload},
+
+		{"cover/unknown graph", cover(CoverTimeRequest{Graph: "nope"}), unknown},
+		{"cover/kernel", cover(CoverTimeRequest{Graph: "cycle32", Kernel: walk.Lazy(1)}), badKernel},
+		{"cover/k", cover(CoverTimeRequest{Graph: "split", Start: 99, K: 0, Trials: 0, MaxSteps: 0}), "serve: cover time requires k >= 1, got 0"},
+		{"cover/trials", cover(CoverTimeRequest{Graph: "split", Start: 99, K: 1, Trials: 0, MaxSteps: 0}), noTrials},
+		{"cover/max steps", cover(CoverTimeRequest{Graph: "split", Start: 99, K: 1, Trials: 1, MaxSteps: 0}), noSteps},
+		{"cover/disconnected", cover(CoverTimeRequest{Graph: "split", Start: 99, K: 1, Trials: 1, MaxSteps: 8}), `serve: cover time diverges on disconnected graph "split"`},
+		{"cover/start", cover(CoverTimeRequest{Graph: "cycle32", Start: -5, K: 1, Trials: 1, MaxSteps: 8, Precision: badPrec}), "serve: vertex -5 out of range [0,32)"},
+		{"cover/precision", cover(CoverTimeRequest{Graph: "cycle32", K: 1, Trials: 1 << 20, MaxSteps: 8, Precision: badPrec}), precErr},
+		{"cover/oversize", cover(CoverTimeRequest{Graph: "cycle32", K: maxWalkers + 1, Trials: 65, MaxSteps: 8}), overload},
+		{"cover/walker limit", cover(CoverTimeRequest{Graph: "cycle32", K: maxWalkers + 1, Trials: 1, MaxSteps: 8}), limit("cover time", maxWalkers+1)},
+		{"cover/k 2^40", cover(CoverTimeRequest{Graph: "cycle32", K: 1 << 40, Trials: 1, MaxSteps: 8}), limit("cover time", 1<<40)},
+		{"cover/k 2^40 adaptive", cover(CoverTimeRequest{Graph: "cycle32", K: 1 << 40, Trials: 64, MaxSteps: 8, Precision: walk.Precision{RTol: 0.1}}), limit("cover time", 1<<40)},
+
+		{"meeting/unknown graph", meet(MeetingTimeRequest{Graph: "nope"}), unknown},
+		{"meeting/kernel", meet(MeetingTimeRequest{Graph: "cycle32", Kernel: walk.Lazy(1)}), badKernel},
+		{"meeting/walkers", meet(MeetingTimeRequest{Graph: "split", Starts: []int32{99}, Trials: 0, MaxSteps: 0}), "serve: meeting time requires at least 2 walkers, got 1"},
+		{"meeting/trials", meet(MeetingTimeRequest{Graph: "split", Starts: []int32{0, 99}, Trials: 0, MaxSteps: 0}), noTrials},
+		{"meeting/max steps", meet(MeetingTimeRequest{Graph: "split", Starts: []int32{0, 99}, Trials: 1, MaxSteps: 0}), noSteps},
+		{"meeting/disconnected", meet(MeetingTimeRequest{Graph: "split", Starts: []int32{0, 99}, Trials: 1, MaxSteps: 8}), `serve: meeting time diverges on disconnected graph "split"`},
+		{"meeting/starts", meet(MeetingTimeRequest{Graph: "cycle32", Starts: []int32{0, 40, 99}, Trials: 1, MaxSteps: 8, Precision: badPrec}), "serve: vertex 40 out of range [0,32)"},
+		{"meeting/precision", meet(MeetingTimeRequest{Graph: "cycle32", Starts: []int32{0, 1}, Trials: 1 << 20, MaxSteps: 8, Precision: badPrec}), precErr},
+		{"meeting/oversize", meet(MeetingTimeRequest{Graph: "cycle32", Starts: make([]int32, maxWalkers+1), Trials: 65, MaxSteps: 8}), overload},
+		{"meeting/walker limit", meet(MeetingTimeRequest{Graph: "cycle32", Starts: make([]int32, maxWalkers+1), Trials: 1, MaxSteps: 8}), limit("meeting time", maxWalkers+1)},
+	}
+	for _, c := range cases {
+		err := c.call()
 		if err == nil {
-			t.Fatalf("invalid request %d accepted", i)
+			t.Errorf("%s: invalid request accepted", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+		if c.want == unknown && !errors.Is(err, ErrUnknownGraph) || c.want == overload && !errors.Is(err, ErrOverloaded) {
+			t.Errorf("%s: %v does not match its sentinel with errors.Is", c.name, err)
 		}
 	}
 }
