@@ -68,8 +68,8 @@ func TestRunBatchZeroAllocSteadyState(t *testing.T) {
 			}
 		}
 	}
-	// Warm the engine cache, the arena pool, and the engine's grouped-state
-	// pool (AllocsPerRun also runs one warm-up pass of its own).
+	// Warm the engine cache, the arena pool, and the walk package's
+	// grouped-state pool (AllocsPerRun also runs one warm-up pass of its own).
 	s.runBatch(b)
 	drain()
 	allocs := testing.AllocsPerRun(20, func() {

@@ -100,9 +100,12 @@ type engineCache struct {
 	misses atomic.Int64
 }
 
+// engineEntry is one cached engine. eng is nil while the entry's build is
+// in flight; ready closes once it is set.
 type engineEntry struct {
-	eng  *walk.Engine
-	used uint64
+	eng   *walk.Engine
+	ready chan struct{}
+	used  uint64
 }
 
 func newEngineCache(cap int) *engineCache {
@@ -110,33 +113,52 @@ func newEngineCache(cap int) *engineCache {
 }
 
 // get returns the cached engine for key, building (and inserting) it with
-// build on a miss. Compilation runs under the cache lock: it is rare (once
-// per graph × kernel until eviction) and serializing it prevents a stampede
-// of clients compiling the same alias tables concurrently.
+// build on a miss. The build runs outside the cache lock, so a cold compile
+// (a dense row bank takes tens of milliseconds) never stalls the passes of
+// other shapes. A miss files an in-flight entry first: callers of the same
+// key wait on it, so each key still compiles once.
 func (c *engineCache) get(key engineKey, build func() *walk.Engine) *walk.Engine {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tick++
 	if e := c.entries[key]; e != nil {
 		e.used = c.tick
 		c.hits.Add(1)
+		c.mu.Unlock()
+		<-e.ready
 		return e.eng
 	}
 	c.misses.Add(1)
+	e := &engineEntry{ready: make(chan struct{}), used: c.tick}
+	c.entries[key] = e
+	c.mu.Unlock()
+
 	eng := build()
-	c.entries[key] = &engineEntry{eng: eng, used: c.tick}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tick++
+	e.eng, e.used = eng, c.tick
+	close(e.ready)
+	c.evictLocked()
+	return eng
+}
+
+// evictLocked drops least recently used entries until the cache is within
+// its cap. An in-flight entry is never evicted: its callers are waiting on
+// it, and it becomes resident when its build returns.
+func (c *engineCache) evictLocked() {
 	for len(c.entries) > c.cap {
 		var lruKey engineKey
-		lru := uint64(0)
-		first := true
+		var lru *engineEntry
 		for k, e := range c.entries {
-			if first || e.used < lru {
-				lruKey, lru, first = k, e.used, false
+			if e.eng != nil && (lru == nil || e.used < lru.used) {
+				lruKey, lru = k, e
 			}
+		}
+		if lru == nil {
+			return
 		}
 		delete(c.entries, lruKey)
 	}
-	return eng
 }
 
 // len reports the resident engine count (tests).

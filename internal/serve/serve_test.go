@@ -519,6 +519,57 @@ func TestEngineCacheEviction(t *testing.T) {
 	}
 }
 
+// TestEngineCacheBuildsOutsideLock: a cold build of one key does not stall
+// lookups of another. While key A's build blocks, a lookup of the cached
+// key B returns at once; a second caller of A waits for the one build
+// instead of compiling again; and A's in-flight entry survives evictions
+// at cap 1.
+func TestEngineCacheBuildsOutsideLock(t *testing.T) {
+	c := newEngineCache(1)
+	engA := walk.NewEngine(graph.Cycle(8), walk.EngineOptions{Workers: 1})
+	engB := walk.NewEngine(graph.Cycle(9), walk.EngineOptions{Workers: 1})
+	keyA, keyB := engineKey{graph: "a"}, engineKey{graph: "b"}
+	buildA := func() *walk.Engine { return engA }
+	buildB := func() *walk.Engine { return engB }
+	c.get(keyB, buildB)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	first, second, hit := make(chan *walk.Engine, 1), make(chan *walk.Engine, 1), make(chan *walk.Engine, 1)
+	go func() {
+		first <- c.get(keyA, func() *walk.Engine {
+			close(started)
+			<-release
+			return engA
+		})
+	}()
+	<-started
+	go func() { hit <- c.get(keyB, buildB) }()
+	select {
+	case got := <-hit:
+		if got != engB {
+			t.Error("cached key B returned the wrong engine")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("lookup of cached key B blocked behind key A's build")
+	}
+	go func() { second <- c.get(keyA, buildA) }()
+	close(release)
+	for _, ch := range []chan *walk.Engine{first, second} {
+		if got := <-ch; got != engA {
+			t.Fatal("key A returned the wrong engine")
+		}
+	}
+	if n := c.misses.Load(); n != 2 {
+		t.Fatalf("%d builds for two keys; want each key compiled once", n)
+	}
+	c.mu.Lock()
+	resident := c.entries[keyA] != nil && c.entries[keyB] == nil
+	c.mu.Unlock()
+	if !resident {
+		t.Fatal("at cap 1 the finished build of A must evict B, not itself")
+	}
+}
+
 func indexOf(xs []string, x string) int {
 	for i, v := range xs {
 		if v == x {

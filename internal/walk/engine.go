@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 
 	"manywalks/internal/graph"
 )
@@ -77,7 +76,9 @@ const (
 
 // Engine is a batched simulator for the paper's synchronized k-walk on one
 // fixed graph. It is immutable after construction and safe for concurrent
-// use: every run borrows its own walker state from an internal pool.
+// use: every run borrows its own walker state from a package-level pool
+// (groupPool), so an engine holds no pooled state and becomes garbage as
+// soon as its last pass returns.
 type Engine struct {
 	// Hot step-path fields stay at the top of the struct so the per-round
 	// dispatch and table lookups share cache lines.
@@ -103,7 +104,6 @@ type Engine struct {
 	window   int64 // rounds between lane-base moves: a multiple of group, at most maxWindowRounds
 	g        *graph.Graph
 	kernel   Kernel
-	gpool    sync.Pool // *groupState, reused across passes
 	pair     pairTable // lazily built two-step table for the fused cover path
 }
 

@@ -2,8 +2,10 @@ package walk
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"manywalks/internal/exact"
 	"manywalks/internal/graph"
@@ -337,6 +339,89 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestSharedGroupPoolConcurrentEngines: every engine borrows its chunk
+// state from the one package pool, so grouped passes run at once on
+// engines of different k and kernels — with and without the no-backtrack
+// prev lane — must each answer exactly as the same pass run alone. The CI
+// race job runs it with -count=10.
+func TestSharedGroupPoolConcurrentEngines(t *testing.T) {
+	const trials = 32
+	g := graph.Torus2D(12)
+	jobs := []struct {
+		kern       Kernel
+		k, workers int
+	}{
+		{Uniform(), 1, 1},
+		{Uniform(), 9, 2},
+		{NoBacktrack(), 3, 1},
+		{NoBacktrack(), 16, 2},
+		{Lazy(0.5), 5, 2},
+		{MetropolisUniform(), 2, 1},
+		{HopperPower(1), 4, 2},
+	}
+	pass := func(e *Engine, k, workers int, seed uint64) groupedOutcome {
+		starts := make([]int32, k)
+		for i := range starts {
+			starts[i] = int32(i*7) % int32(g.N())
+		}
+		cov := NewGroupCoverObserver(0)
+		cov.RecordFirst = true
+		spec := GroupedRunSpec{Trials: trials, Starts: starts, Seed: seed, MaxRounds: 1 << 14, Workers: workers}
+		res, err := e.RunGrouped(spec, cov)
+		if err != nil {
+			t.Error(err)
+			return groupedOutcome{}
+		}
+		out := groupedOutcome{rounds: res.Rounds, stopped: res.Stopped}
+		for i := 0; i < trials; i++ {
+			out.extra = append(out.extra, cov.TrialFirstVisits(i)...)
+		}
+		return out
+	}
+	engines := make([]*Engine, len(jobs))
+	want := make([]groupedOutcome, len(jobs))
+	for i, j := range jobs {
+		engines[i] = NewEngine(g, EngineOptions{Kernel: j.kern})
+		want[i] = pass(engines[i], j.k, j.workers, uint64(i))
+	}
+	var wg sync.WaitGroup
+	for rep := 0; rep < 3; rep++ {
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := pass(engines[i], j.k, j.workers, uint64(i)); !got.equal(want[i]) {
+					t.Errorf("%s k=%d: concurrent pass diverged from the pass run alone", j.kern, j.k)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestEngineFreedByOneGC: an engine whose last pass has returned is garbage
+// at the next collection. The chunk-state pool belongs to the package and
+// holds no engine pointer; a pool embedded in the engine stayed registered
+// with the runtime until the next collection and kept the engine, tables
+// included, live through it.
+func TestEngineFreedByOneGC(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		e := NewEngine(graph.Cycle(64), EngineOptions{Workers: 1, Kernel: HopperPower(1)})
+		spec := GroupedRunSpec{Trials: 4, Starts: []int32{0, 32}, Seed: 3, MaxRounds: 1 << 12}
+		if _, err := e.RunGrouped(spec, NewGroupCoverObserver(0)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(e, func(*Engine) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine still reachable after one GC following its last pass")
 	}
 }
 

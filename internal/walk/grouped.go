@@ -169,7 +169,7 @@ func windowBase(t, w int64) int64 {
 // from streams[i], and banks the rest of a draw group's bits in res[i].
 type walkers struct {
 	pos     []int32
-	prev    []int32 // -1 before the first step; only for prev-lane kernels
+	prev    []int32 // -1 before the first step; empty unless the kernel needs the prev lane
 	streams []rng.Source
 	res     []uint64
 }
@@ -188,10 +188,18 @@ type groupState struct {
 	wg         sync.WaitGroup
 }
 
+// groupPool recycles chunk state (*groupState) across the passes of every
+// engine. It stays at package level, and a groupState holds only scratch
+// slices, never an engine pointer, so no engine outlives its last pass: a
+// used sync.Pool stays registered with the runtime until the next
+// collection, so a pool inside the Engine would keep the engine, tables
+// included, live through one more GC (TestEngineFreedByOneGC).
+var groupPool sync.Pool
+
 // newGroupState borrows or allocates chunk state for lanes trial lanes of
 // k walkers each, scanned by at most workers goroutines.
 func (e *Engine) newGroupState(lanes, k, workers int) *groupState {
-	gst, _ := e.gpool.Get().(*groupState)
+	gst, _ := groupPool.Get().(*groupState)
 	if gst == nil {
 		gst = &groupState{}
 	}
@@ -201,10 +209,11 @@ func (e *Engine) newGroupState(lanes, k, workers int) *groupState {
 	gst.pos = growSlice(gst.pos, width)
 	gst.streams = growSlice(gst.streams, width)
 	gst.res = growSlice(gst.res, width)
+	// An engine without the prev lane leaves prev empty, keeping its
+	// capacity for the next prev-lane engine that borrows this state.
+	gst.prev = gst.prev[:0]
 	if e.prog.needPrev {
 		gst.prev = growSlice(gst.prev, width)
-	} else {
-		gst.prev = nil
 	}
 	gst.laneTrial = growSlice(gst.laneTrial, lanes)
 	gst.stopAt = growSlice(gst.stopAt, lanes)
@@ -239,7 +248,7 @@ func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
 		copy(gst.pos[d:d+k], gst.pos[s:s+k])
 		copy(gst.res[d:d+k], gst.res[s:s+k])
 		copy(gst.streams[d:d+k], gst.streams[s:s+k])
-		if gst.prev != nil {
+		if len(gst.prev) > 0 {
 			copy(gst.prev[d:d+k], gst.prev[s:s+k])
 		}
 		gst.laneTrial[ln] = gst.laneTrial[last]
@@ -340,7 +349,7 @@ func (e *Engine) RunGrouped(spec GroupedRunSpec, observers ...GroupObserver) (Gr
 // RunGroupedInto is RunGrouped writing its outcome into a caller-owned
 // result, reusing res.Rounds/res.Stopped capacity when it suffices. A
 // caller that keeps res (and its observers) across passes reaches zero
-// steady-state allocation: the engine's chunk state is pooled, the
+// steady-state allocation: chunk state comes from the package pool, the
 // observers reuse their lane scratch and per-trial outputs, and this entry
 // point removes the last per-pass make — the shape the serving layer's
 // dispatch ticks run. On error the contents of res are unspecified.
@@ -374,7 +383,7 @@ func (e *Engine) runPass(spec GroupedRunSpec, stop StopCondition, res *GroupedRe
 	res.Stopped = growSlice(res.Stopped, spec.Trials)
 	res.Waves, res.Converged = 0, false
 	gst := e.newGroupState(chunk, k, workers)
-	defer e.gpool.Put(gst)
+	defer groupPool.Put(gst)
 	for c0 := 0; c0 < spec.Trials; c0 += chunk {
 		m := min(chunk, spec.Trials-c0)
 		if err := e.runGroupedChunk(gst, &spec, stop, observers, res, c0, m); err != nil {
@@ -424,7 +433,7 @@ func (e *Engine) seedLane(gst *groupState, spec *GroupedRunSpec, ln, trial int) 
 	for i := 0; i < k; i++ {
 		gst.pos[base+i] = laneStarts[i]
 		gst.streams[base+i].Reseed(rng.StreamSeed(engineSeed, uint64(i)))
-		if gst.prev != nil {
+		if len(gst.prev) > 0 {
 			gst.prev[base+i] = -1
 		}
 	}

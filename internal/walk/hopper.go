@@ -25,7 +25,8 @@ import (
 //
 // The kernel is the first registered family with SupportDense: compilation
 // runs one BFS per vertex (distances computed once per compile, never per
-// step) and builds the accounted alias row-bank; stepping then costs the
+// step) on scratch shared by the whole compile, and builds the accounted
+// alias row-bank in columns sized once; stepping then costs the
 // same one draw per round as the built-in alias kernels, so determinism
 // across Workers × BatchRounds is inherited unchanged, and the serving
 // stack routes it by its canonical spelling like any built-in.
@@ -83,36 +84,69 @@ func (k hopperKernel) Validate(g *graph.Graph) error {
 
 // TransitionProbs computes the hop-law row of v from one BFS: every vertex
 // at distance d ≥ 1 gets weight f(d), normalized over the reachable set.
-// Rows are emitted in vertex-id order, so compilation is deterministic.
+// Rows are emitted in vertex-id order, so compilation is deterministic. It
+// is the compiler's row function (hopperRows) run once on fresh scratch, so
+// the law is written once and the caller owns the returned slices.
 func (k hopperKernel) TransitionProbs(g *graph.Graph, v int32) ([]int32, []float64, error) {
 	if err := k.Validate(g); err != nil {
 		return nil, nil, err
 	}
-	if _, _, err := rowNeighbors(g, v); err != nil {
+	return newHopperRows(k, g).row(v)
+}
+
+// hopperRows computes hopper rows for one compile. It reuses one BFS queue,
+// distance array and pair of row buffers across rows, and evaluates the hop
+// law once per distinct distance: fd[d] = f(d) is computed the first time a
+// row reaches distance d. Every row holds the same f(d) values, summed and
+// normalized in vertex order, as a row computed on its own.
+type hopperRows struct {
+	k     hopperKernel
+	g     *graph.Graph
+	dist  []int32
+	queue []int32
+	fd    []float64 // f(d) for every distance reached so far; fd[0] is unused
+	out   []int32
+	p     []float64
+}
+
+func newHopperRows(k hopperKernel, g *graph.Graph) *hopperRows {
+	n := g.N()
+	return &hopperRows{k: k, g: g, dist: make([]int32, n), queue: make([]int32, n),
+		fd: make([]float64, 1), out: make([]int32, 0, n), p: make([]float64, 0, n)}
+}
+
+// columns is the number of columns the rows hold: row v lists every other
+// vertex of v's component, n−1 columns per vertex on a connected graph.
+func (r *hopperRows) columns() int64 {
+	count, comp := r.g.Components()
+	size := make([]int64, count)
+	for _, c := range comp {
+		size[c]++
+	}
+	total := int64(0)
+	for _, c := range comp {
+		total += size[c] - 1
+	}
+	return total
+}
+
+// row returns v's row in buffers that stay valid until the next call.
+func (r *hopperRows) row(v int32) ([]int32, []float64, error) {
+	if _, _, err := rowNeighbors(r.g, v); err != nil {
 		return nil, nil, err
 	}
-	dist := g.BFS(v)
-	// f(d) is shared by every vertex at hop distance d; memoize per row up
-	// to the eccentricity so a row costs one pow/exp per distinct distance.
-	maxD := int32(0)
-	for _, d := range dist {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	fd := make([]float64, maxD+1)
-	for d := int32(1); d <= maxD; d++ {
-		switch k.law {
+	maxD := r.bfs(v)
+	for d := int32(len(r.fd)); d <= maxD; d++ {
+		switch r.k.law {
 		case hopExp:
-			fd[d] = math.Exp(-k.param * float64(d))
+			r.fd = append(r.fd, math.Exp(-r.k.param*float64(d)))
 		default:
-			fd[d] = math.Pow(float64(d), -k.param)
+			r.fd = append(r.fd, math.Pow(float64(d), -r.k.param))
 		}
 	}
-	out := make([]int32, 0, len(dist)-1)
-	p := make([]float64, 0, len(dist)-1)
+	out, p, fd := r.out[:0], r.p[:0], r.fd
 	total := 0.0
-	for u, d := range dist {
+	for u, d := range r.dist {
 		if d < 1 {
 			continue // v itself, or unreachable from v
 		}
@@ -121,12 +155,39 @@ func (k hopperKernel) TransitionProbs(g *graph.Graph, v int32) ([]int32, []float
 		total += fd[d]
 	}
 	if total <= 0 {
-		return nil, nil, fmt.Errorf("walk: hopper %s:%g has no positive hop mass from vertex %d", k.lawName(), k.param, v)
+		return nil, nil, fmt.Errorf("walk: hopper %s:%g has no positive hop mass from vertex %d", r.k.lawName(), r.k.param, v)
 	}
 	for i := range p {
 		p[i] /= total
 	}
+	r.out, r.p = out, p
 	return out, p, nil
+}
+
+// bfs fills r.dist with the hop distances from src (-1 where unreachable)
+// and returns the largest: the distance of the last vertex dequeued.
+func (r *hopperRows) bfs(src int32) int32 {
+	offsets, adj := r.g.CSR()
+	dist, queue := r.dist, r.queue
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue[0] = src
+	head, tail := 0, 1
+	for head < tail {
+		v := queue[head]
+		head++
+		dv := dist[v] + 1
+		for _, u := range adj[offsets[v]:offsets[v+1]] {
+			if dist[u] < 0 {
+				dist[u] = dv
+				queue[tail] = u
+				tail++
+			}
+		}
+	}
+	return dist[queue[tail-1]]
 }
 
 // registerHopperKernels adds the hopper family to the registry; called from

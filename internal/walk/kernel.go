@@ -310,9 +310,13 @@ func DenseTableFits(g *graph.Graph) error {
 // (plus stay), so it is O(m) and unbounded. A dense-support row-bank runs
 // against maxDenseKernelBytes: compilation stops with a descriptive error
 // the moment the bank would cross it, instead of allocating n² columns
-// first and failing later. The table grows by append with its rows:
-// preallocating the worst case, or doubling on growth, each raised the
-// simulate benchmark's peak RSS by about a fifth (2-vCPU Xeon).
+// first and failing later. The hopper's rows run on one compile's scratch
+// (hopperRows) and its column count is known up front, so its columns are
+// sized once when the bank fits; other tables grow by append with their
+// rows. Sizing once lowers peak RSS only because an engine dies with its
+// last pass (see groupPool): while each engine stayed pinned through the
+// next GC, less compile garbage meant fewer GCs, more pinned banks at each
+// and a higher peak.
 func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	n := g.N()
 	at := &aliasTable{meta: make([]uint64, n)}
@@ -320,9 +324,19 @@ func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	if k.Support() == SupportDense {
 		budget = maxDenseKernelBytes - int64(n)*8
 	}
+	row := func(v int32) ([]int32, []float64, error) { return k.TransitionProbs(g, v) }
+	if hk, ok := k.(hopperKernel); ok {
+		rows := newHopperRows(hk, g)
+		row = rows.row
+		if columns := rows.columns(); columns*aliasColumnBytes <= budget {
+			at.out = make([]int32, 0, columns)
+			at.alt = make([]int32, 0, columns)
+			at.thresh = make([]uint32, 0, columns)
+		}
+	}
 	var vs voseScratch
 	for v := 0; v < n; v++ {
-		outs, probs, err := k.TransitionProbs(g, int32(v))
+		outs, probs, err := row(int32(v))
 		if err != nil {
 			return nil, err
 		}

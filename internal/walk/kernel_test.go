@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,6 +133,29 @@ func TestAliasTableMatchesTransitionProbs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHopperBankCompilesInOnePass: the dense bank's columns are sized once
+// and its rows computed on one compile's scratch, so a warm compile of the
+// 12 MiB cycle:1024 bank allocates at most 1.1x the bank. Growing the
+// columns by append, with a fresh BFS and row per vertex, allocated 7x.
+func TestHopperBankCompilesInOnePass(t *testing.T) {
+	g := graph.Cycle(1024)
+	if _, err := compileKernel(g, HopperPower(1)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prog, err := compileKernel(g, HopperPower(1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank, alloc := prog.at.bytes(), after.TotalAlloc-before.TotalAlloc
+	if float64(alloc) > 1.1*float64(bank) {
+		t.Fatalf("compiling a %.1f MiB bank allocated %.1f MiB; want at most 1.1x the bank",
+			float64(bank)/(1<<20), float64(alloc)/(1<<20))
 	}
 }
 
