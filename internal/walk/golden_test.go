@@ -155,6 +155,7 @@ var engineCombos = []engineCombo{
 	{"lollipop:12:12", "metropolis", []int{3}, false}, // sparse alias, irregular degrees
 	{"cycle:64", "hopper:power:1", []int{2}, false},   // dense alias bank
 	{"margulis:8", "nobacktrack", []int{2, 8}, false}, // no-backtrack prev lane
+	{"lollipop:64:64", "uniform", []int{1, 3}, false}, // pad table with sentinels, no pair table
 }
 
 // engineEntry is one Engine entry point: it runs at budget and returns the
