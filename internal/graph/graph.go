@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an immutable undirected graph in CSR form. The zero value is the
@@ -36,6 +37,9 @@ type Graph struct {
 	// mapped, when non-nil, is the read-only mmap region the CSR arrays
 	// alias (OpenBinary's in-place path); it pins the mapping until Release.
 	mapped []byte
+	// connected memoizes IsConnected: connUnknown until the first call
+	// stores connYes or connNo.
+	connected atomic.Int32
 }
 
 // MaxVertices is the largest vertex count the CSR representation can hold:
@@ -185,9 +189,9 @@ func (g *Graph) Unweighted() *Graph {
 	if g.weights == nil {
 		return g
 	}
-	ng := *g
-	ng.weights = nil
-	return &ng
+	ng := &Graph{offsets: g.offsets, adj: g.adj, m: g.m, loops: g.loops, name: g.name, mapped: g.mapped}
+	ng.connected.Store(g.connected.Load())
+	return ng
 }
 
 // HasEdge reports whether {u,v} is an edge (or a self-loop when u == v).

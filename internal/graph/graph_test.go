@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,58 @@ func TestConnectivityAndComponents(t *testing.T) {
 	}
 	if id[0] != id[1] || id[1] != id[2] || id[3] != id[4] || id[0] == id[3] || id[5] == id[0] || id[5] == id[3] {
 		t.Fatalf("bad component ids %v", id)
+	}
+}
+
+// TestIsConnectedMemoized pins the connectivity memo: a repeated call on a
+// large graph allocates nothing, concurrent first calls agree, a
+// disconnected graph stays disconnected, and the unweighted view of a
+// weighted graph carries the answer over.
+func TestIsConnectedMemoized(t *testing.T) {
+	g := Hypercube(14)
+	if !g.IsConnected() {
+		t.Fatal("hypercube reported disconnected")
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if !g.IsConnected() {
+			t.Fatal("memoized answer changed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("repeated IsConnected allocates %v times, want 0", allocs)
+	}
+
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	split := b.Build("two-edges")
+	for _, c := range []struct {
+		g    *Graph
+		want bool
+	}{{Cycle(4096), true}, {split, false}} {
+		fresh, want := c.g, c.want
+		var wg sync.WaitGroup
+		got := make([]bool, 8)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = fresh.IsConnected()
+			}()
+		}
+		wg.Wait()
+		for i, ok := range got {
+			if ok != want {
+				t.Fatalf("%s: concurrent call %d reported %v, want %v", fresh.Name(), i, ok, want)
+			}
+		}
+		if fresh.IsConnected() != want {
+			t.Fatalf("%s: memoized answer is not %v", fresh.Name(), want)
+		}
+	}
+
+	w := Reweight(Cycle(8), func(u, v int32) float64 { return float64(u + v + 1) })
+	if !w.IsConnected() || !w.Unweighted().IsConnected() {
+		t.Fatal("weighted cycle or its unweighted view reported disconnected")
 	}
 }
 

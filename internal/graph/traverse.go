@@ -26,19 +26,32 @@ func (g *Graph) BFS(src int32) []int32 {
 	return dist
 }
 
+// The states of Graph.connected.
+const (
+	connUnknown int32 = iota
+	connYes
+	connNo
+)
+
 // IsConnected reports whether the graph is connected (true for n <= 1).
+// The first call runs one BFS and memoizes the answer on the graph, so
+// later calls cost one atomic load and allocate nothing. Concurrent first
+// calls may each run the BFS; they store the same answer.
 func (g *Graph) IsConnected() bool {
-	n := g.N()
-	if n <= 1 {
-		return true
+	if s := g.connected.Load(); s != connUnknown {
+		return s == connYes
 	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
+	state := connYes
+	if g.N() > 1 {
+		for _, d := range g.BFS(0) {
+			if d < 0 {
+				state = connNo
+				break
+			}
 		}
 	}
-	return true
+	g.connected.Store(state)
+	return state == connYes
 }
 
 // Components returns the number of connected components and a component id

@@ -79,17 +79,19 @@ func benchKCover(b *testing.B, eng *Engine, start int32, k int) {
 }
 
 // estimatorWorkerGrid is the Workers sweep of the estimator benchmarks:
-// the singleton baseline the PR-4/PR-5 snapshots pinned, and the multicore
-// shard counts whose scaling the BENCH_PR6 rows record. Per-trial samples
-// are identical at every point — Workers only shards the trial lanes.
-var estimatorWorkerGrid = []int{1, 4, 8}
+// the singleton baseline the PR-4/PR-5 snapshots pinned, the default worker
+// count of a 2-vCPU box, and the multicore shard counts whose scaling the
+// BENCH_PR6 rows record. Per-trial samples are identical at every point —
+// Workers only shards the trial lanes.
+var estimatorWorkerGrid = []int{1, 2, 4, 8}
 
 // BenchmarkEstimateKCoverTime measures the whole Monte Carlo estimator —
 // the paper-facing workload behind every Table-1 number — at the pinned
 // shape: the Table-1 expander (n=576), k=64 walkers, 256 trials. The w1
 // row is the PR-4 acceptance baseline (>=2x trials/sec against
 // sequential trials); the multicore rows track lane-shard scaling. k16_w1
-// is the fixed-count twin of the adaptive k=16 row.
+// is the fixed-count twin of the adaptive k=16 row, and k4_w1 times a thin
+// lane (fewer than thinLaneWalkers walkers), which steps walker-major.
 func BenchmarkEstimateKCoverTime(b *testing.B) {
 	g := graph.MargulisExpander(24)
 	const trials = 256
@@ -106,6 +108,7 @@ func BenchmarkEstimateKCoverTime(b *testing.B) {
 		b.Run(fmt.Sprintf("w%d", workers), kcover(benchK, workers))
 	}
 	b.Run("k16_w1", kcover(16, 1))
+	b.Run("k4_w1", kcover(4, 1))
 }
 
 // benchEstimates times one estimate per op, seeded by the op index, fails

@@ -146,7 +146,7 @@ type engineCombo struct {
 }
 
 var engineCombos = []engineCombo{
-	{"margulis:8", "uniform", []int{2, 8}, true},      // pad table; fused pad2 at k >= 8
+	{"margulis:8", "uniform", []int{2, 8}, true},      // fused pad2: walker-major at k = 2, 64-wide at k = 8
 	{"cycle:64", "uniform", []int{2, 8}, true},        // stride-2 pad table, 64-round draw groups
 	{"complete:2048", "uniform", []int{2, 8}, true},   // CSR stepping
 	{"cycle:64", "lazy:0.5", []int{2, 8}, false},      // lazy, pad table

@@ -33,14 +33,16 @@ import (
 // observer lanes swap-compact (the last active lane moves into its slot),
 // so the heavy tail of slow trials never drags the width of the pass.
 //
-// Two step paths drive the lanes. A lone cover observer under the uniform
-// kernel with a small pair table runs the fused two-step loop of
-// groupedfused.go (pair transition table, block-generated draws, inline
-// first-visit scan). Everything else — the non-uniform kernels, CSR-mode
-// graphs, large pair tables, and every other observer set — runs the
-// generic path below: the engine's stepRound over the whole active width,
-// with per-round lane scans. Both paths produce identical per-trial
-// results.
+// Two step paths drive the lanes. A lone count-goal cover observer under
+// the uniform kernel runs the fused loops of groupedfused.go (pair
+// transition table, block-generated draws, inline first-visit scan) when
+// its table fits the cache budget: lanes of 8 or more walkers need a small
+// pair table and step in 64-wide chunks, thinner lanes step walker-major
+// on the pair table or, failing that, a small pad table. Everything else —
+// the non-uniform kernels, CSR-mode graphs, larger tables, and every other
+// observer set — runs the generic path below: the engine's stepRound over
+// the whole active width, with per-round lane scans. Both paths produce
+// identical per-trial results.
 //
 // Rounds are int64 everywhere except the cover observer's first-visit
 // cells and the fused pair loops, which hold round t relative to the

@@ -34,7 +34,7 @@ func groupedTestFamilies() []struct {
 func TestFusedMatchesSequentialTrials(t *testing.T) {
 	const (
 		trials = 24
-		k      = 9 // >= minFusedLaneWalkers, so uniform kernels pin the fused pair-table path (with a sub-64 tail chunk)
+		k      = 9 // >= thinLaneWalkers, so uniform kernels pin the 64-wide fused pair-table lanes (with a sub-64 tail chunk)
 		seed   = 99
 		budget = int64(4000)
 	)
@@ -79,42 +79,69 @@ func TestFusedMatchesSequentialTrials(t *testing.T) {
 	}
 }
 
-// TestGroupedGenericMatchesFused pins the two grouped step paths against
-// each other: disabling the pair table must not change a single sample.
+// TestGroupedGenericMatchesFused pins the fused step path against the
+// generic driver at every lane width. The fused side runs a count-goal
+// cover observer; the generic side runs the same goal written as the cover
+// threshold 1, which the fused path refuses. Rounds, stop flags and exact
+// first visits must agree for the walker-major thin lanes (on a pair table,
+// and on a pad table with sentinels but no pair table), the 64-wide chunked
+// lanes, and a pad table over the thin-lane budget, which must stay
+// generic, at Workers 1 and 3 under a budget that covers and one that
+// censors.
 func TestGroupedGenericMatchesFused(t *testing.T) {
-	const (
-		trials = 32
-		k      = 12 // wide enough for the fused path on every family
-		budget = int64(4000)
+	const trials = 32
+	type family = struct {
+		name  string
+		build func() (*graph.Graph, int32)
+	}
+	fams := append(groupedTestFamilies(),
+		family{"lollipop64_64", func() (*graph.Graph, int32) { return graph.Lollipop(64, 64), 127 }},
+		family{"complete512", func() (*graph.Graph, int32) { return graph.Complete(512, false), 0 }},
 	)
-	for _, fam := range groupedTestFamilies() {
+	for _, fam := range fams {
 		t.Run(fam.name, func(t *testing.T) {
 			g, start := fam.build()
-			spec := GroupedRunSpec{
-				Trials:    trials,
-				Starts:    commonStarts(start, k),
-				Seed:      7,
-				MaxRounds: budget,
-			}
-			fusedEng := NewEngine(g, EngineOptions{Workers: 1})
-			fusedEng.buildPairTable()
-			if !fusedEng.pair.ok {
-				t.Fatalf("pair table unexpectedly unavailable")
-			}
-			fused, err := fusedEng.RunGrouped(spec, NewGroupCoverObserver(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericEng := NewEngine(g, EngineOptions{Workers: 1})
-			genericEng.pair.once.Do(func() {}) // leave pair.ok false: force the generic path
-			generic, err := genericEng.RunGrouped(spec, NewGroupCoverObserver(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < trials; i++ {
-				if fused.Rounds[i] != generic.Rounds[i] || fused.Stopped[i] != generic.Stopped[i] {
-					t.Fatalf("trial %d: fused (%d,%v) != generic (%d,%v)",
-						i, fused.Rounds[i], fused.Stopped[i], generic.Rounds[i], generic.Stopped[i])
+			eng := NewEngine(g, EngineOptions{Workers: 1})
+			eng.buildPairTable()
+			for _, k := range []int{1, 2, 3, 5, 7, 8, 12} {
+				wantFused := eng.pair.ok || k < thinLaneWalkers && eng.padFitsPairBudget()
+				for _, workers := range []int{1, 3} {
+					for _, budget := range []int64{1 << 14, 61} { // 61: a censoring budget that ends in an odd partial group
+						t.Run(fmt.Sprintf("k%d/w%d/b%d", k, workers, budget), func(t *testing.T) {
+							fcov := &GroupCoverObserver{RecordFirst: true}
+							gcov := &GroupCoverObserver{RecordFirst: true, Thresholds: []float64{1}}
+							if fused := eng.fusedCoverObserver(k, stopWhenAll{}, []GroupObserver{fcov}) != nil; fused != wantFused {
+								t.Fatalf("fused path taken = %v, want %v", fused, wantFused)
+							}
+							if eng.fusedCoverObserver(k, stopWhenAll{}, []GroupObserver{gcov}) != nil {
+								t.Fatal("threshold observer took the fused path")
+							}
+							spec := GroupedRunSpec{
+								Trials:    trials,
+								Starts:    commonStarts(start, k),
+								Seed:      7,
+								MaxRounds: budget,
+								Workers:   workers,
+							}
+							fused, err := eng.RunGrouped(spec, fcov)
+							if err != nil {
+								t.Fatal(err)
+							}
+							generic, err := eng.RunGrouped(spec, gcov)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i := 0; i < trials; i++ {
+								if fused.Rounds[i] != generic.Rounds[i] || fused.Stopped[i] != generic.Stopped[i] {
+									t.Fatalf("trial %d: fused (%d,%v) != generic (%d,%v)",
+										i, fused.Rounds[i], fused.Stopped[i], generic.Rounds[i], generic.Stopped[i])
+								}
+								if ff, gf := fcov.TrialFirstVisits(i), gcov.TrialFirstVisits(i); !slices.Equal(ff, gf) {
+									t.Fatalf("trial %d: fused first visits %v != generic %v", i, ff, gf)
+								}
+							}
+						})
+					}
 				}
 			}
 		})
@@ -391,54 +418,55 @@ func TestGroupedValidation(t *testing.T) {
 }
 
 // TestGroupedPartialTargetExportExact pins finishLane's exact-at-stop
-// export: with a partial count target, the fused path's one-pass overshoot
-// must not leak into TrialCount or TrialFirstVisits — both paths and a
-// single run must agree on the state at the stop round.
+// export: with a partial count target, the fused path's overshoot (one
+// pair pass for a wide lane, one draw group for a thin one) must not leak
+// into TrialCount or TrialFirstVisits — both paths and a single run must
+// agree on the state at the stop round. The generic side writes the same
+// goal as the cover threshold 1/2, which the fused path refuses.
 func TestGroupedPartialTargetExportExact(t *testing.T) {
 	g := graph.MargulisExpander(6)
 	const (
 		trials = 16
-		k      = 12 // fused path
 		budget = int64(4000)
 	)
 	target := g.N() / 2
-	spec := GroupedRunSpec{
-		Trials:    trials,
-		Starts:    commonStarts(0, k),
-		Seed:      13,
-		MaxRounds: budget,
-	}
-	fusedEng := NewEngine(g, EngineOptions{Workers: 1})
-	fcov := &GroupCoverObserver{Target: target, RecordFirst: true}
-	fres, err := fusedEng.RunGrouped(spec, fcov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genericEng := NewEngine(g, EngineOptions{Workers: 1})
-	genericEng.pair.once.Do(func() {}) // force the generic path
-	gcov := &GroupCoverObserver{Target: target, RecordFirst: true}
-	gres, err := genericEng.RunGrouped(spec, gcov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < trials; i++ {
-		r := rng.NewStream(13, uint64(i))
-		want := fusedEng.KCoverTarget(spec.Starts, target, r.Uint64(), budget)
-		if fres.Rounds[i] != want.Steps || fres.Stopped[i] != want.Covered {
-			t.Fatalf("trial %d: fused (%d,%v) != single run (%d,%v)",
-				i, fres.Rounds[i], fres.Stopped[i], want.Steps, want.Covered)
+	eng := NewEngine(g, EngineOptions{Workers: 1})
+	for _, k := range []int{3, 12} { // a thin and a wide fused lane
+		spec := GroupedRunSpec{
+			Trials:    trials,
+			Starts:    commonStarts(0, k),
+			Seed:      13,
+			MaxRounds: budget,
 		}
-		if fres.Rounds[i] != gres.Rounds[i] || fcov.TrialCount(i) != gcov.TrialCount(i) {
-			t.Fatalf("trial %d: fused count %d@%d != generic %d@%d",
-				i, fcov.TrialCount(i), fres.Rounds[i], gcov.TrialCount(i), gres.Rounds[i])
+		fcov := &GroupCoverObserver{Target: target, RecordFirst: true}
+		fres, err := eng.RunGrouped(spec, fcov)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ff, gf := fcov.TrialFirstVisits(i), gcov.TrialFirstVisits(i)
-		for v := range ff {
-			if ff[v] != gf[v] {
-				t.Fatalf("trial %d vertex %d: fused first %d != generic %d", i, v, ff[v], gf[v])
+		gcov := &GroupCoverObserver{Target: target, RecordFirst: true, Thresholds: []float64{0.5}}
+		gres, err := eng.RunGrouped(spec, gcov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < trials; i++ {
+			r := rng.NewStream(13, uint64(i))
+			want := eng.KCoverTarget(spec.Starts, target, r.Uint64(), budget)
+			if fres.Rounds[i] != want.Steps || fres.Stopped[i] != want.Covered {
+				t.Fatalf("k=%d trial %d: fused (%d,%v) != single run (%d,%v)",
+					k, i, fres.Rounds[i], fres.Stopped[i], want.Steps, want.Covered)
 			}
-			if ff[v] > fres.Rounds[i] {
-				t.Fatalf("trial %d vertex %d: first visit %d past stop round %d", i, v, ff[v], fres.Rounds[i])
+			if fres.Rounds[i] != gres.Rounds[i] || fcov.TrialCount(i) != gcov.TrialCount(i) {
+				t.Fatalf("k=%d trial %d: fused count %d@%d != generic %d@%d",
+					k, i, fcov.TrialCount(i), fres.Rounds[i], gcov.TrialCount(i), gres.Rounds[i])
+			}
+			ff, gf := fcov.TrialFirstVisits(i), gcov.TrialFirstVisits(i)
+			for v := range ff {
+				if ff[v] != gf[v] {
+					t.Fatalf("k=%d trial %d vertex %d: fused first %d != generic %d", k, i, v, ff[v], gf[v])
+				}
+				if ff[v] > fres.Rounds[i] {
+					t.Fatalf("k=%d trial %d vertex %d: first visit %d past stop round %d", k, i, v, ff[v], fres.Rounds[i])
+				}
 			}
 		}
 	}
@@ -538,7 +566,7 @@ func TestGroupedStartsForSeeds(t *testing.T) {
 		}
 	}
 
-	kc := 12 // wide enough for the fused cover path
+	kc := 12 // the 64-wide fused cover lanes
 	cres, err := eng.RunGrouped(GroupedRunSpec{
 		Trials: trials,
 		Starts: make([]int32, kc),

@@ -50,7 +50,7 @@ func (o groupedOutcome) equal(p groupedOutcome) bool {
 func TestGroupedDeterministicAcrossWorkers(t *testing.T) {
 	const (
 		trials = 18
-		k      = 9 // >= minFusedLaneWalkers: uniform cover runs the fused path
+		k      = 9 // >= thinLaneWalkers: uniform cover runs the 64-wide fused lanes
 		seed   = 4242
 		budget = int64(1 << 13)
 	)

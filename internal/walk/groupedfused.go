@@ -37,13 +37,24 @@ import (
 // per trial), and the lane stops stepping — overshoot is at most one
 // pair.
 //
-// The pair table pays off only while it stays cache-resident: past
+// Lanes of fewer than thinLaneWalkers walkers (k = 1 above all, the
+// single-walk cover time every speed-up divides by) have too few walkers to
+// fill a chunked pass, so they step walker-major instead (laneGroupThin):
+// each walker runs a whole draw group with its position, its reservoir and
+// the lane's count in locals, and the crossing round is resolved once
+// over the group's span, so overshoot is at most one group.
+//
+// The tables pay off only while they stay cache-resident: past
 // maxPairEntries the extra table misses cost more than the halved
-// instruction count saves, so larger graphs run generic. Measured on a
-// 2-vCPU Xeon, single k=64 cover runs were faster fused with a 144 KiB
-// table (margulis:24) and a 256 KiB one (a 64×64 torus) but slower with
-// 1 MiB (margulis:64), and a k=1024 run on margulis:128 (4 MiB) was
-// faster generic.
+// instruction count saves, so a graph whose pair table is larger runs its
+// wide lanes generic. Measured on a 2-vCPU Xeon, single k=64 cover runs
+// were faster fused with a 144 KiB table (margulis:24) and a 256 KiB one
+// (a 64×64 torus) but slower with 1 MiB (margulis:64), and a k=1024 run on
+// margulis:128 (4 MiB) was faster generic. A thin lane on such a graph
+// still runs fused, one round per pad-table lookup, while its pad table
+// fits the same budget; past it the thin lane runs generic too, because a
+// lone walker's dependent lookups cannot overlap their misses as the
+// round-major loop overlaps those of many lanes.
 
 const (
 	// pairSentinel marks pad2 entries whose two-hop path touches a padding
@@ -114,23 +125,28 @@ func (e *Engine) fusedCoverObserver(k int, stop StopCondition, obs []GroupObserv
 	if _, horizon := stop.(runToHorizon); horizon {
 		return nil
 	}
-	// Thin lanes don't amortize the per-lane pass structure (a lane of one
-	// walker would pay several function calls per pair of rounds); the
-	// generic round-major driver steps the whole width at once and wins
-	// there.
-	if k < minFusedLaneWalkers {
-		return nil
-	}
+	// A thin lane steps walker-major, so it also runs on the pad table
+	// alone when the pair table is over its cap but the pad table fits the
+	// same cache budget; wide lanes need the pair table.
 	e.buildPairTable()
-	if !e.pair.ok {
+	if !e.pair.ok && (k >= thinLaneWalkers || !e.padFitsPairBudget()) {
 		return nil
 	}
 	return cov
 }
 
-// minFusedLaneWalkers is the narrowest lane worth the fused per-lane pass
-// structure.
-const minFusedLaneWalkers = 8
+// thinLaneWalkers is the width below which a fused lane steps walker-major
+// (laneGroupThin) instead of in 64-wide chunked passes: a lane that thin
+// cannot amortize a pass's per-chunk structure.
+const thinLaneWalkers = 8
+
+// padFitsPairBudget reports whether the uniform kernel's pad table fits the
+// pair table's cache budget, which is what walker-major stepping needs: one
+// walker's dependent lookups cannot overlap their misses with other
+// walkers', so a larger table costs more than the fused loop saves.
+func (e *Engine) padFitsPairBudget() bool {
+	return e.prog.kind == progUniform && e.pad != nil && len(e.pad) <= maxPairEntries
+}
 
 // pairResolveSlow resolves a two-hop transition whose path touches a
 // padding sentinel, hop-by-hop with stepRound's redraw semantics: each
@@ -337,13 +353,13 @@ func singleRoundFast(pad []int32, first []uint32, pos []int32, res []uint64, str
 	return cnt
 }
 
-// laneGroup advances one trial lane through one draw group: the fill pass
-// banks each walker's fresh draw into the reservoir lane (block-generated
-// draws — the per-walker stream sequence is identical to stepRound's
-// draw-at-group-start), the pair passes run pairStep64 and then replay its
-// deferred sentinel pairs hop-by-hop with the exact redraw semantics
-// before pairScan64 probes the cells, and an odd group length finishes
-// with one single-step round.
+// laneGroup advances one wide lane (thinLaneWalkers walkers or more)
+// through one draw group: the fill pass banks each walker's fresh draw
+// into the reservoir lane (block-generated draws — the per-walker stream
+// sequence is identical to stepRound's draw-at-group-start), the pair
+// passes run pairStep64 and then replay its deferred sentinel pairs
+// hop-by-hop with the exact redraw semantics before pairScan64 probes the
+// cells, and an odd group length finishes with one single-step round.
 // The lane early-exits at the first pass that crosses its target
 // (overshoot is at most one pass), leaving the exact crossing round to
 // resolveCrossing. t0 and the rounds inside are relative to the window
@@ -421,6 +437,141 @@ func (e *Engine) laneGroup(gst *groupState, cov *GroupCoverObserver, ln int, sl 
 	cov.slots[sl].count = cnt
 }
 
+// laneGroupThin advances a thin lane (fewer than thinLaneWalkers walkers)
+// through one draw group of rounds rounds, walker-major: each walker runs
+// every round of the group with its position, its reservoir and the lane's
+// count in locals, two rounds per pair-table lookup when the engine has
+// a pair table and one round per pad-table lookup when it does not, before
+// the next walker starts. Walker order cannot change an answer: cells
+// update by unsigned min and each walker draws only from its own stream,
+// so after the last walker every cell holds its exact first-visit round.
+// A lane whose count crossed its target has the crossing round resolved
+// from its cells over the whole group span; overshoot is at most one
+// group. t0 and the rounds inside are relative to the window starting at
+// round wbase.
+func (e *Engine) laneGroupThin(gst *groupState, cov *GroupCoverObserver, ln int, sl int32, wbase int64, t0, rounds uint32) {
+	k := gst.laneK
+	lo := ln * k
+	pos := gst.pos[lo : lo+k]
+	streams := gst.streams[lo : lo+k]
+	cells := cov.laneCells(sl)
+	cnt := cov.slots[sl].count
+	if e.pair.ok {
+		for i := range pos {
+			pos[i], cnt = thinPairHops(e.pair.tbl, e.pad, cells, &streams[i], pos[i], e.padShift, t0+1, rounds, cnt)
+		}
+	} else {
+		for i := range pos {
+			str := &streams[i]
+			pos[i], cnt = thinPadHops(e.pad, cells, str, pos[i], str.Uint64(), e.padShift, t0+1, t0+rounds+1, cnt)
+		}
+	}
+	cov.slots[sl].count = cnt
+	if int(cnt) >= cov.target {
+		cov.resolveCrossing(sl, wbase, t0, t0+rounds)
+	}
+}
+
+// thinPairHops advances one walker through a draw group of rounds rounds
+// from round t1, returning its final position and the lane's count. One
+// fresh draw funds the group: each pair-table lookup spends 2s of its bits
+// on two rounds, and an odd group's last round spends s bits on a pad-table
+// lookup. thinPairRun steps the pairs that touch no padding sentinel; a
+// pair that does is resolved hop by hop by pairResolveSlow between runs,
+// so the run's loop makes no call (a call would home its loop-carried
+// values in stack slots).
+func thinPairHops(pad2 []uint32, pad []int32, cells []uint32, str *rng.Source, p int32, shift, t1, rounds uint32, cnt int32) (int32, int32) {
+	shift2 := 2 * shift
+	r := str.Uint64()
+	t, tEnd := t1, t1+rounds&^1
+	for {
+		p, r, t, cnt = thinPairRun(pad2, cells, p, r, shift2, t, tEnd, cnt)
+		if t >= tEnd {
+			break
+		}
+		slow := pad2[uint64(uint32(p))<<shift2|r&mask2of(shift2)]
+		ent := [1]uint32{pairResolveSlow(str, pad, shift, p, r, slow)}
+		r >>= shift2
+		cnt = pairScanTail(cells, ent[:], 0, t, cnt)
+		p = int32(ent[0] & 0xFFFF)
+		t += 2
+	}
+	if rounds&1 != 0 {
+		p, cnt = thinPadHops(pad, cells, str, p, r, shift, tEnd, tEnd+1, cnt)
+	}
+	return p, cnt
+}
+
+// thinPairRun steps one walker pair by pair from round t until round tEnd
+// or the first pair that touches a padding sentinel, which it leaves
+// unstepped; it returns the walker's position and reservoir, the round it
+// stopped at and the lane's count. Each pair's two vertices are probed in
+// the lane's cells as in pairScan64.
+func thinPairRun(pad2, cells []uint32, p int32, r uint64, shift2, t, tEnd uint32, cnt int32) (int32, uint64, uint32, int32) {
+	shift2 &= 63
+	mask2 := uint64(1)<<shift2 - 1
+	for ; t < tEnd; t += 2 {
+		ent := pad2[uint64(uint32(p))<<shift2|r&mask2]
+		if ent&0xFFFF == 0xFFFF {
+			break
+		}
+		r >>= shift2
+		mid, dst := ent>>16, ent&0xFFFF
+		s1 := cells[mid]
+		v1 := s1
+		if t < v1 {
+			v1 = t
+		}
+		cells[mid] = v1
+		var n1 int32
+		if s1 == groupUnset {
+			n1 = 1
+		}
+		s2 := cells[dst]
+		v2 := s2
+		if t+1 < v2 {
+			v2 = t + 1
+		}
+		cells[dst] = v2
+		var n2 int32
+		if s2 == groupUnset {
+			n2 = 1
+		}
+		cnt += n1 + n2
+		p = int32(dst)
+	}
+	return p, r, t, cnt
+}
+
+// thinPadHops advances one walker through rounds [t1, tEnd) on the pad
+// table alone, one lookup per round, returning its final position and the
+// lane's count: every round spends s bits of the reservoir r, and a
+// padding sentinel redraws from the walker's stream with the reservoir
+// left alone, as stepRoundDrawPad and stepRoundConsumePad do.
+func thinPadHops(pad []int32, cells []uint32, str *rng.Source, p int32, r uint64, shift, t1, tEnd uint32, cnt int32) (int32, int32) {
+	mask := uint64(1)<<shift - 1
+	for t := t1; t < tEnd; t++ {
+		np := pad[uint64(uint32(p))<<shift|r&mask]
+		for np == padSentinel {
+			np = pad[uint64(uint32(p))<<shift|str.Uint64()&mask]
+		}
+		r >>= shift
+		s := cells[np]
+		vv := s
+		if t < vv {
+			vv = t
+		}
+		cells[np] = vv
+		var nw int32
+		if s == groupUnset {
+			nw = 1
+		}
+		cnt += nw
+		p = np
+	}
+	return p, cnt
+}
+
 // mask2of is the pair-table bit mask for a doubled pad shift.
 func mask2of(shift2 uint32) uint64 { return uint64(1)<<shift2 - 1 }
 
@@ -428,14 +579,15 @@ func mask2of(shift2 uint32) uint64 { return uint64(1)<<shift2 - 1 }
 func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }
 
 // resolveCrossing marks slot s, whose count crossed its target during the
-// pass ending at round base+thi, with the exact crossing round resolved
-// from its first-visit cells: the smallest round in (base+tlo, base+thi]
-// at which the running distinct count reached the target. Counts are
-// monotone, so the crossing pass is always the pass that detects it.
+// span of rounds ending at round base+thi, with the exact crossing round
+// resolved from its first-visit cells: the smallest round in
+// (base+tlo, base+thi] at which the running distinct count reached the
+// target. Counts are monotone, so the crossing span is always the span
+// that detects it.
 func (cov *GroupCoverObserver) resolveCrossing(s int32, base int64, tlo, thi uint32) {
 	// Count visits no later than each candidate round in one sweep.
 	span := int(thi - tlo)
-	var at [2]int32 // span is 1 (single pass) or 2 (pair pass)
+	var at [64]int32 // span is a pair pass or at most one draw group (64/s rounds)
 	before := int32(0)
 	for _, f := range cov.laneCells(s) {
 		if f <= tlo {
@@ -502,7 +654,11 @@ func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCov
 				cov.rebaseSlot(sl, base)
 			}
 			b := min(group, maxRounds-t0)
-			e.laneGroup(gst, cov, ln, sl, base, uint32(t0-base), int(b/2), b%2 == 1)
+			if gst.laneK < thinLaneWalkers {
+				e.laneGroupThin(gst, cov, ln, sl, base, uint32(t0-base), uint32(b))
+			} else {
+				e.laneGroup(gst, cov, ln, sl, base, uint32(t0-base), int(b/2), b%2 == 1)
+			}
 		}
 		trial := int(gst.laneTrial[ln])
 		if s := cov.slots[sl].done; s >= 0 {

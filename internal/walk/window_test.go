@@ -8,14 +8,15 @@ import (
 	"manywalks/internal/graph"
 )
 
-// windowAnswers runs every lane kind on e — cover (fused and generic),
-// first-visit, threshold, multi-target, hit, meet and coalesce — as single
-// runs and as multi-lane passes, and returns the answers as text.
+// windowAnswers runs every lane kind on e — cover (thin and wide fused
+// lanes, and generic), first-visit, threshold, multi-target, hit, meet and
+// coalesce — as single runs and as multi-lane passes, and returns the
+// answers as text.
 func windowAnswers(t *testing.T, e *Engine, workers int) []string {
 	t.Helper()
 	n := e.Graph().N()
 	starts := []int32{0, int32(n / 3), int32(n / 2)}
-	wide := commonStarts(1, 9) // k >= minFusedLaneWalkers: fused when the pair table allows
+	wide := commonStarts(1, 9) // k >= thinLaneWalkers: 64-wide fused lanes when the pair table allows
 	marked := make([]bool, n)
 	marked[n-1] = true
 	const seed, budget = 41, int64(1) << 40
@@ -97,6 +98,7 @@ func TestWindowRebaseMatchesDefaultWindow(t *testing.T) {
 	}{
 		{"margulis-pad", graph.MargulisExpander(8), Uniform()},
 		{"cycle-pad", graph.Cycle(48), Uniform()},
+		{"lollipop-pad-only", graph.Lollipop(64, 64), Uniform()},
 		{"complete-csr", graph.Complete(2048, true), Uniform()},
 		{"lollipop-lazy", graph.Lollipop(10, 8), Lazy(0.3)},
 	} {
