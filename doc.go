@@ -48,8 +48,9 @@
 // convenience one-shot form). The Monte Carlo estimators (CoverTime,
 // KCoverTime, HittingTime, PartialCoverTime, ...) all run on the engine
 // internally — and their trials are *fused*: every trial's walkers step
-// together as lanes of one wide engine pass (sharded across a worker pool
-// by lane), finished trials retire at batch barriers so the heavy tail of
+// together as lanes of one wide engine pass (split by lane across workers
+// that each own their lanes for the whole pass), finished trials retire at
+// the end of their worker's batch so the heavy tail of
 // slow trials costs only its own rounds, and each per-trial sample stays
 // bit-for-bit identical to a single run of that trial. Single-walker estimators (hitting times,
 // k = 1 cover) gain the most — fusing their trials turns a latency-bound

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"manywalks/internal/netsim"
@@ -43,41 +44,47 @@ func queryBucket(graphID string, n int, targets []int32, k, ttl int, seeds []uin
 // query-kind dispatch pass must perform exactly 0 allocations — the lane
 // seeds, placements, spec template, grouped result, and observer all come
 // from reused arena capacity, and RunGroupedInto's internals are pooled.
-// The gate runs at Workers=1, where the whole pass executes on the calling
-// goroutine; multicore passes add only the runtime's goroutine-spawn
-// wrappers (one per worker per barrier), which is why the arena — not the
-// shard spawn — is what the steady-state contract gates. Estimate-kind
-// answers are exempt: walk.EstimateFromTrials allocates its sample slice
-// by design.
+// It runs at Workers 1, and at Workers 2 on a pass of three lanes, which
+// the walk package's width rule keeps on the calling goroutine as it keeps
+// the served passes of a few lanes. A pass wide enough to take more
+// workers adds only the runtime's goroutine-spawn wrappers, one per extra
+// worker per chunk of lanes, which is why the arena — not the shard spawn
+// — is what the steady-state contract gates. Estimate-kind answers are
+// exempt: walk.EstimateFromTrials allocates its sample slice by design.
 func TestRunBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; gate runs in non-race builds")
 	}
-	s := newTestServer(t, Options{Workers: 1})
-	g := testGraphs()["expander64"]
-	seeds := make([]uint64, 8)
-	for i := range seeds {
-		seeds[i] = uint64(i) * 977
-	}
-	b := queryBucket("expander64", g.N(), []int32{32, 49}, 4, 512, seeds)
-	drain := func() {
-		for _, r := range b.reqs {
-			a := <-r.done
-			if a.err != nil {
-				t.Fatalf("pass failed: %v", a.err)
+	for _, c := range []struct{ workers, lanes int }{{1, 8}, {2, 3}} {
+		t.Run(fmt.Sprintf("w%d", c.workers), func(t *testing.T) {
+			s := newTestServer(t, Options{Workers: c.workers})
+			g := testGraphs()["expander64"]
+			seeds := make([]uint64, c.lanes)
+			for i := range seeds {
+				seeds[i] = uint64(i) * 977
 			}
-		}
-	}
-	// Warm the engine cache, the arena pool, and the walk package's
-	// grouped-state pool (AllocsPerRun also runs one warm-up pass of its own).
-	s.runBatch(b)
-	drain()
-	allocs := testing.AllocsPerRun(20, func() {
-		s.runBatch(b)
-		drain()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state dispatch pass allocates %v times; want 0", allocs)
+			b := queryBucket("expander64", g.N(), []int32{32, 49}, 4, 512, seeds)
+			drain := func() {
+				for _, r := range b.reqs {
+					a := <-r.done
+					if a.err != nil {
+						t.Fatalf("pass failed: %v", a.err)
+					}
+				}
+			}
+			// Warm the engine cache, the arena pool, and the walk package's
+			// grouped-state pool (AllocsPerRun also runs one warm-up pass of
+			// its own).
+			s.runBatch(b)
+			drain()
+			allocs := testing.AllocsPerRun(20, func() {
+				s.runBatch(b)
+				drain()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state dispatch pass allocates %v times; want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -46,16 +46,19 @@ import (
 type EngineOptions struct {
 	// Workers caps the goroutines stepping the lane shards of a grouped
 	// pass (the default of GroupedRunSpec.Workers). 0 or negative selects
-	// runtime.NumCPU(). A single run (Run and the KCover/KHit/...
-	// wrappers) is one lane and steps on the calling goroutine.
+	// runtime.NumCPU(). A pass spawns each worker once per chunk of lanes,
+	// and only as many as its width pays for: a pass of a few thin lanes,
+	// or a single run (Run and the KCover/KHit/... wrappers, one lane),
+	// steps on the calling goroutine.
 	Workers int
-	// BatchRounds is the number of rounds advanced between barriers,
-	// rounded up to a whole number of draw groups (the rounds one 64-bit
-	// draw funds — 2 in CSR mode, 64/s for a padded table of stride 2^s,
-	// so up to 64; non-uniform kernels draw fresh every round, so their
-	// group is 1). 0 or negative selects the default: 64 for multi-worker
-	// passes, 16 for single-worker passes and single runs. Larger batches
-	// amortize the barrier; results are unaffected either way.
+	// BatchRounds is the number of rounds a worker steps its lanes between
+	// retirements, where it records and compacts out the lanes that have
+	// stopped; it is rounded up to a whole number of draw groups (the
+	// rounds one 64-bit draw funds — 2 in CSR mode, 64/s for a padded
+	// table of stride 2^s, so up to 64; non-uniform kernels draw fresh
+	// every round, so their group is 1). 0 or negative selects 16. Workers
+	// never wait on one another between batches, and results are
+	// unaffected either way.
 	BatchRounds int
 	// Kernel is the step law the engine compiles (see kernel.go). The
 	// zero value is Uniform(). Every kernel keeps the engine's
@@ -66,8 +69,7 @@ type EngineOptions struct {
 }
 
 const (
-	defaultBatchRounds    = 64
-	defaultSeqBatchRounds = 16
+	defaultRetireRounds = 16
 	// maxWindowRounds bounds the rounds of one window: the cover cells and
 	// the fused pair loops hold rounds relative to a lane base in 32 bits,
 	// staged through signed arithmetic, so a window stays below 2^31.
@@ -94,17 +96,16 @@ type Engine struct {
 	// with a single dependent load; sentinel slots redraw, keeping the
 	// choice exactly uniform. Built only when the table stays small
 	// enough to be worth it (maxPadEntries).
-	pad      []int32
-	padShift uint32
-	group    int           // rounds funded by one 64-bit draw; batches span whole groups
-	prog     kernelProgram // compiled step law: alias tables, lazy threshold, prev-lane flag
-	workers  int
-	batch    int   // rounds per barrier for multi-worker passes
-	seqBatch int   // rounds per barrier for single-worker passes
-	window   int64 // rounds between lane-base moves: a multiple of group, at most maxWindowRounds
-	g        *graph.Graph
-	kernel   Kernel
-	pair     pairTable // lazily built two-step table for the fused cover path
+	pad          []int32
+	padShift     uint32
+	group        int           // rounds funded by one 64-bit draw; batches span whole groups
+	prog         kernelProgram // compiled step law: alias tables, lazy threshold, prev-lane flag
+	workers      int
+	retireRounds int   // rounds a worker steps between retirements (BatchRounds)
+	window       int64 // rounds between lane-base moves: a multiple of group, at most maxWindowRounds
+	g            *graph.Graph
+	kernel       Kernel
+	pair         pairTable // lazily built two-step table for the fused cover path
 }
 
 const (
@@ -130,13 +131,9 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	batch := opts.BatchRounds
-	seqBatch := batch
-	if batch <= 0 {
-		// Unset: big batches amortize the multi-worker barrier, while a
-		// single-worker pass has no barrier to amortize and prefers the
-		// finer granularity of short batches.
-		batch, seqBatch = defaultBatchRounds, defaultSeqBatchRounds
+	retire := opts.BatchRounds
+	if retire <= 0 {
+		retire = defaultRetireRounds
 	}
 	kernel := KernelOrUniform(opts.Kernel)
 	prog, err := compileKernel(g, kernel)
@@ -157,21 +154,8 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 		if shift == 0 {
 			shift = 1 // a stride-1 table still banks one (unused) bit per round
 		}
-		if stride := 1 << shift; n<<shift <= maxPadEntries {
-			pad := make([]int32, n<<shift)
-			for v := 0; v < n; v++ {
-				nb := adj[offsets[v]:offsets[v+1]]
-				deg := len(nb)
-				filled := (stride / deg) * deg
-				row := pad[v<<shift : (v+1)<<shift]
-				for s := 0; s < filled; s++ {
-					row[s] = nb[s%deg]
-				}
-				for s := filled; s < stride; s++ {
-					row[s] = padSentinel
-				}
-			}
-			e.pad, e.padShift = pad, shift
+		if n<<shift <= maxPadEntries {
+			e.pad, e.padShift = buildPadTable(offsets, adj, shift), shift
 			if prog.kind == progUniform {
 				e.group = 64 / int(shift)
 			}
@@ -179,10 +163,32 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	}
 	// Batches and windows span whole groups, so every window edge falls on
 	// a batch boundary and a draw group never straddles a lane's base move.
-	roundUp := func(b int) int { return (b + e.group - 1) / e.group * e.group }
-	e.batch, e.seqBatch = roundUp(batch), roundUp(seqBatch)
+	e.retireRounds = (retire + e.group - 1) / e.group * e.group
 	e.window = maxWindowRounds / int64(e.group) * int64(e.group)
 	return e
+}
+
+// buildPadTable lays out the padded neighbor table of stride 1<<shift: row
+// v repeats v's neighbor list whole (slot s holds neighbor s mod deg) as
+// many times as fits in the stride and fills the remaining slots with
+// padSentinel. Each row is filled by doubling copies of its first repeat,
+// with no division per slot.
+func buildPadTable(offsets, adj []int32, shift uint32) []int32 {
+	n := len(offsets) - 1
+	stride := 1 << shift
+	pad := make([]int32, n<<shift)
+	for v := 0; v < n; v++ {
+		nb := adj[offsets[v]:offsets[v+1]]
+		filled := stride / len(nb) * len(nb)
+		row := pad[v<<shift : (v+1)<<shift]
+		for done := copy(row[:filled], nb); done < filled; {
+			done += copy(row[done:filled], row[:done])
+		}
+		for s := filled; s < stride; s++ {
+			row[s] = padSentinel
+		}
+	}
+	return pad
 }
 
 // wantsPadTable reports whether a compiled kernel samples uniform neighbors

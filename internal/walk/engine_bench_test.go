@@ -274,6 +274,59 @@ func BenchmarkEstimateHittingTime(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateKMeetingTime times the meeting estimator at the shape
+// of the simulate workload's meeting job — 12,800 trials of k = 8 walkers
+// spread evenly over the Table-1 expander — at Workers 1 and 2. Collision
+// lanes run the generic driver.
+func BenchmarkEstimateKMeetingTime(b *testing.B) {
+	g := graph.MargulisExpander(24)
+	const trials, k = 12800, 8
+	starts := make([]int32, k)
+	for i := range starts {
+		starts[i] = int32(i * g.N() / k)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			benchEstimates(b, trials, func(seed uint64) (Estimate, error) {
+				return EstimateKMeetingTime(g, starts, MCOptions{
+					Trials: trials, Workers: workers, Seed: seed, MaxSteps: 1 << 30,
+				})
+			})
+		})
+	}
+}
+
+// BenchmarkEstimateKernelKCoverTime times two non-uniform cover estimates
+// of the simulate workload, which run the generic driver, at Workers 1
+// and 2: the metropolis walk on lollipop:64:64 (k = 4, 128 trials) and the
+// lazy walk on the Table-1 expander (k = 16, 320 trials). Each op compiles
+// its kernel, as the estimator does.
+func BenchmarkEstimateKernelKCoverTime(b *testing.B) {
+	for _, row := range []struct {
+		name      string
+		g         *graph.Graph
+		kern      string
+		k, trials int
+	}{
+		{"metropolis_lollipop64_k4", graph.Lollipop(64, 64), "metropolis", 4, 128},
+		{"lazy_expander576_k16", graph.MargulisExpander(24), "lazy:0.5", 16, 320},
+	} {
+		kern, err := ParseKernel(row.kern)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s_w%d", row.name, workers), func(b *testing.B) {
+				benchEstimates(b, row.trials, func(seed uint64) (Estimate, error) {
+					return EstimateKernelKCoverTime(row.g, kern, 0, row.k, MCOptions{
+						Trials: row.trials, Workers: workers, Seed: seed, MaxSteps: 1 << 30,
+					})
+				})
+			})
+		}
+	}
+}
+
 // BenchmarkGenerateCorpus times GenerateCorpus end to end — grouped passes
 // and the encoder — for 10 walks of length 80 from every vertex of the
 // 4096-vertex expander, streamed to io.Discard so the row measures

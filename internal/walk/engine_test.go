@@ -3,6 +3,7 @@ package walk
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -119,6 +120,44 @@ func engineReplayGraphs(t *testing.T) map[string]*graph.Graph {
 		"chords":   graph.CycleWithChords(13),  // padded, degrees 2 and 3
 	}
 	return gs
+}
+
+// TestPadTableMatchesModuloLayout pins the engine's padded table, filled
+// by doubling copies, to its definition: slot s of vertex v's row holds
+// v's (s mod deg)-th neighbor for s < deg·⌊stride/deg⌋ and padSentinel
+// after. It checks the grouped test families and a large irregular graph
+// whose rows mix many degrees.
+func TestPadTableMatchesModuloLayout(t *testing.T) {
+	er, err := graph.ConnectedErdosRenyi(20000, 0.001, rng.NewStream(5, 0), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"erdosrenyi20000": er}
+	for _, fam := range groupedTestFamilies() {
+		graphs[fam.name], _ = fam.build()
+	}
+	for name, g := range graphs {
+		e := NewEngine(g, EngineOptions{Workers: 1})
+		if e.pad == nil {
+			t.Fatalf("%s: no pad table", name)
+		}
+		offsets, adj := g.CSR()
+		stride := 1 << e.padShift
+		want := make([]int32, g.N()*stride)
+		for v := 0; v < g.N(); v++ {
+			nb := adj[offsets[v]:offsets[v+1]]
+			deg := len(nb)
+			for s := 0; s < stride; s++ {
+				want[v*stride+s] = padSentinel
+				if s < stride/deg*deg {
+					want[v*stride+s] = nb[s%deg]
+				}
+			}
+		}
+		if !slices.Equal(e.pad, want) {
+			t.Errorf("%s: pad table differs from the s mod deg layout", name)
+		}
+	}
 }
 
 func TestEngineMatchesWalkerReplay(t *testing.T) {
@@ -280,6 +319,15 @@ func TestEngineEdgeCases(t *testing.T) {
 		}
 		if v != 2 && f != -1 {
 			t.Fatal("non-start must be unvisited")
+		}
+	}
+	// A budget <= 0 observes only the placement, on the fused path a lone
+	// cover observer takes as on the generic one.
+	for _, budget := range []int64{0, -5} {
+		cov := NewCoverObserver()
+		res, err := eng.Run(RunSpec{Starts: []int32{0, 3}, Seed: 1, MaxRounds: budget}, cov)
+		if err != nil || res.Stopped || res.Rounds != budget || cov.Count() != 2 {
+			t.Fatalf("budget %d: %+v, count %d, err %v", budget, res, cov.Count(), err)
 		}
 	}
 	// Partial cover: target 1 is satisfied by the start itself.

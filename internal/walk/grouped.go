@@ -23,15 +23,24 @@ import (
 // pass whose engine seed is the run's seed, so every estimator trial is
 // bit-for-bit the single run the MonteCarlo stream derivation describes.
 //
-// Trials are independent, so lanes never interact: each lane is scanned by
-// the worker that owns it, all bookkeeping is lane-private, and a lane's
-// outcome cannot depend on Workers or batch partitioning. After every
-// round a lane's stop rule (StopWhenAll for RunGrouped, the RunSpec's for
-// Engine.Run) is evaluated from its observers' satisfaction rounds; from
-// then on the observers ignore the lane, and at the next barrier it
-// *retires*: its result is recorded and the position/stream/reservoir/
-// observer lanes swap-compact (the last active lane moves into its slot),
-// so the heavy tail of slow trials never drags the width of the pass.
+// Trials are independent, so lanes never interact, and the driver runs a
+// chunk of lanes on its workers with no barrier between them: each worker
+// is spawned once per chunk and owns a contiguous lane range for the
+// chunk's life. It steps its lanes, and after every round evaluates a
+// lane's stop rule (StopWhenAll for RunGrouped, the RunSpec's for
+// Engine.Run) from its observers' satisfaction rounds; from then on the
+// observers ignore the lane, and at the worker's next batch end (on the
+// fused path, once the worker's lanes have run) it *retires*: its result is recorded into trial-indexed storage and the
+// position/stream/reservoir/observer lanes swap-compact within the range
+// (the range's last running lane moves into its slot), so the heavy tail
+// of slow trials never drags the width of the pass. A worker censors the
+// lanes its range still runs at the budget. All bookkeeping is
+// lane-private or worker-private and every output slot is trial-indexed,
+// so a lane's outcome cannot depend on Workers, the lane split or batch
+// lengths. A chunk takes a second worker only when its running lanes hold
+// at least 2·minShardWalkers walkers (shardWorkers): a thinner chunk, such
+// as a served query pass of a few one-walker lanes, steps on the calling
+// goroutine.
 //
 // Two step paths drive the lanes. A lone count-goal cover observer under
 // the uniform kernel runs the fused loops of groupedfused.go (pair
@@ -40,9 +49,10 @@ import (
 // pair table and step in 64-wide chunks, thinner lanes step walker-major
 // on the pair table or, failing that, a small pad table. Everything else —
 // the non-uniform kernels, CSR-mode graphs, larger tables, and every other
-// observer set — runs the generic path below: the engine's stepRound over
-// the whole active width, with per-round lane scans. Both paths produce
-// identical per-trial results.
+// observer set — runs the generic path below: each worker steps its
+// running lanes round-major through the engine's stepRound, with per-round
+// lane scans. The fused path runs one lane's whole life before the next
+// lane's. Both paths produce identical per-trial results.
 //
 // Rounds are int64 everywhere except the cover observer's first-visit
 // cells and the fused pair loops, which hold round t relative to the
@@ -89,7 +99,8 @@ type GroupedRunSpec struct {
 	// MaxRounds is the per-trial round budget (required, > 0).
 	MaxRounds int64
 	// Workers caps the goroutines stepping lane shards (0: the engine's
-	// worker count). Results never depend on it.
+	// worker count); a chunk too thin to pay for a spawn takes fewer
+	// (shardWorkers). Results never depend on it.
 	Workers int
 }
 
@@ -123,18 +134,20 @@ type GroupObserver interface {
 	// scanRound is called by worker w after round t's step pass with lanes
 	// [loLane, hiLane) fresh in gs.pos. It skips lanes whose stop rule has
 	// fired (gs.stopAt[ln] >= 0), touches only lane-private and
-	// worker-private state, and appends to gs.fired[w] every lane whose
-	// predicate first held at round t.
+	// worker-private state, and reports through gs.fire(w, ln) every lane
+	// whose predicate first held at round t.
 	scanRound(gs *groupState, loLane, hiLane, w int, t int64)
 	// laneSatisfied returns the first round lane ln's predicate held, or
 	// -1. Monotone per lane.
 	laneSatisfied(ln int) int64
 	// finishLane records lane ln's state at round rounds — the round its
 	// stop rule fired, or the budget — into trial-indexed storage at
-	// retirement (single-threaded, at a barrier).
+	// retirement. The worker owning the lane calls it, so concurrent calls
+	// always write distinct trials.
 	finishLane(ln, trial int, rounds int64, stopped bool)
 	// moveLane relocates lane src's state onto slot dst during compaction
-	// (slot indirections swap; no lane content is copied).
+	// within one worker's range (slot indirections swap; no lane content is
+	// copied).
 	moveLane(dst, src int)
 }
 
@@ -177,17 +190,32 @@ type walkers struct {
 }
 
 // groupState is the mutable state of one chunk of a pass: the walker
-// arrays sized lanes × k plus the lane bookkeeping.
+// arrays sized lanes × k plus the lane bookkeeping. Lane j owns walkers
+// [j*laneK, (j+1)*laneK); each worker reads and writes only the lanes of
+// its own range and its own shardScratch.
 type groupState struct {
 	walkers
-	laneK      int        // walkers per lane
-	lanes      int        // active lanes; lane j owns walkers [j*laneK, (j+1)*laneK)
-	laneTrial  []int32    // active lane -> trial index
-	stopAt     []int64    // active lane -> round its stop rule fired, -1 while it runs
-	fired      [][]int32  // per worker: lanes whose observers' predicates first held this round
-	laneStarts []int32    // seeding scratch, len laneK
-	driver     rng.Source // per-trial driver-stream scratch (pooled: its pointer flows into spec.Place, so a local would escape)
+	laneK      int            // walkers per lane
+	laneTrial  []int32        // lane -> trial index
+	stopAt     []int64        // lane -> round its stop rule fired, -1 while it runs
+	shards     []shardScratch // per worker
+	laneStarts []int32        // seeding scratch, len laneK
+	driver     rng.Source     // per-trial driver-stream scratch (pooled: its pointer flows into spec.Place, so a local would escape)
 	wg         sync.WaitGroup
+}
+
+// shardScratch is one worker's private scratch, padded to a cache line's
+// length so that no two workers' fired-list headers share a line: a
+// worker appending to its list never writes a line another worker reads.
+type shardScratch struct {
+	fired []int32 // lanes whose observers' predicates first held this round
+	_     [64 - 24]byte
+}
+
+// fire reports that lane ln's observer predicate first held in the round
+// worker w is scanning.
+func (gs *groupState) fire(w, ln int) {
+	gs.shards[w].fired = append(gs.shards[w].fired, int32(ln))
 }
 
 // groupPool recycles chunk state (*groupState) across the passes of every
@@ -207,7 +235,6 @@ func (e *Engine) newGroupState(lanes, k, workers int) *groupState {
 	}
 	width := lanes * k
 	gst.laneK = k
-	gst.lanes = lanes
 	gst.pos = growSlice(gst.pos, width)
 	gst.streams = growSlice(gst.streams, width)
 	gst.res = growSlice(gst.res, width)
@@ -219,9 +246,9 @@ func (e *Engine) newGroupState(lanes, k, workers int) *groupState {
 	}
 	gst.laneTrial = growSlice(gst.laneTrial, lanes)
 	gst.stopAt = growSlice(gst.stopAt, lanes)
-	gst.fired = growSlice(gst.fired, max(workers, 1))
-	for w := range gst.fired {
-		gst.fired[w] = gst.fired[w][:0]
+	gst.shards = growSlice(gst.shards, max(workers, 1))
+	for w := range gst.shards {
+		gst.shards[w].fired = gst.shards[w].fired[:0]
 	}
 	gst.laneStarts = growSlice(gst.laneStarts, k)
 	return gst
@@ -239,11 +266,10 @@ func growSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// retireLane compacts lane ln out of the active set: the last active
-// lane's walker state moves into its slot. The retired lane's walker state
-// is dead — its result is already recorded.
-func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
-	last := gst.lanes - 1
+// retireLane compacts lane ln out of a worker's running lanes, whose last
+// is lane last: that lane's walker state moves into ln's slot. The retired
+// lane's walker state is dead — its result is already recorded.
+func (gst *groupState) retireLane(ln, last int, obs []GroupObserver) {
 	if ln != last {
 		k := gst.laneK
 		d, s := ln*k, last*k
@@ -259,7 +285,6 @@ func (gst *groupState) retireLane(ln int, obs []GroupObserver) {
 			o.moveLane(ln, last)
 		}
 	}
-	gst.lanes--
 }
 
 // groupChunkLanes bounds the number of concurrent lanes so the pass stays
@@ -377,7 +402,9 @@ func (e *Engine) runPass(spec GroupedRunSpec, stop StopCondition, res *GroupedRe
 		}
 	}
 	chunk := groupChunkLanes(spec.Trials, k, cellsPerLane)
-	workers := min(spec.Workers, chunk)
+	// The first chunk is the widest, so no chunk takes more workers than
+	// it could.
+	workers := shardWorkers(chunk, k, spec.Workers)
 	for _, o := range observers {
 		o.bindGroup(e, spec.Trials, chunk, k, workers)
 	}
@@ -388,7 +415,7 @@ func (e *Engine) runPass(spec GroupedRunSpec, stop StopCondition, res *GroupedRe
 	defer groupPool.Put(gst)
 	for c0 := 0; c0 < spec.Trials; c0 += chunk {
 		m := min(chunk, spec.Trials-c0)
-		if err := e.runGroupedChunk(gst, &spec, stop, observers, res, c0, m); err != nil {
+		if err := e.runGroupedChunk(gst, &spec, stop, observers, res, c0, m, workers); err != nil {
 			return err
 		}
 	}
@@ -443,29 +470,31 @@ func (e *Engine) seedLane(gst *groupState, spec *GroupedRunSpec, ln, trial int) 
 	return nil
 }
 
-// retireStopped records and compacts every active lane whose stop rule
-// has fired (single-threaded; called at barriers).
-func retireStopped(gst *groupState, obs []GroupObserver, res *GroupedResult) {
-	for ln := 0; ln < gst.lanes; {
-		s := gst.stopAt[ln]
-		if s < 0 {
-			ln++
-			continue
-		}
-		trial := int(gst.laneTrial[ln])
-		res.Rounds[trial] = s
-		res.Stopped[trial] = true
-		for _, o := range obs {
-			o.finishLane(ln, trial, s, true)
-		}
-		gst.retireLane(ln, obs)
-	}
+// minShardWalkers is the fewest walkers a worker's share of a chunk may
+// hold: a thinner shard would pay for its goroutine's spawn and wake-up
+// with less stepping than it saves, and on a busy machine would compete
+// with the caller for a core it does not need.
+const minShardWalkers = 16
+
+// shardWorkers returns how many workers a chunk whose running lanes are
+// live lanes of k walkers runs on: at most workers, at most one per lane,
+// and at most one per minShardWalkers walkers — so a pass of a few
+// one-walker lanes stays on the calling goroutine. The rule reads only the
+// chunk's shape, and lane ownership fixes every answer, so the worker
+// count never changes a result.
+func shardWorkers(live, k, workers int) int {
+	return max(1, min(workers, live, live*k/minShardWalkers))
 }
 
-// runGroupedChunk drives trials [c0, c0+m) to completion.
-func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop StopCondition, obs []GroupObserver, res *GroupedResult, c0, m int) error {
+// runGroupedChunk drives trials [c0, c0+m) to completion on at most
+// workers workers. The calling goroutine seeds every lane (so Place and
+// StartsFor are never called concurrently), then spawns each further
+// worker once; every worker, the caller included, drives its own
+// contiguous lane range to the end (laneShard), and the chunk ends when the
+// last one has.
+func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop StopCondition, obs []GroupObserver, res *GroupedResult, c0, m, workers int) error {
 	k := gst.laneK
-	gst.lanes = m
+	live := 0
 	for ln := 0; ln < m; ln++ {
 		if err := e.seedLane(gst, spec, ln, c0+ln); err != nil {
 			return err
@@ -474,35 +503,31 @@ func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop Sto
 			o.startLane(ln, c0+ln, gst.pos[ln*k:(ln+1)*k])
 		}
 		gst.stopAt[ln] = stop.laneStop(obs, ln)
+		if gst.stopAt[ln] < 0 {
+			live++
+		}
 	}
-	retireStopped(gst, obs, res)
 
 	// A lone observer that can prove it will never be satisfied (a hit
 	// observer with an empty marked set) cannot change by stepping: censor
 	// its trials without stepping the budget down.
-	hopeless := false
-	if ns, ok := obs[0].(neverSatisfiable); ok && len(obs) == 1 {
-		hopeless = ns.neverSatisfied()
+	if ns, ok := obs[0].(neverSatisfiable); ok && len(obs) == 1 && ns.neverSatisfied() {
+		censorLanes(gst, obs, res, spec.MaxRounds, 0, retireStopped(gst, obs, res, 0, m))
+		return nil
 	}
-	if gst.lanes > 0 && !hopeless {
-		if cov := e.fusedCoverObserver(k, stop, obs); cov != nil {
-			e.runGroupedFusedCover(gst, spec, cov, res)
-		} else {
-			e.runGroupedGeneric(gst, spec, stop, obs, res)
-		}
+	var cov *GroupCoverObserver
+	if live > 0 {
+		cov = e.fusedCoverObserver(k, stop, obs)
 	}
-
-	// Budget exhausted: the trials still active are censored at MaxRounds;
-	// a budget <= 0 leaves the observers at their round-0 state.
-	for ln := 0; ln < gst.lanes; ln++ {
-		trial := int(gst.laneTrial[ln])
-		res.Rounds[trial] = spec.MaxRounds
-		res.Stopped[trial] = false
-		for _, o := range obs {
-			o.finishLane(ln, trial, max(spec.MaxRounds, 0), false)
-		}
+	workers = shardWorkers(live, k, workers)
+	for w := 1; w < workers; w++ {
+		lo, hi := laneShardSpan(m, workers, w)
+		gst.wg.Add(1)
+		go e.laneShardAsync(gst, stop, obs, cov, res, spec.MaxRounds, w, lo, hi)
 	}
-	gst.lanes = 0
+	lo, hi := laneShardSpan(m, workers, 0)
+	e.laneShard(gst, stop, obs, cov, res, spec.MaxRounds, 0, lo, hi)
+	gst.wg.Wait()
 	return nil
 }
 
@@ -518,50 +543,83 @@ func laneShardSpan(lanes, workers, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// runGroupedGeneric is the kernel-agnostic driver: every batch, each
-// worker advances its lane range round-major through the engine's
-// stepRound and hands each fresh round to the observers' lane scans; the
-// barrier retires stopped lanes and compacts. Batches never cross a window
-// edge, where the cells of the lanes still running are rebased. Shards are
-// spawned as direct method calls — not closures — so a barrier costs the
-// runtime's goroutine wrappers and nothing else, and the Workers=1 path
-// performs no allocation at all.
-func (e *Engine) runGroupedGeneric(gst *groupState, spec *GroupedRunSpec, stop StopCondition, obs []GroupObserver, res *GroupedResult) {
-	// Multicore passes step the engine's full parallel batch between
-	// barriers to amortize spawn cost; the singleton path keeps the shorter
-	// sequential batch. Batch size only moves the barriers — per-trial
-	// outcomes are invariant.
-	batch := int64(e.seqBatch)
-	if spec.Workers > 1 {
-		batch = int64(e.batch)
-	}
-	for t0 := int64(0); gst.lanes > 0 && t0 < spec.MaxRounds; {
-		if t0 > 0 && t0%e.window == 0 {
-			for _, o := range obs {
-				if wo, ok := o.(windowed); ok {
-					for ln := 0; ln < gst.lanes; ln++ {
-						wo.rebaseLane(ln, t0)
+// laneShard is worker w's whole part of a chunk: it drives lanes
+// [lo, hi) to completion and records every one of their trials. It
+// retires the lanes stopped at round 0 and steps the rest. On the fused
+// cover path (cov set) each lane runs to its end before the next starts,
+// and the covered lanes retire after. On the generic path the lanes step
+// round-major through the engine's stepRound in batches, which never
+// cross a window edge, where the running lanes' cells are rebased; the
+// lanes whose stop rule fired retire at every batch end. The lanes still
+// running at the budget are censored. laneShard touches only its own
+// lanes, their trials' outputs and worker w's scratch, so it never waits
+// on another worker.
+func (e *Engine) laneShard(gst *groupState, stop StopCondition, obs []GroupObserver, cov *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, lo, hi int) {
+	hi = retireStopped(gst, obs, res, lo, hi)
+	if cov != nil {
+		e.fusedCoverShard(gst, maxRounds, cov, lo, hi)
+		hi = retireStopped(gst, obs, res, lo, hi)
+	} else {
+		batch := int64(e.retireRounds)
+		for t0 := int64(0); lo < hi && t0 < maxRounds; {
+			if t0 > 0 && t0%e.window == 0 {
+				for _, o := range obs {
+					if wo, ok := o.(windowed); ok {
+						for ln := lo; ln < hi; ln++ {
+							wo.rebaseLane(ln, t0)
+						}
 					}
 				}
 			}
+			b := min(batch, maxRounds-t0, e.window-t0%e.window)
+			e.genericShard(gst, stop, obs, int(b), t0, w, lo, hi)
+			t0 += b
+			hi = retireStopped(gst, obs, res, lo, hi)
 		}
-		b := min(batch, spec.MaxRounds-t0, e.window-t0%e.window)
-		workers := min(spec.Workers, gst.lanes)
-		if workers <= 1 {
-			e.genericShard(gst, stop, obs, int(b), t0, 0, 0, gst.lanes)
-		} else {
-			for w := 0; w < workers; w++ {
-				lo, hi := laneShardSpan(gst.lanes, workers, w)
-				if lo == hi {
-					continue
-				}
-				gst.wg.Add(1)
-				go e.genericShardAsync(gst, stop, obs, int(b), t0, w, lo, hi)
-			}
-			gst.wg.Wait()
+	}
+	censorLanes(gst, obs, res, maxRounds, lo, hi)
+}
+
+// laneShardAsync is laneShard for a spawned worker, which reports its end
+// to the chunk's wait group.
+func (e *Engine) laneShardAsync(gst *groupState, stop StopCondition, obs []GroupObserver, cov *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, lo, hi int) {
+	defer gst.wg.Done()
+	e.laneShard(gst, stop, obs, cov, res, maxRounds, w, lo, hi)
+}
+
+// retireStopped records every lane of the running range [lo, hi) whose
+// stop rule has fired and compacts it out of the range, and returns the
+// range's new end.
+func retireStopped(gst *groupState, obs []GroupObserver, res *GroupedResult, lo, hi int) int {
+	for ln := lo; ln < hi; {
+		s := gst.stopAt[ln]
+		if s < 0 {
+			ln++
+			continue
 		}
-		t0 += b
-		retireStopped(gst, obs, res)
+		trial := int(gst.laneTrial[ln])
+		res.Rounds[trial] = s
+		res.Stopped[trial] = true
+		for _, o := range obs {
+			o.finishLane(ln, trial, s, true)
+		}
+		hi--
+		gst.retireLane(ln, hi, obs)
+	}
+	return hi
+}
+
+// censorLanes records lanes [lo, hi), still running when the budget ran
+// out, as censored at maxRounds; a budget <= 0 leaves the observers at
+// their round-0 state.
+func censorLanes(gst *groupState, obs []GroupObserver, res *GroupedResult, maxRounds int64, lo, hi int) {
+	for ln := lo; ln < hi; ln++ {
+		trial := int(gst.laneTrial[ln])
+		res.Rounds[trial] = maxRounds
+		res.Stopped[trial] = false
+		for _, o := range obs {
+			o.finishLane(ln, trial, max(maxRounds, 0), false)
+		}
 	}
 }
 
@@ -576,13 +634,14 @@ func (e *Engine) genericShard(gst *groupState, stop StopCondition, obs []GroupOb
 	k := gst.laneK
 	lo, hi := loLane*k, hiLane*k
 	live := hiLane - loLane
+	sh := &gst.shards[w]
 	for j := 0; j < b; j++ {
 		t := t0 + int64(j) + 1
 		e.stepRound(&gst.walkers, lo, hi, t)
 		for _, o := range obs {
 			o.scanRound(gst, loLane, hiLane, w, t)
 		}
-		if fired := gst.fired[w]; len(fired) > 0 {
+		if fired := sh.fired; len(fired) > 0 {
 			for _, ln := range fired {
 				if gst.stopAt[ln] < 0 {
 					if s := stop.laneStop(obs, int(ln)); s >= 0 {
@@ -591,19 +650,12 @@ func (e *Engine) genericShard(gst *groupState, stop StopCondition, obs []GroupOb
 					}
 				}
 			}
-			gst.fired[w] = fired[:0]
+			sh.fired = fired[:0]
 			if live == 0 {
 				return
 			}
 		}
 	}
-}
-
-// genericShardAsync is genericShard plus the barrier arrival, the form the
-// multicore spawn uses.
-func (e *Engine) genericShardAsync(gst *groupState, stop StopCondition, obs []GroupObserver, b int, t0 int64, w, loLane, hiLane int) {
-	defer gst.wg.Done()
-	e.genericShard(gst, stop, obs, b, t0, w, loLane, hiLane)
 }
 
 // ---------------------------------------------------------------------------
@@ -833,7 +885,7 @@ func (o *GroupCoverObserver) scanRound(gs *groupState, loLane, hiLane, w int, t 
 		c.count = count
 		if int(count) >= o.target && c.done < 0 {
 			c.done = t
-			gs.fired[w] = append(gs.fired[w], int32(ln))
+			gs.fire(w, ln)
 		}
 	}
 }
@@ -864,7 +916,7 @@ func (o *GroupCoverObserver) scanRoundGoals(gs *groupState, loLane, hiLane, w in
 		o.noteThresholds(s, t)
 		if c.done < 0 && o.satisfied(s) {
 			c.done = t
-			gs.fired[w] = append(gs.fired[w], int32(ln))
+			gs.fire(w, ln)
 		}
 	}
 }
@@ -1053,7 +1105,7 @@ func (o *GroupHitObserver) scanRound(gs *groupState, loLane, hiLane, w int, t in
 		}
 		if ii := scanMarked(gs.pos[ln*k:(ln+1)*k], o.bitset); ii >= 0 {
 			*h = hitRecord{round: t, vertex: gs.pos[ln*k+ii], walker: int32(ii)}
-			gs.fired[w] = append(gs.fired[w], int32(ln))
+			gs.fire(w, ln)
 		}
 	}
 }
@@ -1120,7 +1172,7 @@ type GroupCollisionObserver struct {
 
 	stamp  [][]int64 // per worker: vertex -> token of last occupancy
 	stampW [][]int32 // per worker: first walker on the vertex that token
-	token  []int64   // per worker: monotone scan counter
+	token  []int64   // per worker: monotone scan counter, stored back once per scanRound
 
 	out []collisionRecord // per trial
 }
@@ -1182,20 +1234,19 @@ func (o *GroupCollisionObserver) startLane(ln, trial int, starts []int32) {
 		parent[i] = int32(i)
 	}
 	o.slots[s] = collisionRecord{meet: -1, coal: -1, done: -1, a: -1, b: -1, vertex: -1, groups: int32(o.k)}
-	// Round-0 collisions via the worker-0 scratch (startLane runs
-	// single-threaded before the pass begins).
-	o.scanLanePositions(0, s, starts, 0)
+	// Round-0 collisions via the worker-0 scratch (startLane runs on the
+	// calling goroutine before any worker starts).
+	o.token[0]++
+	o.scanLanePositions(o.stamp[0], o.stampW[0], o.token[0], s, starts, 0)
 }
 
 // scanLanePositions folds one round of one lane into its collision state,
 // in walker order, and reports whether the lane became satisfied. Within
 // a round the first walker on a vertex is stamped, and every later walker
 // there collides with it — so the reported pair of a multi-walker pile-up
-// is (first arrival, collider) in walker-index order.
-func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int64) bool {
-	stamp, stampW := o.stamp[w], o.stampW[w]
-	o.token[w]++
-	tok := o.token[w]
+// is (first arrival, collider) in walker-index order. tok is the scan's
+// fresh token: no vertex of stamp holds it yet.
+func (o *GroupCollisionObserver) scanLanePositions(stamp []int64, stampW []int32, tok int64, s int, pos []int32, t int64) bool {
 	parent := o.parent[s*o.k : (s+1)*o.k]
 	c := &o.slots[s]
 	fired := false
@@ -1231,16 +1282,22 @@ func (o *GroupCollisionObserver) scanLanePositions(w, s int, pos []int32, t int6
 	return fired
 }
 
+// scanRound keeps worker w's token in a local for the whole round and
+// stores it back once: the workers' tokens share a cache line, and a store
+// per lane would bounce that line between them.
 func (o *GroupCollisionObserver) scanRound(gs *groupState, loLane, hiLane, w int, t int64) {
 	k := gs.laneK
+	stamp, stampW, tok := o.stamp[w], o.stampW[w], o.token[w]
 	for ln := loLane; ln < hiLane; ln++ {
 		if gs.stopAt[ln] >= 0 {
 			continue
 		}
-		if o.scanLanePositions(w, int(o.lnOff[ln]), gs.pos[ln*k:(ln+1)*k], t) {
-			gs.fired[w] = append(gs.fired[w], int32(ln))
+		tok++
+		if o.scanLanePositions(stamp, stampW, tok, int(o.lnOff[ln]), gs.pos[ln*k:(ln+1)*k], t) {
+			gs.fire(w, ln)
 		}
 	}
+	o.token[w] = tok
 }
 
 func (o *GroupCollisionObserver) laneSatisfied(ln int) int64 { return o.slots[o.lnOff[ln]].done }

@@ -40,31 +40,52 @@ func (o groupedOutcome) equal(p groupedOutcome) bool {
 }
 
 // TestGroupedDeterministicAcrossWorkers is the multicore replay grid: for
-// every kernel, graph family, observer kind, worker count, and batch
-// size, the grouped pass must be bit-for-bit equal to the Workers=1 run —
-// rounds, stop flags, cover counts, exact first-visit rounds, hit
+// every kernel, graph family, observer kind, pass shape, worker count, and
+// batch size, the grouped pass must be bit-for-bit equal to the Workers=1
+// run — rounds, stop flags, cover counts, exact first-visit rounds, hit
 // vertex/walker tie-breaks, meeting and coalescence rounds, and class
 // counts. Lane ownership, not execution order, determines every draw;
 // this grid is what makes that claim enforceable. It mirrors
 // TestEngineDeterministicAcrossConfigs one layer up.
+//
+// The pass shapes put the trial count on both sides of the width rule
+// (shardWorkers: 3 lanes of 9 walkers step on one worker, 18 on several),
+// censor most trials at a short budget, and, on the first family under
+// the uniform walk, span two chunks with a trial count no worker count of
+// the grid divides.
 func TestGroupedDeterministicAcrossWorkers(t *testing.T) {
 	const (
-		trials = 18
-		k      = 9 // >= thinLaneWalkers: uniform cover runs the 64-wide fused lanes
-		seed   = 4242
-		budget = int64(1 << 13)
+		k          = 9 // >= thinLaneWalkers: uniform cover runs the 64-wide fused lanes
+		seed       = 4242
+		longBudget = int64(1 << 13)
 	)
-	observers := []string{"cover", "hit", "meet"}
+	type passShape struct {
+		name   string
+		trials int
+		budget int64
+	}
+	shapes := []passShape{
+		{"narrow", 3, longBudget},
+		{"wide", 18, longBudget},
+		{"censored", 18, 24},
+	}
+	// 1901 trials of 9 walkers exceed one chunk's 16,384 walkers.
+	twoChunks := passShape{"twochunks", 1901, 20}
+	if twoChunks.trials <= groupChunkLanes(twoChunks.trials, k, 0) {
+		t.Fatalf("%d trials of %d walkers fit one chunk", twoChunks.trials, k)
+	}
+	observers := []string{"cover", "hit", "meet", "coalesce"}
 
 	runOne := func(t *testing.T, g *graph.Graph, kern Kernel, batch, workers int,
-		obsKind string, starts []int32, marked []bool) groupedOutcome {
+		obsKind string, shape passShape, starts []int32, marked []bool) groupedOutcome {
 		t.Helper()
+		trials := shape.trials
 		eng := NewEngine(g, EngineOptions{Workers: 1, BatchRounds: batch, Kernel: kern})
 		spec := GroupedRunSpec{
 			Trials:    trials,
 			Starts:    starts,
 			Seed:      seed,
-			MaxRounds: budget,
+			MaxRounds: shape.budget,
 			Workers:   workers,
 		}
 		var out groupedOutcome
@@ -92,8 +113,8 @@ func TestGroupedDeterministicAcrossWorkers(t *testing.T) {
 				hr := hit.TrialResult(i, res.Rounds[i])
 				out.extra = append(out.extra, int64(hr.Vertex), int64(hr.Walker))
 			}
-		case "meet":
-			col := NewGroupCollisionObserver(false)
+		case "meet", "coalesce":
+			col := NewGroupCollisionObserver(obsKind == "coalesce")
 			res, err = eng.RunGrouped(spec, col)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +128,7 @@ func TestGroupedDeterministicAcrossWorkers(t *testing.T) {
 		return out
 	}
 
-	for _, fam := range groupedTestFamilies() {
+	for fi, fam := range groupedTestFamilies() {
 		g, start := fam.build()
 		n := g.N()
 		// Distinct per-walker starts exercise placement-sensitive state
@@ -121,23 +142,87 @@ func TestGroupedDeterministicAcrossWorkers(t *testing.T) {
 			marked[v] = true
 		}
 		for _, kern := range Kernels() {
-			for _, obsKind := range observers {
-				want := runOne(t, g, kern, 0, 1, obsKind, starts, marked)
-				for _, workers := range testWorkerGrid() {
-					for _, batch := range []int{0, 5} {
-						if workers == 1 && batch == 0 {
-							continue // the baseline itself
-						}
-						name := fmt.Sprintf("%s/%s/%s/w%d/b%d", fam.name, kern, obsKind, workers, batch)
-						t.Run(name, func(t *testing.T) {
-							got := runOne(t, g, kern, batch, workers, obsKind, starts, marked)
-							if !got.equal(want) {
-								t.Fatalf("outcome diverged from Workers=1 baseline:\n got %+v\nwant %+v", got, want)
+			famShapes := shapes
+			if fi == 0 && kern.String() == Uniform().String() {
+				famShapes = append(famShapes[:len(famShapes):len(famShapes)], twoChunks)
+			}
+			for _, shape := range famShapes {
+				for _, obsKind := range observers {
+					// Walkers of opposite parity on a bipartite family never
+					// meet under most kernels, so coalescence runs a long
+					// budget out and only repeats the censored shape, at
+					// a hundred times its cost under -race.
+					if obsKind == "coalesce" && shape.budget == longBudget && g.IsBipartite() {
+						continue
+					}
+					want := runOne(t, g, kern, 0, 1, obsKind, shape, starts, marked)
+					for _, workers := range testWorkerGrid() {
+						for _, batch := range []int{0, 5} {
+							if workers == 1 && batch == 0 {
+								continue // the baseline itself
 							}
-						})
+							name := fmt.Sprintf("%s/%s/%s/%s/w%d/b%d", fam.name, kern, shape.name, obsKind, workers, batch)
+							t.Run(name, func(t *testing.T) {
+								got := runOne(t, g, kern, batch, workers, obsKind, shape, starts, marked)
+								if !got.equal(want) {
+									t.Fatalf("outcome diverged from Workers=1 baseline:\n got %+v\nwant %+v", got, want)
+								}
+							})
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestShardWorkers pins the width rule: a chunk takes one worker per
+// minShardWalkers running walkers, at most one per lane and at most the
+// pass's cap, and at least one.
+func TestShardWorkers(t *testing.T) {
+	for _, c := range []struct{ live, k, workers, want int }{
+		{3, 1, 2, 1},    // a served query pass of three one-walker lanes
+		{31, 1, 2, 1},   // one walker short of two shards
+		{32, 1, 2, 2},   // the fused barbell k=1 estimate's 32 lanes
+		{3, 9, 4, 1},    // 27 walkers
+		{4, 9, 4, 2},    // 36 walkers
+		{1, 256, 8, 1},  // one lane cannot be split
+		{2048, 8, 2, 2}, // the meeting estimate's chunk
+		{0, 8, 2, 1},    // nothing left to step
+		{64, 1, 1, 1},   // Workers 1
+	} {
+		if got := shardWorkers(c.live, c.k, c.workers); got != c.want {
+			t.Errorf("shardWorkers(%d, %d, %d) = %d, want %d", c.live, c.k, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestWidePassAllocsIndependentOfBatches pins that a multi-worker pass
+// spawns its workers once per chunk, not once per batch: a warm wide pass
+// at Workers 2 allocates as often over 2,048 rounds (128 batches) as over
+// 16 (one batch). Its 64 lanes of two walkers started on opposite sides of
+// an even cycle never meet, so every lane runs the whole budget.
+func TestWidePassAllocsIndependentOfBatches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	eng := NewEngine(graph.Cycle(64), EngineOptions{Workers: 2})
+	col := NewGroupCollisionObserver(false)
+	var res GroupedResult
+	allocs := func(budget int64) float64 {
+		spec := GroupedRunSpec{Trials: 64, Starts: []int32{0, 1}, Seed: 3, MaxRounds: budget}
+		obs := []GroupObserver{col}
+		return testing.AllocsPerRun(20, func() {
+			if err := eng.RunGroupedInto(spec, &res, obs...); err != nil {
+				t.Fatal(err)
+			}
+			if res.Stopped[0] {
+				t.Fatal("walkers on opposite sides of an even cycle met")
+			}
+		})
+	}
+	short, long := allocs(16), allocs(2048)
+	if short != long {
+		t.Fatalf("warm Workers-2 pass allocates %v times over 16 rounds and %v over 2048", short, long)
 	}
 }

@@ -606,45 +606,18 @@ func (cov *GroupCoverObserver) resolveCrossing(s int32, base int64, tlo, thi uin
 	}
 }
 
-// runGroupedFusedCover drives the chunk's lanes to completion on the
-// fused path. Each worker advances every lane it owns to its cover round
-// (or the budget) before touching the next — trials are independent, so
-// processing order is free, and running one lane's whole life keeps its
-// first-visit cells and walker state cache-hot against the pair table's
-// churn (lane-interleaved group scheduling measures ~25% slower end to
-// end). Retirement is direct: a finished lane records its trial's outcome
-// immediately, so the heavy tail of slow trials costs exactly its own
-// rounds — the lane-major form of the generic path's swap-compaction.
-func (e *Engine) runGroupedFusedCover(gst *groupState, spec *GroupedRunSpec, cov *GroupCoverObserver, res *GroupedResult) {
-	workers := spec.Workers
-	if workers > gst.lanes {
-		workers = gst.lanes
-	}
-	if workers <= 1 {
-		e.fusedCoverShard(gst, spec.MaxRounds, cov, res, 0, gst.lanes)
-	} else {
-		// One spawn per worker per chunk (not per barrier): each worker
-		// owns its contiguous lane range for the lanes' whole lives, so a
-		// multicore fused pass costs exactly `workers` goroutine wrappers.
-		for w := 0; w < workers; w++ {
-			lo, hi := laneShardSpan(gst.lanes, workers, w)
-			if lo == hi {
-				continue
-			}
-			gst.wg.Add(1)
-			go e.fusedCoverShardAsync(gst, spec.MaxRounds, cov, res, lo, hi)
-		}
-		gst.wg.Wait()
-	}
-	gst.lanes = 0
-}
-
-// fusedCoverShard drives lanes [loLane, hiLane) to completion on the
-// fused path. Lanes are shard-owned and trials distinct, so direct
-// retirement — recording each finished trial's outcome immediately — is
-// race-free, and a lane's draws depend only on its own streams: results
-// are identical no matter how lanes are partitioned.
-func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCoverObserver, res *GroupedResult, loLane, hiLane int) {
+// fusedCoverShard advances lanes [loLane, hiLane) of one worker on the
+// fused path, each to its cover round or the budget, and marks the stop
+// round of every lane that covered; the worker retires them after
+// (laneShard). One lane's whole life runs before the next lane starts:
+// trials are independent, so processing order is free, and it keeps the
+// lane's first-visit cells and walker state cache-hot against the pair
+// table's churn (lane-interleaved group scheduling measures ~25% slower
+// end to end). So the heavy tail of slow trials costs exactly its own
+// rounds, the lane-major form of the generic path's swap-compaction. A
+// lane's draws depend only on its own streams, so results are identical
+// no matter how lanes are partitioned.
+func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCoverObserver, loLane, hiLane int) {
 	group := int64(e.group)
 	for ln := loLane; ln < hiLane; ln++ {
 		sl := cov.laneOff[ln]
@@ -660,22 +633,6 @@ func (e *Engine) fusedCoverShard(gst *groupState, maxRounds int64, cov *GroupCov
 				e.laneGroup(gst, cov, ln, sl, base, uint32(t0-base), int(b/2), b%2 == 1)
 			}
 		}
-		trial := int(gst.laneTrial[ln])
-		if s := cov.slots[sl].done; s >= 0 {
-			res.Rounds[trial] = s
-			res.Stopped[trial] = true
-			cov.finishLane(ln, trial, s, true)
-		} else {
-			res.Rounds[trial] = maxRounds
-			res.Stopped[trial] = false
-			cov.finishLane(ln, trial, maxRounds, false)
-		}
+		gst.stopAt[ln] = cov.slots[sl].done
 	}
-}
-
-// fusedCoverShardAsync is fusedCoverShard plus the barrier arrival, the
-// form the multicore spawn uses.
-func (e *Engine) fusedCoverShardAsync(gst *groupState, maxRounds int64, cov *GroupCoverObserver, res *GroupedResult, loLane, hiLane int) {
-	defer gst.wg.Done()
-	e.fusedCoverShard(gst, maxRounds, cov, res, loLane, hiLane)
 }

@@ -113,9 +113,13 @@ func NewCycleWithChords(p int) *Graph { return graph.CycleWithChords(p) }
 // concurrent use; construct one per graph and reuse it across runs.
 type Engine = walk.Engine
 
-// EngineOptions tunes Engine performance (Workers, BatchRounds) and
-// selects the step law (Kernel); the zero value selects sensible defaults
-// and the uniform kernel. Workers and BatchRounds never affect results.
+// EngineOptions tunes Engine performance and selects the step law
+// (Kernel); the zero value selects sensible defaults and the uniform
+// kernel. Workers caps the goroutines of a grouped pass: each is spawned
+// once per chunk of lanes and owns its lanes until the chunk ends, and a
+// pass of a few thin lanes (or a single run) steps on the calling
+// goroutine. BatchRounds is the rounds a worker steps between retiring its
+// finished lanes. Workers and BatchRounds never affect results.
 type EngineOptions = walk.EngineOptions
 
 // Kernel selects a walk step law; the engine compiles it into per-vertex
@@ -327,7 +331,7 @@ type PartialCoverResult = walk.PartialCoverResult
 // MCOptions configures Monte Carlo estimation: Trials, Workers (0 =
 // GOMAXPROCS), root Seed, and the per-trial MaxSteps budget. Estimator
 // trials run as one trial-fused engine pass (all trials' walkers stepped
-// together, finished trials retiring at merge barriers); results are
+// together, finished trials retiring at the end of a batch); results are
 // bit-for-bit identical to running the trials sequentially.
 type MCOptions = walk.MCOptions
 
