@@ -130,7 +130,7 @@ func TestWeightedHubRowSorted(t *testing.T) {
 	}
 }
 
-// TestCSROffsetsLimit pins the shared offsets step's int32 check on a
+// TestCSROffsetsLimit pins Builder's offsets step's int32 check on a
 // synthetic degree vector instead of an 8 GB graph.
 func TestCSROffsetsLimit(t *testing.T) {
 	if _, err := csrOffsets([]int{math.MaxInt32, 1}); err == nil || !strings.Contains(err.Error(), "int32 CSR limit") {
@@ -145,10 +145,22 @@ func TestCSROffsetsLimit(t *testing.T) {
 	}
 }
 
-// TestFromAdjacencyMergesRows feeds unsorted rows with repeated neighbours
-// and a repeated loop through the row front end.
-func TestFromAdjacencyMergesRows(t *testing.T) {
-	g := fromAdjacency([][]int32{{2, 1, 1, 0, 0}, {0, 2, 0}, {1, 0}}, "rows")
+// writeRows writes per-vertex rows through the row writer, as the
+// deterministic generators do.
+func writeRows(rows [][]int32, name string) *Graph {
+	w := newRowWriter(len(rows), 0)
+	for _, row := range rows {
+		w.add(row...)
+		w.endRow()
+	}
+	return w.finish(name)
+}
+
+// TestRowWriterMergesRows feeds unsorted rows with repeated neighbours and
+// a repeated loop through the row writer, between sorted rows that must
+// move down past the merged ones.
+func TestRowWriterMergesRows(t *testing.T) {
+	g := writeRows([][]int32{{2, 1, 1, 0, 0}, {0, 2, 0}, {1, 0}}, "rows")
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +171,91 @@ func TestFromAdjacencyMergesRows(t *testing.T) {
 	}
 	if g.M() != 4 || g.SelfLoops() != 1 {
 		t.Fatalf("M=%d loops=%d, want 4, 1", g.M(), g.SelfLoops())
+	}
+}
+
+// TestRowFinishSameAtEveryOrder feeds one weighted multigraph through
+// Builder in sorted, reversed and shuffled edge order: a hub row, repeated
+// edges, repeated self-loops and weights. Sorted order writes every row
+// ascending, so its rows without a repeat take the row finish's verify-only
+// path and the rest its sort-and-merge path, while the other orders sort
+// nearly every row. Every order must build the same offsets, adjacency,
+// weight bits, M and SelfLoops. The weights are multiples of 1/8, so their
+// sums are exact in every order.
+func TestRowFinishSameAtEveryOrder(t *testing.T) {
+	const n, hubLeaves = 300, 200
+	r := rng.New(11)
+	type edge struct {
+		u, v int32
+		w    float64
+	}
+	weight := func() float64 { return float64(1+r.Intn(64)) / 8 }
+	var edges []edge
+	for leaf := int32(1); leaf <= hubLeaves; leaf++ {
+		edges = append(edges, edge{0, leaf, weight()})
+	}
+	for i := 0; i < 600; i++ {
+		e := edge{int32(r.Intn(n)), int32(r.Intn(n)), weight()}
+		edges = append(edges, e)
+		if i%7 == 0 {
+			edges = append(edges, edge{e.v, e.u, weight()}) // a repeat, reversed
+		}
+		if i%31 == 0 {
+			edges = append(edges, edge{e.u, e.u, weight()}, edge{e.u, e.u, weight()}) // a repeated loop
+		}
+	}
+	build := func(order []edge) *Graph {
+		b := NewBuilder(n)
+		for _, e := range order {
+			b.AddWeightedEdge(e.u, e.v, e.w)
+		}
+		return b.Build("orders")
+	}
+	sorted := slices.Clone(edges)
+	for i, e := range sorted {
+		sorted[i].u, sorted[i].v = min(e.u, e.v), max(e.u, e.v)
+	}
+	slices.SortStableFunc(sorted, func(a, b edge) int {
+		if a.u != b.u {
+			return int(a.u - b.u)
+		}
+		return int(a.v - b.v)
+	})
+	want := build(sorted)
+	if err := want.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want.SelfLoops() == 0 || want.Degree(0) < hubLeaves {
+		t.Fatalf("test graph lost its loops (%d) or hub (degree %d)", want.SelfLoops(), want.Degree(0))
+	}
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	orders := map[string][]edge{"reversed": reversed}
+	for s := 0; s < 3; s++ {
+		shuffled := slices.Clone(edges)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		orders[fmt.Sprintf("shuffled%d", s)] = shuffled
+	}
+	wantOff, wantAdj := want.CSR()
+	wantBits := make([]uint64, len(want.CSRWeights()))
+	for i, w := range want.CSRWeights() {
+		wantBits[i] = math.Float64bits(w)
+	}
+	for name, order := range orders {
+		got := build(order)
+		off, adj := got.CSR()
+		bits := make([]uint64, len(got.CSRWeights()))
+		for i, w := range got.CSRWeights() {
+			bits[i] = math.Float64bits(w)
+		}
+		if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) || !slices.Equal(bits, wantBits) ||
+			got.M() != want.M() || got.SelfLoops() != want.SelfLoops() {
+			t.Fatalf("%s order built a different graph than sorted order (M %d vs %d, loops %d vs %d)",
+				name, got.M(), want.M(), got.SelfLoops(), want.SelfLoops())
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle returns the cycle L_n on n >= 3 vertices: vertex i is adjacent to
 // (i±1) mod n. It is the paper's canonical example of logarithmic speed-up
@@ -9,11 +12,13 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic("graph: Cycle requires n >= 3")
 	}
-	lists := make([][]int32, n)
+	w := newRowWriter(n, 2*n)
 	for i := 0; i < n; i++ {
-		lists[i] = []int32{int32((i + n - 1) % n), int32((i + 1) % n)}
+		a, b := int32((i+n-1)%n), int32((i+1)%n)
+		w.add(min(a, b), max(a, b))
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("cycle(%d)", n))
+	return w.finish(fmt.Sprintf("cycle(%d)", n))
 }
 
 // Path returns the path graph on n >= 2 vertices (vertices 0..n-1 in a line).
@@ -21,18 +26,17 @@ func Path(n int) *Graph {
 	if n < 2 {
 		panic("graph: Path requires n >= 2")
 	}
-	lists := make([][]int32, n)
+	w := newRowWriter(n, 2*n-2)
 	for i := 0; i < n; i++ {
-		switch {
-		case i == 0:
-			lists[i] = []int32{1}
-		case i == n-1:
-			lists[i] = []int32{int32(n - 2)}
-		default:
-			lists[i] = []int32{int32(i - 1), int32(i + 1)}
+		if i > 0 {
+			w.add(int32(i - 1))
 		}
+		if i < n-1 {
+			w.add(int32(i + 1))
+		}
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("path(%d)", n))
+	return w.finish(fmt.Sprintf("path(%d)", n))
 }
 
 // Complete returns the complete graph K_n. If withLoops is true every vertex
@@ -42,21 +46,20 @@ func Complete(n int, withLoops bool) *Graph {
 	if n < 2 {
 		panic("graph: Complete requires n >= 2")
 	}
-	lists := make([][]int32, n)
+	w := newRowWriter(n, n*n)
 	for i := 0; i < n; i++ {
-		row := make([]int32, 0, n)
 		for j := 0; j < n; j++ {
 			if j != i || withLoops {
-				row = append(row, int32(j))
+				w.add(int32(j))
 			}
 		}
-		lists[i] = row
+		w.endRow()
 	}
 	label := fmt.Sprintf("complete(%d)", n)
 	if withLoops {
 		label = fmt.Sprintf("complete+loops(%d)", n)
 	}
-	return fromAdjacency(lists, label)
+	return w.finish(label)
 }
 
 // Star returns the star graph on n >= 2 vertices with center 0.
@@ -64,14 +67,16 @@ func Star(n int) *Graph {
 	if n < 2 {
 		panic("graph: Star requires n >= 2")
 	}
-	lists := make([][]int32, n)
-	center := make([]int32, 0, n-1)
+	w := newRowWriter(n, 2*n-2)
 	for i := 1; i < n; i++ {
-		center = append(center, int32(i))
-		lists[i] = []int32{0}
+		w.add(int32(i))
 	}
-	lists[0] = center
-	return fromAdjacency(lists, fmt.Sprintf("star(%d)", n))
+	w.endRow()
+	for i := 1; i < n; i++ {
+		w.add(0)
+		w.endRow()
+	}
+	return w.finish(fmt.Sprintf("star(%d)", n))
 }
 
 // Grid returns the d-dimensional grid with side lengths dims. If torus is
@@ -99,25 +104,24 @@ func Grid(dims []int, torus bool) *Graph {
 		stride[i] = s
 		s *= dims[i]
 	}
-	lists := make([][]int32, n)
+	w := newRowWriter(n, 2*len(dims)*n)
 	coord := make([]int, len(dims))
 	for v := 0; v < n; v++ {
-		row := make([]int32, 0, 2*len(dims))
 		for i, c := range coord {
 			if torus {
 				up := v + ((c+1)%dims[i]-c)*stride[i]
 				dn := v + ((c+dims[i]-1)%dims[i]-c)*stride[i]
-				row = append(row, int32(up), int32(dn))
+				w.add(int32(up), int32(dn))
 			} else {
 				if c+1 < dims[i] {
-					row = append(row, int32(v+stride[i]))
+					w.add(int32(v + stride[i]))
 				}
 				if c > 0 {
-					row = append(row, int32(v-stride[i]))
+					w.add(int32(v - stride[i]))
 				}
 			}
 		}
-		lists[v] = row
+		w.endRow()
 		// Increment mixed-radix counter.
 		for i := len(coord) - 1; i >= 0; i-- {
 			coord[i]++
@@ -131,7 +135,7 @@ func Grid(dims []int, torus bool) *Graph {
 	if torus {
 		kind = "torus"
 	}
-	return fromAdjacency(lists, fmt.Sprintf("%s%v", kind, dims))
+	return w.finish(fmt.Sprintf("%s%v", kind, dims))
 }
 
 // Torus2D returns the side×side 2-dimensional torus (√n × √n grid on the
@@ -145,25 +149,25 @@ func Hypercube(dim int) *Graph {
 		panic("graph: Hypercube dimension out of range [1,30]")
 	}
 	n := 1 << uint(dim)
-	lists := make([][]int32, n)
-	slab := make([]int32, 0, n*dim)
+	w := newRowWriter(n, n*dim)
 	for v := 0; v < n; v++ {
-		start := len(slab)
-		// Ascending, so the row finish finds it sorted: clear each set bit
-		// from the highest down, then set each clear bit from the lowest up.
-		for b := dim - 1; b >= 0; b-- {
-			if v&(1<<uint(b)) != 0 {
-				slab = append(slab, int32(v^(1<<uint(b))))
-			}
-		}
+		// Row v in ascending order, placed by position with no branch on
+		// v's bits: clearing a set bit gives a smaller neighbour, which sorts
+		// after the set bits above it (the higher bit clears to the smaller
+		// value); setting a clear bit gives a larger one, which sorts after
+		// all the set bits and the clear bits below it.
+		row := w.grow(dim)
+		ones := bits.OnesCount32(uint32(v))
+		above, below := ones, 0 // set bits at or above b; clear bits below b
 		for b := 0; b < dim; b++ {
-			if v&(1<<uint(b)) == 0 {
-				slab = append(slab, int32(v|(1<<uint(b))))
-			}
+			bit := v >> uint(b) & 1
+			above -= bit
+			row[bit*above+(1-bit)*(ones+below)] = int32(v ^ 1<<uint(b))
+			below += 1 - bit
 		}
-		lists[v] = slab[start:]
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("hypercube(%d)", dim))
+	return w.finish(fmt.Sprintf("hypercube(%d)", dim))
 }
 
 // BalancedTree returns the complete rooted tree in which every internal node
@@ -181,21 +185,20 @@ func BalancedTree(arity, height int) *Graph {
 		level *= arity
 		n += level
 	}
-	lists := make([][]int32, n)
+	w := newRowWriter(n, 2*(n-1))
 	firstLeaf := n - level
 	for v := 0; v < n; v++ {
-		var row []int32
 		if v > 0 {
-			row = append(row, int32((v-1)/arity))
+			w.add(int32((v - 1) / arity))
 		}
 		if v < firstLeaf {
 			for c := 0; c < arity; c++ {
-				row = append(row, int32(v*arity+c+1))
+				w.add(int32(v*arity + c + 1))
 			}
 		}
-		lists[v] = row
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("tree(a=%d,h=%d)", arity, height))
+	return w.finish(fmt.Sprintf("tree(a=%d,h=%d)", arity, height))
 }
 
 // Barbell returns the paper's barbell graph B_n for odd n: two cliques of
@@ -209,26 +212,27 @@ func Barbell(n int) (*Graph, int32) {
 	}
 	m := (n - 1) / 2
 	center := int32(n - 1)
-	lists := make([][]int32, n)
-	for i := 0; i < m; i++ {
-		rowA := make([]int32, 0, m)
-		rowB := make([]int32, 0, m)
-		for j := 0; j < m; j++ {
-			if j != i {
-				rowA = append(rowA, int32(j))
-				rowB = append(rowB, int32(m+j))
+	w := newRowWriter(n, 2*m*(m-1)+4)
+	// Two cliques, then the center. The path endpoints, vertex 0 of clique
+	// A and vertex m of clique B, end their rows with the center ("a path
+	// of length 2" in the paper), the largest vertex.
+	for side := 0; side < 2; side++ {
+		base := side * m
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				if j != i {
+					w.add(int32(base + j))
+				}
 			}
+			if i == 0 {
+				w.add(center)
+			}
+			w.endRow()
 		}
-		lists[i] = rowA
-		lists[m+i] = rowB
 	}
-	// Attach the path endpoints: center connects to vertex 0 of clique A and
-	// vertex m of clique B ("a path of length 2" in the paper).
-	lists[0] = append(lists[0], center)
-	lists[m] = append(lists[m], center)
-	lists[center] = []int32{0, int32(m)}
-	g := fromAdjacency(lists, fmt.Sprintf("barbell(%d)", n))
-	return g, center
+	w.add(0, int32(m))
+	w.endRow()
+	return w.finish(fmt.Sprintf("barbell(%d)", n)), center
 }
 
 // Lollipop returns the lollipop graph: a clique on cliqueN vertices with a
@@ -239,29 +243,29 @@ func Lollipop(cliqueN, pathN int) *Graph {
 		panic("graph: Lollipop requires cliqueN >= 3, pathN >= 1")
 	}
 	n := cliqueN + pathN
-	lists := make([][]int32, n)
+	w := newRowWriter(n, cliqueN*(cliqueN-1)+2*pathN)
 	for i := 0; i < cliqueN; i++ {
-		row := make([]int32, 0, cliqueN-1)
 		for j := 0; j < cliqueN; j++ {
 			if j != i {
-				row = append(row, int32(j))
+				w.add(int32(j))
 			}
 		}
-		lists[i] = row
+		// Path vertices cliqueN .. n-1 hang off clique vertex 0.
+		if i == 0 {
+			w.add(int32(cliqueN))
+		}
+		w.endRow()
 	}
-	// Path vertices cliqueN .. n-1 hang off clique vertex 0.
-	lists[0] = append(lists[0], int32(cliqueN))
 	for i := cliqueN; i < n; i++ {
-		var row []int32
 		if i == cliqueN {
-			row = append(row, 0)
+			w.add(0)
 		} else {
-			row = append(row, int32(i-1))
+			w.add(int32(i - 1))
 		}
 		if i+1 < n {
-			row = append(row, int32(i+1))
+			w.add(int32(i + 1))
 		}
-		lists[i] = row
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("lollipop(%d+%d)", cliqueN, pathN))
+	return w.finish(fmt.Sprintf("lollipop(%d+%d)", cliqueN, pathN))
 }

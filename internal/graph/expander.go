@@ -17,40 +17,67 @@ func MargulisExpander(m int) *Graph {
 		panic("graph: MargulisExpander requires m >= 2")
 	}
 	n := m * m
-	mod := func(a int) int {
-		a %= m
-		if a < 0 {
-			a += m
-		}
-		return a
-	}
 	// The eight maps are closed under inverse, so u is a target of v iff v
 	// is a target of u: each vertex's row is its own target list, less
-	// loops, with duplicates merged by the row finish.
-	lists := make([][]int32, n)
-	slab := make([]int32, 0, 8*n)
+	// loops and duplicates. Row (x,y) is written in ascending order: the
+	// four x-moves (x', y) with x' < x, the four y-moves (x, y'), which all
+	// lie in block x, then the x-moves with x' > x. A move that keeps its
+	// coordinate is the loop. Every shift is below m, so one conditional
+	// add or subtract reduces each coordinate mod m.
+	w := newRowWriter(n, 8*n)
 	for x := 0; x < m; x++ {
+		b := wrapMod(2*x, m)
 		for y := 0; y < m; y++ {
-			v := x*m + y
-			start := len(slab)
-			for _, u := range [8]int{
-				mod(x+2*y)*m + y,
-				mod(x-2*y)*m + y,
-				mod(x+2*y+1)*m + y,
-				mod(x-2*y-1)*m + y,
-				x*m + mod(y+2*x),
-				x*m + mod(y-2*x),
-				x*m + mod(y+2*x+1),
-				x*m + mod(y-2*x-1),
-			} {
-				if u != v {
-					slab = append(slab, int32(u))
+			a := wrapMod(2*y, m)
+			xs := sort4(wrapMod(x+a, m), wrapMod(x-a, m), wrapMod(x+a+1, m), wrapMod(x-a-1, m))
+			ys := sort4(wrapMod(y+b, m), wrapMod(y-b, m), wrapMod(y+b+1, m), wrapMod(y-b-1, m))
+			prev := -1
+			for _, x2 := range xs {
+				if x2 < x && x2 != prev {
+					w.add(int32(x2*m + y))
+					prev = x2
 				}
 			}
-			lists[v] = slab[start:]
+			prev = -1
+			for _, y2 := range ys {
+				if y2 != y && y2 != prev {
+					w.add(int32(x*m + y2))
+					prev = y2
+				}
+			}
+			prev = -1
+			for _, x2 := range xs {
+				if x2 > x && x2 != prev {
+					w.add(int32(x2*m + y))
+					prev = x2
+				}
+			}
+			w.endRow()
 		}
 	}
-	return fromAdjacency(lists, fmt.Sprintf("margulis(%d^2)", m))
+	return w.finish(fmt.Sprintf("margulis(%d^2)", m))
+}
+
+// wrapMod reduces a in [-m, 2m) to [0, m) without a division.
+func wrapMod(a, m int) int {
+	if a < 0 {
+		a += m
+	}
+	if a >= m {
+		a -= m
+	}
+	return a
+}
+
+// sort4 returns a, b, c, d in ascending order through a five-comparator
+// sorting network.
+func sort4(a, b, c, d int) [4]int {
+	a, b = min(a, b), max(a, b)
+	c, d = min(c, d), max(c, d)
+	a, c = min(a, c), max(a, c)
+	b, d = min(b, d), max(b, d)
+	b, c = min(b, c), max(b, c)
+	return [4]int{a, b, c, d}
 }
 
 // CycleWithChords returns the 3-regular "cycle with inverse chords" graph on

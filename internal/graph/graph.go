@@ -309,10 +309,11 @@ func (g *Graph) edgeWeightTo(u, v int32) float64 {
 // AddEdge(u,u) records a self-loop. The zero Builder is not usable; call
 // NewBuilder with the vertex count.
 //
-// Build is a counting sort: a degree pass, the shared offsets step, a
+// Build is a counting sort: a degree pass, the offsets step, a
 // placement pass that drops each edge into both endpoints' rows in input
 // order, and the shared row finish. Each edge is touched O(1) times plus one
-// sort per row; the global edge list is never comparison-sorted.
+// sort per row that arrives out of order; the global edge list is never
+// comparison-sorted.
 type Builder struct {
 	n      int
 	us, vs []int32
@@ -431,30 +432,54 @@ func (b *Builder) build(name string) (*Graph, error) {
 	return finishRows(offsets, adj, wts, name), nil
 }
 
-// fromAdjacency builds a Graph from per-vertex rows that are already
-// symmetric (u appears in v's row iff v appears in u's); it is the front end
-// of the deterministic generators. Rows may be unsorted and may repeat a
-// neighbour. They are copied, so callers may share one backing slab. Like
-// the generators, it panics if the rows exceed the int32 CSR limit.
-func fromAdjacency(lists [][]int32, name string) *Graph {
-	deg := make([]int, len(lists))
-	for v, row := range lists {
-		deg[v] = len(row)
-	}
-	offsets, err := csrOffsets(deg)
-	if err != nil {
-		panic(err.Error())
-	}
-	adj := make([]int32, offsets[len(lists)])
-	for v, row := range lists {
-		copy(adj[offsets[v]:], row)
-	}
-	return finishRows(offsets, adj, nil, name)
+// rowWriter writes a graph's rows, in vertex order, straight into one CSR
+// slab: a constructor appends row v's entries with add (or places them
+// through grow), closes the row with endRow, and hands the slab to finish
+// once every row is written. Rows must be symmetric (u appears in v's row
+// iff v appears in u's) and may be unsorted or repeat a neighbour; a row
+// written strictly increasing, as the generators write theirs, leaves the
+// row finish nothing to sort or move. It is the one construction path of
+// the deterministic generators and products, and panics, as they do, if
+// the rows exceed the int32 CSR limit.
+type rowWriter struct {
+	offsets []int32
+	adj     []int32
 }
 
-// csrOffsets is the offsets step every constructor shares: it turns row
-// lengths into CSR offsets with a 64-bit prefix sum, so a total past the
-// int32 adjacency limit is reported instead of wrapping.
+// newRowWriter returns a writer for n rows whose slab starts with room for
+// entries; it grows if the rows hold more.
+func newRowWriter(n, entries int) rowWriter {
+	return rowWriter{offsets: make([]int32, 1, n+1), adj: make([]int32, 0, entries)}
+}
+
+// add appends us to the row being written.
+func (w *rowWriter) add(us ...int32) { w.adj = append(w.adj, us...) }
+
+// grow appends d slots to the row being written and returns them, for a
+// constructor that places its entries by position.
+func (w *rowWriter) grow(d int) []int32 {
+	end := len(w.adj)
+	w.adj = slices.Grow(w.adj, d)[:end+d]
+	return w.adj[end:]
+}
+
+// endRow closes the row being written.
+func (w *rowWriter) endRow() {
+	if len(w.adj) > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: adjacency length %d exceeds the int32 CSR limit %d", len(w.adj), math.MaxInt32))
+	}
+	w.offsets = append(w.offsets, int32(len(w.adj)))
+}
+
+// finish runs the row finish over the written rows and returns the graph.
+func (w *rowWriter) finish(name string) *Graph {
+	return finishRows(w.offsets, w.adj, nil, name)
+}
+
+// csrOffsets is Builder's offsets step (the row writer checks the limit as
+// each row closes): it turns row lengths into CSR offsets with a 64-bit
+// prefix sum, so a total past the int32 adjacency limit is reported instead
+// of wrapping.
 func csrOffsets(rowLen []int) ([]int32, error) {
 	offsets := make([]int32, len(rowLen)+1)
 	total := int64(0)
@@ -468,11 +493,14 @@ func csrOffsets(rowLen []int) ([]int32, error) {
 	return offsets, nil
 }
 
-// finishRows is the row finish every constructor shares. It sorts each row
-// (stably and carrying the weights, when there are weights), merges
-// duplicate entries with their weights summed in row order, counts
-// self-loops and sets m. Merging compacts the rows in place: writes never
-// overtake reads, and offsets are rewritten as it goes.
+// finishRows is the row finish every constructor shares. It verifies each
+// row in one pass: a strictly increasing row, which is how the generators
+// write theirs, stays as it is and only has its self-loop counted. Any
+// other row is sorted (stably and carrying the weights, when there are
+// weights) and its duplicate entries merged with their weights summed in
+// row order. Rows compact in place, so a row moves only when an earlier
+// row shrank: writes never overtake reads, and offsets are rewritten as it
+// goes. m follows from the surviving entries and the self-loops.
 func finishRows(offsets, adj []int32, wts []float64, name string) *Graph {
 	n := len(offsets) - 1
 	var rs rowSorter
@@ -481,6 +509,19 @@ func finishRows(offsets, adj []int32, wts []float64, name string) *Graph {
 		lo, hi := offsets[v], offsets[v+1]
 		start := w
 		offsets[v] = start
+		if ok, loop := increasingRow(adj[lo:hi], int32(v)); ok {
+			if start < lo {
+				copy(adj[start:], adj[lo:hi])
+				if wts != nil {
+					copy(wts[start:], wts[lo:hi])
+				}
+			}
+			if loop {
+				loops++
+			}
+			w += hi - lo
+			continue
+		}
 		if wts == nil {
 			slices.Sort(adj[lo:hi])
 		} else {
@@ -510,6 +551,21 @@ func finishRows(offsets, adj []int32, wts []float64, name string) *Graph {
 		g.weights = wts[:w]
 	}
 	return g
+}
+
+// increasingRow reports whether row is strictly increasing and, if it is,
+// whether it holds v (a self-loop). Entries are vertex ids, so none is
+// below 0.
+func increasingRow(row []int32, v int32) (ok, loop bool) {
+	prev := int32(-1)
+	for _, u := range row {
+		if u <= prev {
+			return false, false
+		}
+		loop = loop || u == v
+		prev = u
+	}
+	return true, loop
 }
 
 // rowSorter sorts weighted rows by neighbour, carrying the weights and

@@ -261,7 +261,7 @@ func TestBuilderMatchesFromAdjacency(t *testing.T) {
 			lists[v] = append(lists[v], u)
 		}
 		g1 := b.Build("a")
-		g2 := fromAdjacency(lists, "b")
+		g2 := writeRows(lists, "b")
 		if g1.N() != g2.N() || g1.M() != g2.M() {
 			return false
 		}

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CartesianProduct returns the Cartesian product G □ H: vertices are pairs
 // (g,h) encoded as g*H.N()+h, and (g,h)~(g',h') iff (g=g' and h~h') or
@@ -12,22 +15,25 @@ func CartesianProduct(g, h *Graph) *Graph {
 		panic("graph: product with empty factor")
 	}
 	n := ng * nh
-	lists := make([][]int32, n)
+	w := newRowWriter(n, ng*h.TotalDegree()+nh*g.TotalDegree())
 	for a := 0; a < ng; a++ {
-		degA := g.Degree(int32(a))
+		ga := g.Neighbors(int32(a))
+		// (a2,b) with a2 < a sorts before every (a,b2), and a2 >= a after.
+		split, _ := slices.BinarySearch(ga, int32(a))
 		for b := 0; b < nh; b++ {
-			v := a*nh + b
-			row := make([]int32, 0, degA+h.Degree(int32(b)))
-			for _, a2 := range g.Neighbors(int32(a)) {
-				row = append(row, a2*int32(nh)+int32(b))
+			for _, a2 := range ga[:split] {
+				w.add(a2*int32(nh) + int32(b))
 			}
 			for _, b2 := range h.Neighbors(int32(b)) {
-				row = append(row, int32(a)*int32(nh)+b2)
+				w.add(int32(a)*int32(nh) + b2)
 			}
-			lists[v] = row
+			for _, a2 := range ga[split:] {
+				w.add(a2*int32(nh) + int32(b))
+			}
+			w.endRow()
 		}
 	}
-	return fromAdjacency(lists, fmt.Sprintf("(%s)□(%s)", g.Name(), h.Name()))
+	return w.finish(fmt.Sprintf("(%s)□(%s)", g.Name(), h.Name()))
 }
 
 // DisjointUnion returns G ⊔ H with H's vertices shifted by G.N(). The result
@@ -35,18 +41,18 @@ func CartesianProduct(g, h *Graph) *Graph {
 // connectivity-requiring algorithms.
 func DisjointUnion(g, h *Graph) *Graph {
 	ng := g.N()
-	lists := make([][]int32, ng+h.N())
+	w := newRowWriter(ng+h.N(), g.TotalDegree()+h.TotalDegree())
 	for v := 0; v < ng; v++ {
-		lists[v] = append([]int32(nil), g.Neighbors(int32(v))...)
+		w.add(g.Neighbors(int32(v))...)
+		w.endRow()
 	}
 	for v := 0; v < h.N(); v++ {
-		row := make([]int32, 0, h.Degree(int32(v)))
 		for _, u := range h.Neighbors(int32(v)) {
-			row = append(row, u+int32(ng))
+			w.add(u + int32(ng))
 		}
-		lists[ng+v] = row
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("(%s)+(%s)", g.Name(), h.Name()))
+	return w.finish(fmt.Sprintf("(%s)+(%s)", g.Name(), h.Name()))
 }
 
 // WithSelfLoops returns a copy of g with a self-loop added at every vertex
@@ -54,17 +60,18 @@ func DisjointUnion(g, h *Graph) *Graph {
 // that need aperiodicity without changing the vertex set).
 func WithSelfLoops(g *Graph) *Graph {
 	n := g.N()
-	lists := make([][]int32, n)
+	w := newRowWriter(n, g.TotalDegree()+n)
 	for v := 0; v < n; v++ {
 		nb := g.Neighbors(int32(v))
-		row := make([]int32, 0, len(nb)+1)
-		row = append(row, nb...)
-		if !g.HasEdge(int32(v), int32(v)) {
-			row = append(row, int32(v))
+		i, found := slices.BinarySearch(nb, int32(v))
+		w.add(nb[:i]...)
+		if !found {
+			w.add(int32(v))
 		}
-		lists[v] = row
+		w.add(nb[i:]...)
+		w.endRow()
 	}
-	return fromAdjacency(lists, g.Name()+"+loops")
+	return w.finish(g.Name() + "+loops")
 }
 
 // Subgraph returns the induced subgraph on the given vertices (which are
@@ -81,17 +88,16 @@ func Subgraph(g *Graph, vertices []int32) (*Graph, map[int32]int32) {
 		}
 		relabel[v] = int32(i)
 	}
-	lists := make([][]int32, len(vertices))
-	for i, v := range vertices {
-		var row []int32
+	w := newRowWriter(len(vertices), 0)
+	for _, v := range vertices {
 		for _, u := range g.Neighbors(v) {
 			if nu, ok := relabel[u]; ok {
-				row = append(row, nu)
+				w.add(nu)
 			}
 		}
-		lists[i] = row
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("%s[%d]", g.Name(), len(vertices))), relabel
+	return w.finish(fmt.Sprintf("%s[%d]", g.Name(), len(vertices))), relabel
 }
 
 // Wheel returns the wheel graph: a cycle on n-1 vertices (1..n-1) plus a hub
@@ -101,16 +107,18 @@ func Wheel(n int) *Graph {
 		panic("graph: Wheel requires n >= 5")
 	}
 	rim := n - 1
-	lists := make([][]int32, n)
-	hub := make([]int32, 0, rim)
+	w := newRowWriter(n, 4*rim)
 	for i := 1; i < n; i++ {
-		hub = append(hub, int32(i))
-		left := 1 + ((i - 1 + rim - 1) % rim)
-		right := 1 + (i % rim)
-		lists[i] = []int32{0, int32(left), int32(right)}
+		w.add(int32(i))
 	}
-	lists[0] = hub
-	return fromAdjacency(lists, fmt.Sprintf("wheel(%d)", n))
+	w.endRow()
+	for i := 1; i < n; i++ {
+		left := int32(1 + ((i - 1 + rim - 1) % rim))
+		right := int32(1 + (i % rim))
+		w.add(0, min(left, right), max(left, right))
+		w.endRow()
+	}
+	return w.finish(fmt.Sprintf("wheel(%d)", n))
 }
 
 // CompleteBipartite returns K_{a,b}: sides [0,a) and [a,a+b).
@@ -118,20 +126,18 @@ func CompleteBipartite(a, b int) *Graph {
 	if a < 1 || b < 1 {
 		panic("graph: CompleteBipartite requires a,b >= 1")
 	}
-	lists := make([][]int32, a+b)
-	left := make([]int32, b)
-	for j := 0; j < b; j++ {
-		left[j] = int32(a + j)
-	}
-	right := make([]int32, a)
+	w := newRowWriter(a+b, 2*a*b)
 	for i := 0; i < a; i++ {
-		right[i] = int32(i)
-	}
-	for i := 0; i < a; i++ {
-		lists[i] = append([]int32(nil), left...)
+		for j := 0; j < b; j++ {
+			w.add(int32(a + j))
+		}
+		w.endRow()
 	}
 	for j := 0; j < b; j++ {
-		lists[a+j] = append([]int32(nil), right...)
+		for i := 0; i < a; i++ {
+			w.add(int32(i))
+		}
+		w.endRow()
 	}
-	return fromAdjacency(lists, fmt.Sprintf("kbipartite(%d,%d)", a, b))
+	return w.finish(fmt.Sprintf("kbipartite(%d,%d)", a, b))
 }

@@ -45,11 +45,14 @@ import (
 // its zero value is the paper's uniform walk.
 type EngineOptions struct {
 	// Workers caps the goroutines stepping the lane shards of a grouped
-	// pass (the default of GroupedRunSpec.Workers). 0 or negative selects
-	// runtime.NumCPU(). A pass spawns each worker once per chunk of lanes,
-	// and only as many as its width pays for: a pass of a few thin lanes,
-	// or a single run (Run and the KCover/KHit/... wrappers, one lane),
-	// steps on the calling goroutine.
+	// pass (the default of GroupedRunSpec.Workers), and the goroutines
+	// NewEngine compiles a hopper's dense row bank on. 0 or negative
+	// selects runtime.NumCPU(). A pass spawns each worker once per chunk of
+	// lanes, and only as many as its width pays for: a pass of a few thin
+	// lanes, or a single run (Run and the KCover/KHit/... wrappers, one
+	// lane), steps on the calling goroutine. A compile likewise takes one
+	// worker per 2^15 bank columns, so a small bank compiles on the calling
+	// goroutine.
 	Workers int
 	// BatchRounds is the number of rounds a worker steps its lanes between
 	// retirements, where it records and compacts out the lanes that have
@@ -136,7 +139,7 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 		retire = defaultRetireRounds
 	}
 	kernel := KernelOrUniform(opts.Kernel)
-	prog, err := compileKernel(g, kernel)
+	prog, err := compileKernel(g, kernel, workers)
 	if err != nil {
 		panic(err.Error())
 	}

@@ -360,15 +360,18 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 
 // BenchmarkCompileKernel times kernel compilation on the set-up path: the
 // power-law hopper's dense row bank on cycle:1024 (1024 BFS rows of 1023
-// columns each), the bank every hopper estimate compiles.
+// columns each), the bank every hopper estimate compiles, on one and on two
+// compile workers.
 func BenchmarkCompileKernel(b *testing.B) {
 	g := graph.Cycle(1024)
-	b.Run("hopper_cycle1024", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := compileKernel(g, HopperPower(1)); err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("hopper_cycle1024_w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compileKernel(g, HopperPower(1), workers); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

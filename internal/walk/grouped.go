@@ -201,7 +201,12 @@ type groupState struct {
 	shards     []shardScratch // per worker
 	laneStarts []int32        // seeding scratch, len laneK
 	driver     rng.Source     // per-trial driver-stream scratch (pooled: its pointer flows into spec.Place, so a local would escape)
-	wg         sync.WaitGroup
+	// obs is the pass's copy of the caller's observers, which every worker
+	// reads: handing the caller's variadic list to a spawned worker would
+	// move it to the heap on every pass. It is cleared after the pass, so
+	// the pool never holds an observer.
+	obs []GroupObserver
+	wg  sync.WaitGroup
 }
 
 // shardScratch is one worker's private scratch, padded to a cache line's
@@ -412,14 +417,22 @@ func (e *Engine) runPass(spec GroupedRunSpec, stop StopCondition, res *GroupedRe
 	res.Stopped = growSlice(res.Stopped, spec.Trials)
 	res.Waves, res.Converged = 0, false
 	gst := e.newGroupState(chunk, k, workers)
-	defer groupPool.Put(gst)
+	gst.obs = append(gst.obs[:0], observers...)
+	defer gst.release()
 	for c0 := 0; c0 < spec.Trials; c0 += chunk {
 		m := min(chunk, spec.Trials-c0)
-		if err := e.runGroupedChunk(gst, &spec, stop, observers, res, c0, m, workers); err != nil {
+		if err := e.runGroupedChunk(gst, &spec, stop, res, c0, m, workers); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// release drops the pass's observers and returns gst to the pool.
+func (gst *groupState) release() {
+	clear(gst.obs)
+	gst.obs = gst.obs[:0]
+	groupPool.Put(gst)
 }
 
 // seedLane derives and installs trial's placement and walker streams into
@@ -492,8 +505,8 @@ func shardWorkers(live, k, workers int) int {
 // worker once; every worker, the caller included, drives its own
 // contiguous lane range to the end (laneShard), and the chunk ends when the
 // last one has.
-func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop StopCondition, obs []GroupObserver, res *GroupedResult, c0, m, workers int) error {
-	k := gst.laneK
+func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop StopCondition, res *GroupedResult, c0, m, workers int) error {
+	k, obs := gst.laneK, gst.obs
 	live := 0
 	for ln := 0; ln < m; ln++ {
 		if err := e.seedLane(gst, spec, ln, c0+ln); err != nil {
@@ -523,10 +536,10 @@ func (e *Engine) runGroupedChunk(gst *groupState, spec *GroupedRunSpec, stop Sto
 	for w := 1; w < workers; w++ {
 		lo, hi := laneShardSpan(m, workers, w)
 		gst.wg.Add(1)
-		go e.laneShardAsync(gst, stop, obs, cov, res, spec.MaxRounds, w, lo, hi)
+		go e.laneShardAsync(gst, stop, cov, res, spec.MaxRounds, w, lo, hi)
 	}
 	lo, hi := laneShardSpan(m, workers, 0)
-	e.laneShard(gst, stop, obs, cov, res, spec.MaxRounds, 0, lo, hi)
+	e.laneShard(gst, stop, cov, res, spec.MaxRounds, 0, lo, hi)
 	gst.wg.Wait()
 	return nil
 }
@@ -554,7 +567,8 @@ func laneShardSpan(lanes, workers, w int) (lo, hi int) {
 // running at the budget are censored. laneShard touches only its own
 // lanes, their trials' outputs and worker w's scratch, so it never waits
 // on another worker.
-func (e *Engine) laneShard(gst *groupState, stop StopCondition, obs []GroupObserver, cov *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, lo, hi int) {
+func (e *Engine) laneShard(gst *groupState, stop StopCondition, cov *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, lo, hi int) {
+	obs := gst.obs
 	hi = retireStopped(gst, obs, res, lo, hi)
 	if cov != nil {
 		e.fusedCoverShard(gst, maxRounds, cov, lo, hi)
@@ -582,9 +596,9 @@ func (e *Engine) laneShard(gst *groupState, stop StopCondition, obs []GroupObser
 
 // laneShardAsync is laneShard for a spawned worker, which reports its end
 // to the chunk's wait group.
-func (e *Engine) laneShardAsync(gst *groupState, stop StopCondition, obs []GroupObserver, cov *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, lo, hi int) {
+func (e *Engine) laneShardAsync(gst *groupState, stop StopCondition, cov *GroupCoverObserver, res *GroupedResult, maxRounds int64, w, lo, hi int) {
 	defer gst.wg.Done()
-	e.laneShard(gst, stop, obs, cov, res, maxRounds, w, lo, hi)
+	e.laneShard(gst, stop, cov, res, maxRounds, w, lo, hi)
 }
 
 // retireStopped records every lane of the running range [lo, hi) whose

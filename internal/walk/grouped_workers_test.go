@@ -226,3 +226,31 @@ func TestWidePassAllocsIndependentOfBatches(t *testing.T) {
 		t.Fatalf("warm Workers-2 pass allocates %v times over 16 rounds and %v over 2048", short, long)
 	}
 }
+
+// TestListedObserversDoNotAllocate pins that a warm pass called with its
+// observers listed, RunGroupedInto(spec, &res, obs), allocates nothing: the
+// workers read the pass's pooled copy of the list, so the caller's variadic
+// slice stays on its stack. It is the call shape of every estimator's
+// RunGrouped, here on a served pass's three one-walker hit lanes.
+func TestListedObserversDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	g := graph.MargulisExpander(24)
+	eng := NewEngine(g, EngineOptions{Workers: 1})
+	marked := make([]bool, g.N())
+	for v := 50; v < g.N(); v += 97 {
+		marked[v] = true
+	}
+	obs := NewGroupHitObserver(marked)
+	spec := GroupedRunSpec{Trials: 3, Starts: []int32{0}, Seed: 5, MaxRounds: 1 << 12}
+	var res GroupedResult
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := eng.RunGroupedInto(spec, &res, obs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm three-lane hit pass with a listed observer allocates %v times, want 0", allocs)
+	}
+}

@@ -25,11 +25,12 @@ import (
 //
 // The kernel is the first registered family with SupportDense: compilation
 // runs one BFS per vertex (distances computed once per compile, never per
-// step) on scratch shared by the whole compile, and builds the accounted
-// alias row-bank in columns sized once; stepping then costs the
-// same one draw per round as the built-in alias kernels, so determinism
-// across Workers × BatchRounds is inherited unchanged, and the serving
-// stack routes it by its canonical spelling like any built-in.
+// step), split over the engine's workers in contiguous row ranges, each on
+// its own scratch, and builds the accounted alias row-bank in columns
+// sized once; stepping then costs the same one draw per round as the
+// built-in alias kernels, so determinism across Workers × BatchRounds is
+// inherited unchanged, and the serving stack routes it by its canonical
+// spelling like any built-in.
 
 // hopperLaw selects the hop-distance decay law.
 type hopperLaw uint8
@@ -94,11 +95,14 @@ func (k hopperKernel) TransitionProbs(g *graph.Graph, v int32) ([]int32, []float
 	return newHopperRows(k, g).row(v)
 }
 
-// hopperRows computes hopper rows for one compile. It reuses one BFS queue,
-// distance array and pair of row buffers across rows, and evaluates the hop
-// law once per distinct distance: fd[d] = f(d) is computed the first time a
-// row reaches distance d. Every row holds the same f(d) values, summed and
-// normalized in vertex order, as a row computed on its own.
+// hopperRows computes hopper rows for one compile worker (see
+// compileHopperRows), which owns it for its range of rows. It reuses one
+// BFS queue, distance array and pair of row buffers across rows, and
+// evaluates the hop law once per distinct distance: fd[d] = f(d) is
+// computed the first time a row reaches distance d. Every row holds the
+// same f(d) values, summed and normalized in vertex order, as a row
+// computed on its own, so a row does not depend on the worker or on the
+// rows computed before it.
 type hopperRows struct {
 	k     hopperKernel
 	g     *graph.Graph
@@ -113,21 +117,6 @@ func newHopperRows(k hopperKernel, g *graph.Graph) *hopperRows {
 	n := g.N()
 	return &hopperRows{k: k, g: g, dist: make([]int32, n), queue: make([]int32, n),
 		fd: make([]float64, 1), out: make([]int32, 0, n), p: make([]float64, 0, n)}
-}
-
-// columns is the number of columns the rows hold: row v lists every other
-// vertex of v's component, n−1 columns per vertex on a connected graph.
-func (r *hopperRows) columns() int64 {
-	count, comp := r.g.Components()
-	size := make([]int64, count)
-	for _, c := range comp {
-		size[c]++
-	}
-	total := int64(0)
-	for _, c := range comp {
-		total += size[c] - 1
-	}
-	return total
 }
 
 // row returns v's row in buffers that stay valid until the next call.

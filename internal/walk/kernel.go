@@ -3,6 +3,8 @@ package walk
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"manywalks/internal/graph"
 )
@@ -307,36 +309,30 @@ func DenseTableFits(g *graph.Graph) error {
 // buildAliasTable compiles kernel k's transition law on g into an alias
 // table via Vose's algorithm, run per vertex with index-ordered worklists so
 // compilation is deterministic. A sparse-support table holds neighbor rows
-// (plus stay), so it is O(m) and unbounded. A dense-support row-bank runs
-// against maxDenseKernelBytes: compilation stops with a descriptive error
-// the moment the bank would cross it, instead of allocating n² columns
-// first and failing later. The hopper's rows run on one compile's scratch
-// (hopperRows) and its column count is known up front, so its columns are
-// sized once when the bank fits; other tables grow by append with their
-// rows. Sizing once lowers peak RSS only because an engine dies with its
-// last pass (see groupPool): while each engine stayed pinned through the
-// next GC, less compile garbage meant fewer GCs, more pinned banks at each
-// and a higher peak.
-func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
+// (plus stay), so it is O(m) and unbounded; its rows are computed in vertex
+// order on the calling goroutine and grow the columns by append. A
+// dense-support row-bank runs against maxDenseKernelBytes: compilation
+// stops with a descriptive error the moment the bank would cross it,
+// instead of allocating n² columns first and failing later. The hopper's
+// bank is sized before any row is computed (sizeHopperBank) and compiles on
+// up to workers goroutines, one per minBankWorkerColumns columns.
+func buildAliasTable(g *graph.Graph, k Kernel, workers int) (*aliasTable, error) {
 	n := g.N()
-	at := &aliasTable{meta: make([]uint64, n)}
 	budget := int64(math.MaxInt64)
 	if k.Support() == SupportDense {
 		budget = maxDenseKernelBytes - int64(n)*8
 	}
-	row := func(v int32) ([]int32, []float64, error) { return k.TransitionProbs(g, v) }
 	if hk, ok := k.(hopperKernel); ok {
-		rows := newHopperRows(hk, g)
-		row = rows.row
-		if columns := rows.columns(); columns*aliasColumnBytes <= budget {
-			at.out = make([]int32, 0, columns)
-			at.alt = make([]int32, 0, columns)
-			at.thresh = make([]uint32, 0, columns)
+		at, err := sizeHopperBank(g, hk, budget)
+		if err != nil {
+			return nil, err
 		}
+		return at, at.compileHopperRows(g, hk, max(1, min(workers, len(at.out)/minBankWorkerColumns)))
 	}
+	at := &aliasTable{meta: make([]uint64, n)}
 	var vs voseScratch
 	for v := 0; v < n; v++ {
-		outs, probs, err := row(int32(v))
+		outs, probs, err := k.TransitionProbs(g, int32(v))
 		if err != nil {
 			return nil, err
 		}
@@ -351,16 +347,94 @@ func buildAliasTable(g *graph.Graph, k Kernel) (*aliasTable, error) {
 	return at, nil
 }
 
-// voseScratch is one compile's Vose working memory, reused row to row.
+// minBankWorkerColumns is the fewest columns a worker's share of a hopper
+// bank compile may hold: at about 25 ns a column, 2^15 columns are roughly
+// a millisecond of BFS and Vose work, well above a goroutine's spawn and
+// wake-up, so a small bank compiles on the calling goroutine.
+const minBankWorkerColumns = 1 << 15
+
+// sizeHopperBank allocates the hopper's row bank at its final size. Row v
+// lists every other vertex of v's component, so every row's column count,
+// and with it meta's offsets, follows from the component sizes before any
+// row is computed. The columns are left for compileHopperRows to fill.
+func sizeHopperBank(g *graph.Graph, k hopperKernel, budget int64) (*aliasTable, error) {
+	count, comp := g.Components()
+	size := make([]int, count)
+	for _, c := range comp {
+		size[c]++
+	}
+	at := &aliasTable{meta: make([]uint64, g.N())}
+	columns := 0
+	for v, c := range comp {
+		// The budget keeps offsets far below 2^32.
+		at.meta[v] = uint64(columns)<<32 | uint64(size[c]-1)
+		columns += size[c] - 1
+	}
+	if int64(columns)*aliasColumnBytes > budget {
+		return nil, fmt.Errorf("walk: kernel %s row-bank of %d columns exceeds the %d MiB cap",
+			k, columns, maxDenseKernelBytes>>20)
+	}
+	at.out = make([]int32, columns)
+	at.alt = make([]int32, columns)
+	at.thresh = make([]uint32, columns)
+	return at, nil
+}
+
+// compileHopperRows fills a sized hopper bank on exactly workers
+// goroutines, the calling one included. Each worker computes a contiguous
+// range of rows on its own hopperRows and voseScratch and writes them into
+// its own part of the shared columns; a row is the same whichever worker
+// computes it, so the bank is bit for bit the same at every worker count.
+// A worker stops at its first failing row, and the error returned is that
+// of the lowest failing vertex.
+func (at *aliasTable) compileHopperRows(g *graph.Graph, k hopperKernel, workers int) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		lo, hi := laneShardSpan(len(at.meta), workers, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = at.fillHopperRows(g, k, lo, hi)
+		}()
+	}
+	lo, hi := laneShardSpan(len(at.meta), workers, 0)
+	errs[0] = at.fillHopperRows(g, k, lo, hi)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fillHopperRows computes the hopper rows [lo, hi) into their sized
+// columns on one worker's scratch, stopping at the first row that fails.
+func (at *aliasTable) fillHopperRows(g *graph.Graph, k hopperKernel, lo, hi int) error {
+	rows := newHopperRows(k, g)
+	var vs voseScratch
+	for v := lo; v < hi; v++ {
+		outs, probs, err := rows.row(int32(v))
+		if err != nil {
+			return err
+		}
+		off := int(at.meta[v] >> 32)
+		end := off + len(outs)
+		vs.fill(at.out[off:end], at.alt[off:end], at.thresh[off:end], outs, probs)
+	}
+	return nil
+}
+
+// voseScratch is one compile worker's Vose working memory, reused row to
+// row.
 type voseScratch struct {
 	scaled       []float64
 	small, large []int
 }
 
-// appendRow runs Vose's alias construction for vertex v's row and writes
-// its K = len(outs) columns straight onto the table's tail, guarding the
-// uint32 offset packing. Each column holds a primary outcome, an alias
-// outcome, and the 32-bit acceptance threshold for the primary.
+// appendRow writes vertex v's K = len(outs) columns onto the table's tail,
+// guarding the uint32 offset packing.
 func (at *aliasTable) appendRow(v int, outs []int32, probs []float64, vs *voseScratch) error {
 	off := len(at.out)
 	k := len(outs)
@@ -368,15 +442,26 @@ func (at *aliasTable) appendRow(v int, outs []int32, probs []float64, vs *voseSc
 		return fmt.Errorf("walk: alias table offset overflows uint32 at vertex %d", v)
 	}
 	at.meta[v] = uint64(uint32(off))<<32 | uint64(uint32(k))
+	at.out = slices.Grow(at.out, k)[:off+k]
+	at.alt = slices.Grow(at.alt, k)[:off+k]
+	at.thresh = slices.Grow(at.thresh, k)[:off+k]
+	vs.fill(at.out[off:], at.alt[off:], at.thresh[off:], outs, probs)
+	return nil
+}
+
+// fill runs Vose's alias construction for one row of K = len(outs)
+// outcomes into its K columns. Each column holds a primary outcome, an
+// alias outcome, and the 32-bit acceptance threshold for the primary.
+func (vs *voseScratch) fill(out, alt []int32, thresh []uint32, outs []int32, probs []float64) {
+	k := len(outs)
 	// Every column starts as its own outcome with probability 1 (out ==
 	// alt, threshold saturated); leftover columns (numerical residue) keep
 	// that state.
-	at.out = append(at.out, outs...)
-	at.alt = append(at.alt, outs...)
-	for range outs {
-		at.thresh = append(at.thresh, math.MaxUint32)
+	copy(out, outs)
+	copy(alt, outs)
+	for i := range thresh {
+		thresh[i] = math.MaxUint32
 	}
-	alt, thresh := at.alt[off:], at.thresh[off:]
 	scaled, small, large := vs.scaled[:0], vs.small[:0], vs.large[:0]
 	for i, p := range probs {
 		scaled = append(scaled, p*float64(k))
@@ -399,7 +484,6 @@ func (at *aliasTable) appendRow(v int, outs []int32, probs []float64, vs *voseSc
 		}
 	}
 	vs.scaled, vs.small, vs.large = scaled, small, large
-	return nil
 }
 
 // quantize32 maps a probability in [0,1] to the 32-bit acceptance threshold
@@ -458,8 +542,10 @@ type kernelProgram struct {
 // maxDenseKernelBytes for a dense row-bank. Kernels whose spelling does
 // not round-trip through ParseKernel are rejected up front: an unparseable
 // spelling could alias distinct laws into one engine-cache entry or
-// coalescer bucket downstream.
-func compileKernel(g *graph.Graph, k Kernel) (kernelProgram, error) {
+// coalescer bucket downstream. workers caps the goroutines that compile a
+// hopper's row bank (compileHopperRows); every other table compiles on the
+// calling goroutine.
+func compileKernel(g *graph.Graph, k Kernel, workers int) (kernelProgram, error) {
 	k = KernelOrUniform(k)
 	if err := k.Validate(g); err != nil {
 		return kernelProgram{}, err
@@ -475,7 +561,7 @@ func compileKernel(g *graph.Graph, k Kernel) (kernelProgram, error) {
 	case noBacktrackKernel:
 		return kernelProgram{kind: progNoBacktrack, needPrev: true}, nil
 	}
-	at, err := buildAliasTable(g, k)
+	at, err := buildAliasTable(g, k, workers)
 	if err != nil {
 		return kernelProgram{}, err
 	}
@@ -528,10 +614,10 @@ type KernelTablePlan struct {
 
 // PlanKernelTable computes the compiled-table plan of kernel k on g.
 // Kernels with dedicated step paths (uniform, lazy, no-backtrack) report a
-// table-free plan.
+// table-free plan. The plan compiles on the calling goroutine.
 func PlanKernelTable(g *graph.Graph, k Kernel) (KernelTablePlan, error) {
 	k = KernelOrUniform(k)
-	prog, err := compileKernel(g, k)
+	prog, err := compileKernel(g, k, 1)
 	if err != nil {
 		return KernelTablePlan{}, err
 	}

@@ -3,6 +3,7 @@ package walk
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestTransitionProbsStochastic(t *testing.T) {
 func TestAliasTableMatchesTransitionProbs(t *testing.T) {
 	wg := graph.Reweight(graph.Lollipop(7, 5), kernelTestWeights)
 	for _, k := range []Kernel{Weighted(), MetropolisUniform()} {
-		at, err := buildAliasTable(wg, k)
+		at, err := buildAliasTable(wg, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,25 +138,92 @@ func TestAliasTableMatchesTransitionProbs(t *testing.T) {
 }
 
 // TestHopperBankCompilesInOnePass: the dense bank's columns are sized once
-// and its rows computed on one compile's scratch, so a warm compile of the
-// 12 MiB cycle:1024 bank allocates at most 1.1x the bank. Growing the
-// columns by append, with a fresh BFS and row per vertex, allocated 7x.
+// and each compile worker computes its rows on its own scratch, so a warm
+// compile of the 12 MiB cycle:1024 bank allocates at most 1.1x the bank at
+// Workers 1 and 2. Growing the columns by append, with a fresh BFS and row
+// per vertex, allocated 7x.
 func TestHopperBankCompilesInOnePass(t *testing.T) {
 	g := graph.Cycle(1024)
-	if _, err := compileKernel(g, HopperPower(1)); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		if _, err := compileKernel(g, HopperPower(1), workers); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		prog, err := compileKernel(g, HopperPower(1), workers)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bank, alloc := prog.at.bytes(), after.TotalAlloc-before.TotalAlloc
+		if float64(alloc) > 1.1*float64(bank) {
+			t.Fatalf("Workers %d: compiling a %.1f MiB bank allocated %.1f MiB; want at most 1.1x the bank",
+				workers, float64(bank)/(1<<20), float64(alloc)/(1<<20))
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	prog, err := compileKernel(g, HopperPower(1))
-	runtime.ReadMemStats(&after)
+}
+
+// compileHopperBank compiles k's bank on g on exactly workers goroutines,
+// whatever the bank's width.
+func compileHopperBank(g *graph.Graph, k Kernel, workers int) (*aliasTable, error) {
+	at, err := sizeHopperBank(g, k.(hopperKernel), maxDenseKernelBytes)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	bank, alloc := prog.at.bytes(), after.TotalAlloc-before.TotalAlloc
-	if float64(alloc) > 1.1*float64(bank) {
-		t.Fatalf("compiling a %.1f MiB bank allocated %.1f MiB; want at most 1.1x the bank",
-			float64(bank)/(1<<20), float64(alloc)/(1<<20))
+	return at, at.compileHopperRows(g, k.(hopperKernel), workers)
+}
+
+// TestHopperBankSameAtEveryWorkerCount compiles the dense bank on 1, 2, 3
+// and 7 goroutines, forced past the width rule, and requires every column
+// and offset bit for bit, on graphs whose rows all have one length and on
+// a disconnected graph whose rows differ in length. A bank with failing
+// rows in several workers' ranges reports its lowest failing vertex at
+// every worker count.
+func TestHopperBankSameAtEveryWorkerCount(t *testing.T) {
+	cycle := graph.Cycle(1024)
+	for _, c := range []struct {
+		g *graph.Graph
+		k Kernel
+	}{
+		{cycle, HopperPower(1)},
+		{cycle, HopperExp(0.5)},
+		{graph.DisjointUnion(graph.Cycle(40), graph.Complete(7, false)), HopperPower(1)},
+		{graph.Lollipop(30, 20), HopperPower(1)},
+	} {
+		want, err := compileHopperBank(c.g, c.k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 7} {
+			got, err := compileHopperBank(c.g, c.k, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.meta, want.meta) || !slices.Equal(got.out, want.out) ||
+				!slices.Equal(got.alt, want.alt) || !slices.Equal(got.thresh, want.thresh) {
+				t.Fatalf("%s on %s: the bank compiled on %d workers differs from the one-worker bank", c.k, c.g.Name(), workers)
+			}
+		}
+	}
+
+	// A cycle through every vertex of 0..46 but 20 and 35, which are
+	// isolated: their rows fail, in different workers' ranges.
+	b := graph.NewBuilder(47)
+	var ring []int32
+	for v := int32(0); v < 47; v++ {
+		if v != 20 && v != 35 {
+			ring = append(ring, v)
+		}
+	}
+	for i, v := range ring {
+		b.AddEdge(v, ring[(i+1)%len(ring)])
+	}
+	holes := b.Build("holes")
+	for _, workers := range []int{1, 2, 3, 7} {
+		_, err := compileHopperBank(holes, HopperPower(1), workers)
+		if err == nil || !strings.Contains(err.Error(), "vertex 20 is isolated") {
+			t.Fatalf("Workers %d: error %v, want the lowest failing vertex, 20", workers, err)
+		}
 	}
 }
 
@@ -443,7 +511,7 @@ func (rogueKernel) TransitionProbs(g *graph.Graph, v int32) ([]int32, []float64,
 // says how to fix it.
 func TestUnregisteredKernelRejected(t *testing.T) {
 	g := graph.Cycle(6)
-	_, err := compileKernel(g, rogueKernel{})
+	_, err := compileKernel(g, rogueKernel{}, 1)
 	if err == nil {
 		t.Fatal("compiling an unregistered kernel must fail")
 	}

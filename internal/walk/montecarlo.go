@@ -13,7 +13,7 @@ import (
 // MCOptions configures a Monte Carlo estimation run.
 type MCOptions struct {
 	Trials   int    // number of independent trials (required, > 0)
-	Workers  int    // goroutines; 0 means GOMAXPROCS
+	Workers  int    // goroutines of the pass and of its engine's compile; 0 means GOMAXPROCS
 	Seed     uint64 // root seed; trial i uses stream (Seed, i)
 	MaxSteps int64  // per-trial step/round budget (required, > 0)
 
@@ -230,7 +230,7 @@ func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, o
 	// Trials fuse into one grouped pass (the generic lane driver steps
 	// every kernel; uniform pad-table graphs take the pair-table fast
 	// path).
-	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: kern})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers, Kernel: kern})
 	res, err := runCoverTrials(eng, opts, commonStarts(start, k), 0, nil)
 	if err != nil {
 		return Estimate{}, err
@@ -254,7 +254,7 @@ func EstimateKCoverTimeStationary(g *graph.Graph, k int, opts MCOptions) (Estima
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	res, err := runCoverTrials(eng, opts, make([]int32, k), 0,
 		func(_ int, r *rng.Source, starts []int32) {
 			copy(starts, StationaryStarts(g, k, r))
@@ -291,7 +291,7 @@ func EstimateKernelHittingTime(g *graph.Graph, k Kernel, start, target int32, op
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1, Kernel: k})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers, Kernel: k})
 	marked := make([]bool, g.N())
 	marked[target] = true
 	res, err := runHitTrials(eng, opts, []int32{start}, marked)
@@ -333,7 +333,7 @@ func CoverTimeTail(g *graph.Graph, start int32, horizon int64, opts MCOptions) (
 	if err != nil {
 		return 0, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	res, err := runCoverTrials(eng, opts, []int32{start}, 0, nil)
 	if err != nil {
 		return 0, err

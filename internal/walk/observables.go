@@ -28,7 +28,7 @@ func EstimatePartialCoverTime(g *graph.Graph, start int32, k int, alpha float64,
 		return Estimate{}, err
 	}
 	opts.Precision = Precision{}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	res, err := runCoverTrials(eng, opts, commonStarts(start, k), thresholdTarget(alpha, g.N()), nil)
 	if err != nil {
 		return Estimate{}, err
@@ -60,7 +60,7 @@ func EstimateKMeetingTime(g *graph.Graph, starts []int32, opts MCOptions) (Estim
 	if err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	// Every trial is one collision lane.
 	res, err := runTrials(opts, func(base, count int) (GroupedResult, error) {
 		return eng.RunGrouped(GroupedRunSpec{
@@ -95,7 +95,7 @@ func EstimateKCoalescenceTime(g *graph.Graph, starts []int32, opts MCOptions) (c
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	// Coalescence lanes also record each trial's first meeting round, so
 	// both estimates come from the same runs. The run closure appends each
 	// wave's meeting rounds in trial order (waves run sequentially), so the
@@ -160,7 +160,7 @@ func MeanPartialCoverRounds(g *graph.Graph, start int32, k int, fractions []floa
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	order, sorted := sortedFractions(fractions)
 	cov := &GroupCoverObserver{Thresholds: sorted}
 	if _, err := eng.RunGrouped(GroupedRunSpec{
@@ -209,7 +209,7 @@ func MeanCoverageProfile(g *graph.Graph, start int32, k int, horizon int64, opts
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: 1})
+	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
 	cov := &GroupCoverObserver{RecordFirst: true}
 	if _, err := eng.RunGrouped(GroupedRunSpec{
 		Trials:    opts.Trials,

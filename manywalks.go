@@ -118,8 +118,10 @@ type Engine = walk.Engine
 // kernel. Workers caps the goroutines of a grouped pass: each is spawned
 // once per chunk of lanes and owns its lanes until the chunk ends, and a
 // pass of a few thin lanes (or a single run) steps on the calling
-// goroutine. BatchRounds is the rounds a worker steps between retiring its
-// finished lanes. Workers and BatchRounds never affect results.
+// goroutine. Workers also caps the goroutines NewEngine compiles a dense
+// hopper row bank on; a small bank compiles on the calling goroutine.
+// BatchRounds is the rounds a worker steps between retiring its finished
+// lanes. Workers and BatchRounds never affect results.
 type EngineOptions = walk.EngineOptions
 
 // Kernel selects a walk step law; the engine compiles it into per-vertex
@@ -329,7 +331,8 @@ type MultiHitResult = walk.MultiHitResult
 type PartialCoverResult = walk.PartialCoverResult
 
 // MCOptions configures Monte Carlo estimation: Trials, Workers (0 =
-// GOMAXPROCS), root Seed, and the per-trial MaxSteps budget. Estimator
+// GOMAXPROCS; it caps the estimator's pass and its engine's compile alike),
+// root Seed, and the per-trial MaxSteps budget. Estimator
 // trials run as one trial-fused engine pass (all trials' walkers stepped
 // together, finished trials retiring at the end of a batch); results are
 // bit-for-bit identical to running the trials sequentially.
