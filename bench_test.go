@@ -196,24 +196,24 @@ func BenchmarkEngineKHit64(b *testing.B) {
 }
 
 func BenchmarkSingleCoverTorus32(b *testing.B) {
-	g := manywalks.NewTorus2D(32)
-	opts := manywalks.MCOptions{Trials: 8, Seed: 1, MaxSteps: 1 << 26, Workers: 8}
+	eng := manywalks.NewEngine(manywalks.NewTorus2D(32), manywalks.EngineOptions{Workers: 8})
+	opts := manywalks.MCOptions{Trials: 8, Seed: 1, MaxSteps: 1 << 26}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = uint64(i + 1)
-		if _, err := manywalks.CoverTime(g, 0, opts); err != nil {
+		if _, err := eng.EstimateCover(0, 1, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkKCover16Torus32(b *testing.B) {
-	g := manywalks.NewTorus2D(32)
-	opts := manywalks.MCOptions{Trials: 8, Seed: 1, MaxSteps: 1 << 26, Workers: 8}
+	eng := manywalks.NewEngine(manywalks.NewTorus2D(32), manywalks.EngineOptions{Workers: 8})
+	opts := manywalks.MCOptions{Trials: 8, Seed: 1, MaxSteps: 1 << 26}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = uint64(i + 1)
-		if _, err := manywalks.KCoverTime(g, 0, 16, opts); err != nil {
+		if _, err := eng.EstimateCover(0, 16, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,11 +64,15 @@ func run(args []string, out io.Writer) error {
 		Seed:     *seed,
 		MaxSteps: 100 * int64(g.N()) * int64(g.N()),
 	}
-	single, err := manywalks.KernelCoverTime(g, kernel, start, opts)
+	eng, err := manywalks.CompileEngine(g, manywalks.EngineOptions{Workers: *workers, Kernel: kernel})
 	if err != nil {
 		return err
 	}
-	multi, err := manywalks.KernelKCoverTime(g, kernel, start, *k, opts)
+	single, err := eng.EstimateCover(start, 1, opts)
+	if err != nil {
+		return err
+	}
+	multi, err := eng.EstimateCover(start, *k, opts)
 	if err != nil {
 		return err
 	}

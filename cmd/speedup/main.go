@@ -81,7 +81,11 @@ func run(args []string, out io.Writer) error {
 		Seed:     *seed,
 		MaxSteps: 100 * int64(g.N()) * int64(g.N()),
 	}
-	points, err := manywalks.KernelSpeedupSweep(g, kernel, start, ks, opts)
+	eng, err := manywalks.CompileEngine(g, manywalks.EngineOptions{Workers: *workers, Kernel: kernel})
+	if err != nil {
+		return err
+	}
+	points, err := manywalks.SpeedupSweep(eng, start, ks, opts)
 	if err != nil {
 		return err
 	}

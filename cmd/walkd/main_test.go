@@ -102,7 +102,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("hitting status %d", code)
 	}
-	want, err := walk.EstimateHittingTime(g, 0, 33, walk.MCOptions{Trials: 10, Workers: 1, Seed: 5, MaxSteps: 1 << 16})
+	want, err := walk.NewEngine(g, walk.EngineOptions{}).EstimateHitting(0, 33, walk.MCOptions{Trials: 10, Workers: 1, Seed: 5, MaxSteps: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDaemonAdaptiveStream(t *testing.T) {
 	ts := newTestDaemon(t)
 	g := graph.MargulisExpander(8)
 	prec := walk.Precision{RTol: 0.2, MinTrials: 24, Wave: 16}
-	want, err := walk.EstimateHittingTime(g, 0, 33, walk.MCOptions{
+	want, err := walk.NewEngine(g, walk.EngineOptions{}).EstimateHitting(0, 33, walk.MCOptions{
 		Trials: 1024, Workers: 1, Seed: 7, MaxSteps: 1 << 16, Precision: prec})
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,14 @@
 //
 // # Quick start
 //
-//	g := manywalks.NewTorus2D(32)                  // √n × √n torus, n = 1024
+//	g := manywalks.NewTorus2D(32) // √n × √n torus, n = 1024
+//	eng, err := manywalks.CompileEngine(g, manywalks.EngineOptions{})
+//	if err != nil { ... }
 //	opts := manywalks.MCOptions{Trials: 200, Seed: 1, MaxSteps: 1 << 24}
-//	point, err := manywalks.Speedup(g, 0, 8, opts) // S^8(G)
+//	points, err := manywalks.SpeedupSweep(eng, 0, []int{2, 8}, opts) // S^2, S^8
 //	if err != nil { ... }
 //	fmt.Printf("S^8 = %.1f (C=%s, C^8=%s)\n",
-//		point.Speedup, point.Single.Summary, point.Multi.Summary)
+//		points[1].Speedup, points[1].Single.Summary, points[1].Multi.Summary)
 //
 // # The batched k-walk engine
 //
@@ -42,20 +44,25 @@
 //	hit := eng.KHit(starts, marked, seed, ttl)     // first marked vertex
 //	first := eng.KFirstVisits(starts, seed, 1<<20) // per-vertex first visits
 //
-// One Engine per graph is the intended shape: it is immutable, safe for
-// concurrent use, and pools its per-run state, so Monte Carlo loops issue
-// thousands of runs against a single instance (RunKWalk is the
-// convenience one-shot form). The Monte Carlo estimators (CoverTime,
-// KCoverTime, HittingTime, PartialCoverTime, ...) all run on the engine
-// internally — and their trials are *fused*: every trial's walkers step
-// together as lanes of one wide engine pass (split by lane across workers
-// that each own their lanes for the whole pass), finished trials retire at
-// the end of their worker's batch so the heavy tail of
-// slow trials costs only its own rounds, and each per-trial sample stays
-// bit-for-bit identical to a single run of that trial. Single-walker estimators (hitting times,
-// k = 1 cover) gain the most — fusing their trials turns a latency-bound
-// chain of dependent steps into a throughput-bound batched pass,
-// measured 2-3x faster end to end.
+// One Engine per (graph, kernel) is the intended shape: it is immutable,
+// safe for concurrent use, and borrows its per-run state from a pool, so
+// Monte Carlo loops make thousands of runs against a single instance
+// (RunKWalk is the convenience one-shot form). CompileEngine returns the
+// engine or its refusal (an isolated vertex, an invalid kernel) as an
+// error; NewEngine panics instead. The Monte Carlo estimators are Engine
+// methods, one per quantity — EstimateCover, EstimateStationaryCover,
+// EstimateHitting, EstimateMeeting, EstimateCoalescence,
+// EstimatePartialCover, EstimateCoverageProfile, EstimateCoverTail — so
+// one compiled engine serves every k and every quantity. Their trials are
+// *fused*: every trial's walkers step together as lanes of one wide engine
+// pass (split by lane across workers that each own their lanes for the
+// whole pass), finished trials retire at the end of their worker's batch
+// so the heavy tail of slow trials costs only its own rounds, and each
+// per-trial sample stays bit-for-bit identical to a single run of that
+// trial. Single-walker estimators (hitting times, k = 1 cover) gain the
+// most — fusing their trials turns a latency-bound chain of dependent
+// steps into a throughput-bound batched pass, measured 2-3x faster end to
+// end.
 //
 // The engine has one run driver and pluggable lenses: Engine.Run executes
 // a RunSpec (starts, seed, round budget, stop condition) as a one-lane
@@ -71,8 +78,8 @@
 // stop conditions (StopWhenAll, StopWhenAny, RunToHorizon) combine
 // observers into one run. KCover, KHit, KHitTargets, PartialCoverCurve,
 // KMeetingTime and KCoalescenceTime are thin wrappers over this core, and
-// the estimators KMeetingTime/KCoalescenceTime/PartialCoverRounds give the
-// Monte Carlo view.
+// the methods EstimateMeeting/EstimateCoalescence/EstimatePartialCover
+// give the Monte Carlo view.
 //
 // Every estimator can also stop adaptively: setting MCOptions.Precision
 // (Precision{RTol: 0.05} for a 5% relative CI at 95% confidence) runs the
@@ -97,12 +104,12 @@
 // routing key on the canonical spelling). The engine compiles the kernel
 // at construction — sparse-support laws into CSR-shaped alias tables,
 // dense-support laws into a capped row bank whose footprint
-// PlanKernelTable reports before any memory is committed; every kernel
-// keeps the bit-for-bit determinism guarantee, and the Kernel* estimators
-// (KernelCoverTime, KernelKCoverTime, KernelHittingTime, KernelSpeedup)
-// expose the same Monte Carlo machinery per kernel, cross-validated
-// against the exact chain path (NewMarkovChainForKernel,
-// ExactKernelCoverTime).
+// PlanKernelTable reports (it compiles the whole table to measure it;
+// DenseTableFits is the allocation-free cap check). Every kernel keeps the
+// bit-for-bit determinism guarantee, and an engine's estimator methods run
+// its kernel, so the same Monte Carlo machinery (SpeedupSweep included)
+// serves every kernel, cross-validated against the exact chain path
+// (NewMarkovChainForKernel, ExactKernelCoverTime).
 //
 // For serving workloads, NewServer returns an in-process query server: it
 // registers graphs, caches compiled engines (LRU by graph × kernel), and

@@ -170,15 +170,15 @@ func ExampleEngine_PartialCoverCurve() {
 // CI half-width is within RTol. The adaptive samples are a prefix of the
 // fixed schedule, so the early-stopped answer is reproducible and agrees
 // with the fixed-budget run's first Summary.N trials bit-for-bit.
-func ExampleKCoverTime_adaptive() {
-	g := manywalks.NewMargulisExpander(8)
+func ExampleEngine_EstimateCover_adaptive() {
+	eng := manywalks.NewEngine(manywalks.NewMargulisExpander(8), manywalks.EngineOptions{})
 	opts := manywalks.MCOptions{Trials: 1024, Seed: 3, MaxSteps: 1 << 20}
 	opts.Precision = manywalks.Precision{RTol: 0.1, Confidence: 0.95, Wave: 16}
-	est, err := manywalks.KCoverTime(g, 0, 8, opts)
+	est, err := eng.EstimateCover(0, 8, opts)
 	if err != nil {
 		panic(err)
 	}
-	again, _ := manywalks.KCoverTime(g, 0, 8, opts)
+	again, _ := eng.EstimateCover(0, 8, opts)
 	fmt.Printf("converged=%v earlyStop=%v reproducible=%v\n",
 		est.Converged, est.Summary.N < 1024, est == again)
 	// Output: converged=true earlyStop=true reproducible=true

@@ -72,7 +72,7 @@ func main() {
 		if k == 1 {
 			baseCapture = capture
 		}
-		cover, err := manywalks.KCoverTime(g, base, k, opts)
+		cover, err := eng.EstimateCover(base, k, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

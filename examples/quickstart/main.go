@@ -26,11 +26,15 @@ func main() {
 		MaxSteps: 1 << 26,
 	}
 
+	// One engine serves every estimate below: compile it once per graph.
+	eng := manywalks.NewEngine(g, manywalks.EngineOptions{})
+
 	// Single walk versus an 8-walk, both from vertex 0.
-	point, err := manywalks.Speedup(g, 0, 8, opts)
+	points, err := manywalks.SpeedupSweep(eng, 0, []int{8}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	point := points[0]
 	fmt.Printf("single walk cover time C      = %s steps\n", point.Single.Summary)
 	fmt.Printf("8-walk cover time C^8         = %s rounds\n", point.Multi.Summary)
 	fmt.Printf("speed-up S^8 = C/C^8          = %.2f (per-walker %.2f)\n",
@@ -48,7 +52,7 @@ func main() {
 		bounds.BabyMatthewsBound(8))
 
 	// Sweep k and let the library name the regime.
-	points, err := manywalks.SpeedupSweep(g, 0, []int{2, 4, 8, 16}, opts)
+	points, err = manywalks.SpeedupSweep(eng, 0, []int{2, 4, 8, 16}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

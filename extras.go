@@ -8,7 +8,6 @@ import (
 	"manywalks/internal/graph"
 	"manywalks/internal/markov"
 	"manywalks/internal/netsim"
-	"manywalks/internal/walk"
 )
 
 // Graph operations.
@@ -42,27 +41,6 @@ func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // ReadBinary parses the binary format produced by Graph.WriteBinary.
 func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
-
-// Additional walk observables.
-
-// PartialCoverTime estimates the expected time for a k-walk from start to
-// visit a fraction alpha of the vertices.
-func PartialCoverTime(g *Graph, start int32, k int, alpha float64, opts MCOptions) (Estimate, error) {
-	return walk.EstimatePartialCoverTime(g, start, k, alpha, opts)
-}
-
-// MeetingTime estimates the expected round at which two independent walks
-// from u and v first co-locate (the pursuit primitive of the paper's
-// introduction). On bipartite graphs, starts on opposite sides never meet.
-func MeetingTime(g *Graph, u, v int32, opts MCOptions) (Estimate, error) {
-	return walk.EstimateMeetingTime(g, u, v, opts)
-}
-
-// CoverageProfile returns the mean number of distinct vertices visited by a
-// k-walk after each round up to horizon, averaged over opts.Trials trials.
-func CoverageProfile(g *Graph, start int32, k int, horizon int64, opts MCOptions) ([]float64, error) {
-	return walk.MeanCoverageProfile(g, start, k, horizon, opts)
-}
 
 // Exact extras.
 
@@ -132,12 +110,6 @@ func NewNetwork(g *Graph, handler NetHandler, r *Rand) *Network {
 // QueryResult summarizes a simulated search execution.
 type QueryResult = netsim.QueryResult
 
-// RunWalkQuery searches for an item with k random-walk tokens of the given
-// TTL and reports latency and message cost.
-func RunWalkQuery(g *Graph, origin int32, k, ttl int, hasItem []bool, r *Rand) QueryResult {
-	return netsim.RunWalkQuery(g, origin, k, ttl, hasItem, r)
-}
-
 // RunWalkQueryEngine answers the walk query on a caller-held engine — the
 // per-request dispatch the serving layer's coalescer is benchmarked
 // against. Determinism comes from the engine's per-walker streams under
@@ -155,14 +127,6 @@ func RunFloodQuery(g *Graph, origin int32, ttl int, hasItem []bool, r *Rand) Que
 // walks of length walkLen (RaWMS-style membership sampling).
 func RunMembershipSampling(g *Graph, origin int32, count, walkLen int, r *Rand) []int32 {
 	return netsim.RunMembershipSampling(g, origin, count, walkLen, r)
-}
-
-// Non-backtracking walks (the "one bit of memory" ablation).
-
-// NBCoverTime estimates the expected cover time of k synchronized
-// non-backtracking walkers from start, on the engine's NoBacktrack kernel.
-func NBCoverTime(g *Graph, start int32, k int, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKernelKCoverTime(g, walk.NoBacktrack(), start, k, opts)
 }
 
 // Exact cover-time distribution (tiny graphs).

@@ -61,27 +61,29 @@ func TestFacadeSerialization(t *testing.T) {
 }
 
 func TestFacadeObservables(t *testing.T) {
-	g := manywalks.NewTorus2D(6)
+	eng := manywalks.NewEngine(manywalks.NewTorus2D(6), manywalks.EngineOptions{})
 	opts := manywalks.MCOptions{Trials: 200, Seed: 5, MaxSteps: 1 << 20}
-	partial, err := manywalks.PartialCoverTime(g, 0, 4, 0.5, opts)
+	partials, err := eng.EstimatePartialCover(0, 4, []float64{0.5}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := manywalks.KCoverTime(g, 0, 4, opts)
+	partial := partials[0]
+	full, err := eng.EstimateCover(0, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if partial.Mean() >= full.Mean() {
 		t.Fatalf("partial %v >= full %v", partial.Mean(), full.Mean())
 	}
-	meet, err := manywalks.MeetingTime(manywalks.NewComplete(8, true), 0, 3, opts)
+	k8 := manywalks.NewEngine(manywalks.NewComplete(8, true), manywalks.EngineOptions{})
+	meet, err := k8.EstimateMeeting([]int32{0, 3}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(meet.Mean()-8) > 4*meet.CI95() {
 		t.Fatalf("K8+loops meeting %v, want 8", meet.Mean())
 	}
-	profile, err := manywalks.CoverageProfile(g, 0, 2, 50, manywalks.MCOptions{Trials: 50, Seed: 7, MaxSteps: 1})
+	profile, err := eng.EstimateCoverageProfile(0, 2, 50, manywalks.MCOptions{Trials: 50, Seed: 7, MaxSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +140,8 @@ func TestFacadeDynamic(t *testing.T) {
 
 func TestFacadeNBAndDistribution(t *testing.T) {
 	// Non-backtracking walk is ballistic on the cycle.
-	g := manywalks.NewCycle(32)
-	nb, err := manywalks.NBCoverTime(g, 0, 1, manywalks.MCOptions{Trials: 50, Seed: 15, MaxSteps: 1 << 16})
+	eng := manywalks.NewEngine(manywalks.NewCycle(32), manywalks.EngineOptions{Kernel: manywalks.NoBacktrackKernel()})
+	nb, err := eng.EstimateCover(0, 1, manywalks.MCOptions{Trials: 50, Seed: 15, MaxSteps: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,8 @@ func TestFacadeKernels(t *testing.T) {
 		t.Fatal("weighted engine did not cover")
 	}
 	opts := manywalks.MCOptions{Trials: 200, Seed: 3, MaxSteps: 1 << 20}
-	est, err := manywalks.KernelCoverTime(g, manywalks.MetropolisKernel(), 0, opts)
+	metropolis := manywalks.NewEngine(g, manywalks.EngineOptions{Kernel: manywalks.MetropolisKernel()})
+	est, err := metropolis.EstimateCover(0, 1, opts)
 	if err != nil || est.Truncated != 0 || est.Mean() <= 0 {
 		t.Fatalf("metropolis cover estimate %v, %v", est, err)
 	}
@@ -194,9 +197,13 @@ func TestFacadeKernels(t *testing.T) {
 	if err != nil || math.Abs(exactCover-uniformCover) > 1e-9 {
 		t.Fatalf("kernel DP %v vs uniform DP %v (%v)", exactCover, uniformCover, err)
 	}
-	p, err := manywalks.KernelSpeedup(manywalks.NewTorus2D(5), manywalks.NoBacktrackKernel(), 0, 4, opts)
-	if err != nil || p.Speedup <= 1 {
-		t.Fatalf("no-backtrack speedup point %+v, %v", p, err)
+	nb := manywalks.NewEngine(manywalks.NewTorus2D(5), manywalks.EngineOptions{Kernel: manywalks.NoBacktrackKernel()})
+	points, err := manywalks.SpeedupSweep(nb, 0, []int{4}, opts)
+	if err != nil || points[0].Speedup <= 1 {
+		t.Fatalf("no-backtrack speedup points %+v, %v", points, err)
+	}
+	if _, err := manywalks.CompileEngine(manywalks.NewCycle(4096), manywalks.EngineOptions{Kernel: manywalks.HopperPowerKernel(1)}); err == nil {
+		t.Fatal("CompileEngine accepted a hopper bank over the memory cap")
 	}
 	if len(manywalks.AllKernels()) != 6 {
 		t.Fatal("AllKernels must list the six registered step laws")
@@ -241,7 +248,8 @@ func TestFacadeNetsim(t *testing.T) {
 	g := manywalks.NewMargulisExpander(6)
 	hasItem := make([]bool, g.N())
 	hasItem[g.N()-1] = true
-	res := manywalks.RunWalkQuery(g, 0, 4, 1<<14, hasItem, manywalks.NewRand(11))
+	eng := manywalks.NewEngine(g, manywalks.EngineOptions{})
+	res := manywalks.RunWalkQueryEngine(eng, 0, 4, 1<<14, hasItem, 11)
 	if !res.Found {
 		t.Fatal("walk query failed")
 	}

@@ -14,10 +14,23 @@ func mcOpts(trials int, seed uint64) walk.MCOptions {
 	return walk.MCOptions{Trials: trials, Seed: seed, MaxSteps: 1 << 22}
 }
 
+// uniformEngine compiles the uniform-walk engine every estimate on g
+// shares.
+func uniformEngine(g *graph.Graph) *walk.Engine { return walk.NewEngine(g, walk.EngineOptions{}) }
+
+// speedupAt measures the single point S^k from vertex 0.
+func speedupAt(g *graph.Graph, k int, opts walk.MCOptions) (SpeedupPoint, error) {
+	points, err := SpeedupCurve(uniformEngine(g), 0, []int{k}, opts)
+	if err != nil {
+		return SpeedupPoint{}, err
+	}
+	return points[0], nil
+}
+
 func TestMeasureSpeedupCompleteGraphIsLinear(t *testing.T) {
 	// Lemma 12: on the clique the speed-up is k (coupon collector).
 	g := graph.Complete(64, false)
-	p, err := MeasureSpeedup(g, 0, 8, mcOpts(600, 1))
+	p, err := speedupAt(g, 8, mcOpts(600, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +50,7 @@ func TestMeasureSpeedupCompleteGraphIsLinear(t *testing.T) {
 
 func TestSpeedupCurveSharesSingleEstimate(t *testing.T) {
 	g := graph.Cycle(32)
-	points, err := SpeedupCurve(g, 0, []int{2, 4, 8}, mcOpts(200, 2))
+	points, err := SpeedupCurve(uniformEngine(g), 0, []int{2, 4, 8}, mcOpts(200, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +70,10 @@ func TestSpeedupCurveSharesSingleEstimate(t *testing.T) {
 
 func TestSpeedupCurveValidation(t *testing.T) {
 	g := graph.Cycle(16)
-	if _, err := SpeedupCurve(g, 0, nil, mcOpts(10, 3)); err == nil {
+	if _, err := SpeedupCurve(uniformEngine(g), 0, nil, mcOpts(10, 3)); err == nil {
 		t.Fatal("empty ks accepted")
 	}
-	if _, err := SpeedupCurve(g, 0, []int{0}, mcOpts(10, 3)); err == nil {
+	if _, err := SpeedupCurve(uniformEngine(g), 0, []int{0}, mcOpts(10, 3)); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -68,7 +81,7 @@ func TestSpeedupCurveValidation(t *testing.T) {
 func TestClassifyCycleLogarithmic(t *testing.T) {
 	// Theorem 6 shape test at modest size: S^k on the cycle grows like ln k.
 	g := graph.Cycle(128)
-	points, err := SpeedupCurve(g, 0, []int{2, 4, 8, 16, 32, 64}, mcOpts(300, 5))
+	points, err := SpeedupCurve(uniformEngine(g), 0, []int{2, 4, 8, 16, 32, 64}, mcOpts(300, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +103,7 @@ func TestClassifyCycleLogarithmic(t *testing.T) {
 
 func TestClassifyCompleteLinear(t *testing.T) {
 	g := graph.Complete(128, false)
-	points, err := SpeedupCurve(g, 0, []int{2, 4, 8, 16, 32}, mcOpts(300, 7))
+	points, err := SpeedupCurve(uniformEngine(g), 0, []int{2, 4, 8, 16, 32}, mcOpts(300, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +121,7 @@ func TestClassifyCompleteLinear(t *testing.T) {
 
 func TestClassifyExpanderLinear(t *testing.T) {
 	g := graph.MargulisExpander(10) // n = 100
-	points, err := SpeedupCurve(g, 0, []int{2, 4, 8, 16}, mcOpts(300, 9))
+	points, err := SpeedupCurve(uniformEngine(g), 0, []int{2, 4, 8, 16}, mcOpts(300, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +138,7 @@ func TestClassifyBarbellSuperlinear(t *testing.T) {
 	// Theorem 7: from the center, a handful of walkers collapses the Θ(n²)
 	// cover time, a speed-up far beyond k.
 	g, center := graph.Barbell(41)
-	points, err := SpeedupCurve(g, center, []int{2, 4, 8}, mcOpts(300, 11))
+	points, err := SpeedupCurve(uniformEngine(g), center, []int{2, 4, 8}, mcOpts(300, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +233,14 @@ func TestTheorem14BoundDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cEst, err := walk.EstimateCoverTime(g, 0, mcOpts(500, 15))
+	eng := uniformEngine(g)
+	cEst, err := eng.EstimateCover(0, 1, mcOpts(500, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fn := math.Log(math.Log(float64(g.N()))) // any ω(1) choice
 	for _, k := range []int{2, 4, 8} {
-		ck, err := walk.EstimateKCoverTime(g, 0, k, mcOpts(500, 17))
+		ck, err := eng.EstimateCover(0, k, mcOpts(500, 17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +261,7 @@ func TestTheorem9MixingLowerBound(t *testing.T) {
 	if b.MixingTime <= 0 {
 		t.Fatal("expander mixing truncated")
 	}
-	p, err := MeasureSpeedup(g, 0, 16, mcOpts(400, 19))
+	p, err := speedupAt(g, 16, mcOpts(400, 19))
 	if err != nil {
 		t.Fatal(err)
 	}

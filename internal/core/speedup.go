@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"manywalks/internal/graph"
 	"manywalks/internal/stats"
 	"manywalks/internal/walk"
 )
@@ -43,55 +42,13 @@ func ratioBand(num, den walk.Estimate) (lo, mid, hi float64) {
 	return (nm - nc) / lowerDen, mid, (nm + nc) / upperDen
 }
 
-// MeasureSpeedup estimates S^k(G) from the given start vertex. The same
-// options (trials, step budget, seed) are used for the single- and k-walk
-// estimates; the k-walk uses a distinct derived seed so the two estimates
-// are independent.
-func MeasureSpeedup(g *graph.Graph, start int32, k int, opts walk.MCOptions) (SpeedupPoint, error) {
-	return MeasureKernelSpeedup(g, walk.Uniform(), start, k, opts)
-}
-
-// MeasureKernelSpeedup is MeasureSpeedup under an arbitrary walk kernel:
-// both C and C^k run the same step law, so S^k isolates the effect of
-// parallelism from the effect of the kernel.
-func MeasureKernelSpeedup(g *graph.Graph, kern walk.Kernel, start int32, k int, opts walk.MCOptions) (SpeedupPoint, error) {
-	single, err := walk.EstimateKernelCoverTime(g, kern, start, opts)
-	if err != nil {
-		return SpeedupPoint{}, err
-	}
-	return speedupAgainst(g, kern, start, k, single, opts)
-}
-
-// speedupAgainst measures C^k and forms the ratio against a pre-computed
-// single-walk estimate (shared across a k-sweep).
-func speedupAgainst(g *graph.Graph, kern walk.Kernel, start int32, k int, single walk.Estimate, opts walk.MCOptions) (SpeedupPoint, error) {
-	kOpts := opts
-	kOpts.Seed = opts.Seed ^ 0x9e3779b97f4a7c15 ^ uint64(k)<<32
-	multi, err := walk.EstimateKernelKCoverTime(g, kern, start, k, kOpts)
-	if err != nil {
-		return SpeedupPoint{}, err
-	}
-	lo, mid, hi := ratioBand(single, multi)
-	return SpeedupPoint{
-		K:         k,
-		Single:    single,
-		Multi:     multi,
-		Speedup:   mid,
-		SpeedupLo: lo,
-		SpeedupHi: hi,
-		PerWalker: mid / float64(k),
-		Truncated: single.Truncated + multi.Truncated,
-	}, nil
-}
-
-// SpeedupCurve measures S^k for each k in ks, re-using one single-walk
-// estimate. ks must be positive; duplicates are allowed (they re-measure).
-func SpeedupCurve(g *graph.Graph, start int32, ks []int, opts walk.MCOptions) ([]SpeedupPoint, error) {
-	return KernelSpeedupCurve(g, walk.Uniform(), start, ks, opts)
-}
-
-// KernelSpeedupCurve is SpeedupCurve under an arbitrary walk kernel.
-func KernelSpeedupCurve(g *graph.Graph, kern walk.Kernel, start int32, ks []int, opts walk.MCOptions) ([]SpeedupPoint, error) {
+// SpeedupCurve measures S^k for each k in ks on eng, re-using one
+// single-walk estimate. C and every C^k run the engine's kernel, so S^k
+// isolates the effect of parallelism from the effect of the step law. The
+// same options (trials, step budget) serve every estimate; each C^k runs
+// on a seed derived from opts.Seed and k, so it is independent of C. ks
+// must be positive; duplicates are allowed (they re-measure).
+func SpeedupCurve(eng *walk.Engine, start int32, ks []int, opts walk.MCOptions) ([]SpeedupPoint, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("core: empty k list")
 	}
@@ -100,17 +57,29 @@ func KernelSpeedupCurve(g *graph.Graph, kern walk.Kernel, start int32, ks []int,
 			return nil, fmt.Errorf("core: invalid k=%d", k)
 		}
 	}
-	single, err := walk.EstimateKernelCoverTime(g, kern, start, opts)
+	single, err := eng.EstimateCover(start, 1, opts)
 	if err != nil {
 		return nil, err
 	}
 	points := make([]SpeedupPoint, 0, len(ks))
 	for _, k := range ks {
-		p, err := speedupAgainst(g, kern, start, k, single, opts)
+		kOpts := opts
+		kOpts.Seed = opts.Seed ^ 0x9e3779b97f4a7c15 ^ uint64(k)<<32
+		multi, err := eng.EstimateCover(start, k, kOpts)
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, p)
+		lo, mid, hi := ratioBand(single, multi)
+		points = append(points, SpeedupPoint{
+			K:         k,
+			Single:    single,
+			Multi:     multi,
+			Speedup:   mid,
+			SpeedupLo: lo,
+			SpeedupHi: hi,
+			PerWalker: mid / float64(k),
+			Truncated: single.Truncated + multi.Truncated,
+		})
 	}
 	return points, nil
 }

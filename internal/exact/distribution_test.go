@@ -93,7 +93,7 @@ func TestCoverDistributionMatchesMonteCarlo(t *testing.T) {
 	for t2 := 0; t2 <= 40; t2++ {
 		exactTail -= dist[t2]
 	}
-	tail, err := walk.CoverTimeTail(g, 0, 40, walk.MCOptions{Trials: 4000, Seed: 3, MaxSteps: 10})
+	tail, err := walk.NewEngine(g, walk.EngineOptions{}).EstimateCoverTail(0, 40, walk.MCOptions{Trials: 4000, Seed: 3, MaxSteps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

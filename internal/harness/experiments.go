@@ -32,10 +32,11 @@ func RunBarbellFigure(cfg Config) (*Report, error) {
 		g, center := graph.Barbell(n)
 		k := int(math.Ceil(20 * math.Log(float64(n))))
 		opts := cfg.mc(hashKey(fmt.Sprintf("barbell%d", n)), 200*int64(n)*int64(n))
-		p, err := core.MeasureSpeedup(g, center, k, opts)
+		points, err := core.SpeedupCurve(cfg.engine(g, nil), center, []int{k}, opts)
 		if err != nil {
 			return nil, err
 		}
+		p := points[0]
 		nf := float64(n)
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", n), fmt.Sprintf("%d", k),
@@ -74,7 +75,7 @@ func RunTheorem6CycleFit(cfg Config) (*Report, error) {
 	}
 	g := graph.Cycle(n)
 	ks := geometricKs(kMax)
-	points, err := core.SpeedupCurve(g, 0, ks, cfg.mc(hashKey("thm6"), quadBudget(n)))
+	points, err := core.SpeedupCurve(cfg.engine(g, nil), 0, ks, cfg.mc(hashKey("thm6"), quadBudget(n)))
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func RunTheorem8GridSpectrum(cfg Config) (*Report, error) {
 	if bigK > n {
 		bigK = n
 	}
-	points, err := core.SpeedupCurve(g, 0, []int{smallK, bigK},
+	points, err := core.SpeedupCurve(cfg.engine(g, nil), 0, []int{smallK, bigK},
 		cfg.mc(hashKey("thm8"), quadBudget(n)))
 	if err != nil {
 		return nil, err
@@ -168,12 +169,13 @@ func RunTheorem13BabyMatthews(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		eng := cfg.engine(g, nil)
 		kTop := int(math.Log(float64(g.N())))
 		if kTop < 2 {
 			kTop = 2
 		}
 		for k := 1; k <= kTop; k *= 2 {
-			est, err := walk.EstimateKCoverTime(g, start, k,
+			est, err := eng.EstimateCover(start, k,
 				cfg.mc(hashKey(fmt.Sprintf("thm13-%s-%d", g.Name(), k)), quadBudget(g.N())))
 			if err != nil {
 				return nil, err
@@ -219,11 +221,12 @@ func RunTheorem9MixingBound(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("harness: mixing truncated on %s", tc.g.Name())
 		}
 		k := int(math.Sqrt(float64(n)))
-		p, err := core.MeasureSpeedup(tc.g, 0, k,
+		points, err := core.SpeedupCurve(cfg.engine(tc.g, nil), 0, []int{k},
 			cfg.mc(hashKey("thm9"+tc.g.Name()), quadBudget(n)))
 		if err != nil {
 			return nil, err
 		}
+		p := points[0]
 		bound := float64(k) / (float64(res) * math.Log(float64(n)))
 		margin := p.Speedup / bound
 		rep.Rows = append(rep.Rows, []string{
@@ -278,12 +281,13 @@ func RunTheorem1Matthews(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		eng := cfg.engine(g, nil)
 		// Cover time from the worst start is what C(G) means; approximate
 		// the max by probing a few structurally distinct starts.
 		starts := []int32{0, int32(g.N() / 2), int32(g.N() - 1)}
 		worst := walk.Estimate{}
 		for _, s := range starts {
-			est, err := walk.EstimateCoverTime(g, s,
+			est, err := eng.EstimateCover(s, 1,
 				cfg.mc(hashKey(fmt.Sprintf("thm1-%s-%d", g.Name(), s)), 100*quadBudget(int(math.Sqrt(float64(g.N())))+1)))
 			if err != nil {
 				return nil, err
@@ -341,7 +345,7 @@ func RunTheorem17Concentration(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			est, err := walk.EstimateCoverTime(g, 0,
+			est, err := cfg.engine(g, nil).EstimateCover(0, 1,
 				cfg.mc(hashKey("thm17"+g.Name()), quadBudget(n)))
 			if err != nil {
 				return nil, err
@@ -388,6 +392,7 @@ func RunLemma19ExpanderVisit(cfg Config) (*Report, error) {
 
 	// Empirical visit probability over random (u,v) pairs.
 	const pairs = 8
+	eng := cfg.engine(g, nil)
 	rep := &Report{
 		ID:      "E-lem19",
 		Title:   fmt.Sprintf("Lemma 19 — 2s-walk visit probability on margulis(%d²), s=%.1f, λ=%.3f", m, s, lambdaT),
@@ -403,7 +408,7 @@ func RunLemma19ExpanderVisit(cfg Config) (*Report, error) {
 		// A walk of walkLen steps visits v iff its hitting trial stops
 		// within the budget, so P[visit] is the stopped share.
 		opts := cfg.mc(hashKey(fmt.Sprintf("lem19-%d", i)), walkLen)
-		est, err := walk.EstimateHittingTime(g, u, v, opts)
+		est, err := eng.EstimateHitting(u, v, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -433,8 +438,9 @@ func RunLemma22CycleBounds(cfg Config) (*Report, error) {
 		Columns: []string{"k", "lower", "C^k (measured)", "upper"},
 		Pass:    true,
 	}
+	eng := cfg.engine(g, nil)
 	for _, k := range []int{4, 8, 16, 32} {
-		est, err := walk.EstimateKCoverTime(g, 0, k,
+		est, err := eng.EstimateCover(0, k,
 			cfg.mc(hashKey(fmt.Sprintf("lem22-%d", k)), quadBudget(n)))
 		if err != nil {
 			return nil, err
@@ -517,7 +523,7 @@ func RunConjecture10Probe(cfg Config) (*Report, error) {
 	}
 	sawSuper := false
 	for _, pr := range probes {
-		points, err := core.SpeedupCurve(pr.g, pr.start, pr.ks,
+		points, err := core.SpeedupCurve(cfg.engine(pr.g, nil), pr.start, pr.ks,
 			cfg.mc(hashKey("conj10"+pr.g.Name()), 200*int64(pr.g.N())*int64(pr.g.N())))
 		if err != nil {
 			return nil, err
@@ -569,12 +575,13 @@ func RunAblationStartDistribution(cfg Config) (*Report, error) {
 		{graph.Cycle(size(cfg, 64, 128)), 0, 8},
 	}
 	for _, tc := range cases {
-		origin, err := walk.EstimateKCoverTime(tc.g, tc.start, tc.k,
+		eng := cfg.engine(tc.g, nil)
+		origin, err := eng.EstimateCover(tc.start, tc.k,
 			cfg.mc(hashKey("astart"+tc.g.Name()), 200*int64(tc.g.N())*int64(tc.g.N())))
 		if err != nil {
 			return nil, err
 		}
-		stat, err := walk.EstimateKCoverTimeStationary(tc.g, tc.k,
+		stat, err := eng.EstimateStationaryCover(tc.k,
 			cfg.mc(hashKey("astart2"+tc.g.Name()), 200*int64(tc.g.N())*int64(tc.g.N())))
 		if err != nil {
 			return nil, err
@@ -605,12 +612,12 @@ func RunAblationLazyWalk(cfg Config) (*Report, error) {
 		graph.Torus2D(size(cfg, 8, 16)),
 	}
 	for _, g := range graphs {
-		simple, err := walk.EstimateCoverTime(g, 0,
+		simple, err := cfg.engine(g, nil).EstimateCover(0, 1,
 			cfg.mc(hashKey("alazy"+g.Name()), nlognBudget(g.N())*4))
 		if err != nil {
 			return nil, err
 		}
-		lazy, err := walk.EstimateKernelCoverTime(g, walk.Lazy(0.5), 0,
+		lazy, err := cfg.engine(g, walk.Lazy(0.5)).EstimateCover(0, 1,
 			cfg.mc(hashKey("alazy2"+g.Name()), nlognBudget(g.N())*8))
 		if err != nil {
 			return nil, err

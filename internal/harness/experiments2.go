@@ -34,8 +34,9 @@ func RunTheorem24GridLowerBound(cfg Config) (*Report, error) {
 		{graph.Grid([]int{side3, side3, side3}, true), 3, side3},
 	}
 	for _, c := range cases {
+		eng := cfg.engine(c.g, nil)
 		for _, k := range []int{4, 16, 64} {
-			est, err := walk.EstimateKCoverTime(c.g, 0, k,
+			est, err := eng.EstimateCover(0, k,
 				cfg.mc(hashKey(fmt.Sprintf("thm24-%d-%d", c.d, k)), quadBudget(c.g.N())))
 			if err != nil {
 				return nil, err
@@ -70,15 +71,16 @@ func RunPartialCoverTail(cfg Config) (*Report, error) {
 		Pass:    true,
 	}
 	shares := map[int]float64{}
+	eng := cfg.engine(g, nil)
 	for _, k := range []int{1, 8} {
 		var ts [3]walk.Estimate
 		for i, alpha := range []float64{0.5, 0.9, 1.0} {
-			est, err := walk.EstimatePartialCoverTime(g, 0, k, alpha,
+			est, err := eng.EstimatePartialCover(0, k, []float64{alpha},
 				cfg.mc(hashKey(fmt.Sprintf("partial-%d-%v", k, alpha)), quadBudget(g.N())))
 			if err != nil {
 				return nil, err
 			}
-			ts[i] = est
+			ts[i] = est[0]
 		}
 		share := (ts[2].Mean() - ts[1].Mean()) / ts[2].Mean()
 		shares[k] = share
@@ -112,7 +114,7 @@ func RunLollipopWorstCase(cfg Config) (*Report, error) {
 	for i, n := range []int{n1, n2} {
 		g := graph.Lollipop(n/2, n-n/2)
 		// Start inside the clique: the walk must drag itself down the path.
-		est, err := walk.EstimateCoverTime(g, 1,
+		est, err := cfg.engine(g, nil).EstimateCover(1, 1,
 			cfg.mc(hashKey(fmt.Sprintf("lolli-%d", n)), 4*int64(n)*int64(n)*int64(n)))
 		if err != nil {
 			return nil, err
@@ -168,7 +170,7 @@ func RunExtraFamilies(cfg Config) (*Report, error) {
 	}
 	for _, g := range cases {
 		ks := geometricKs(int(math.Log(float64(g.N()))) + 1)
-		points, err := core.SpeedupCurve(g, 0, ks,
+		points, err := core.SpeedupCurve(cfg.engine(g, nil), 0, ks,
 			cfg.mc(hashKey("families"+g.Name()), quadBudget(g.N())))
 		if err != nil {
 			return nil, err
@@ -245,11 +247,12 @@ func RunCoverageProfile(cfg Config) (*Report, error) {
 		Pass:    true,
 	}
 	opts := cfg.mc(hashKey("profile"), 1)
-	p1, err := walk.MeanCoverageProfile(g, 0, 1, horizon, opts)
+	eng := cfg.engine(g, nil)
+	p1, err := eng.EstimateCoverageProfile(0, 1, horizon, opts)
 	if err != nil {
 		return nil, err
 	}
-	p8, err := walk.MeanCoverageProfile(g, 0, 8, horizon, opts)
+	p8, err := eng.EstimateCoverageProfile(0, 8, horizon, opts)
 	if err != nil {
 		return nil, err
 	}

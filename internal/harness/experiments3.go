@@ -34,14 +34,15 @@ func RunTheorem14Bound(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cEst, err := walk.EstimateCoverTime(g, 0,
+		eng := cfg.engine(g, nil)
+		cEst, err := eng.EstimateCover(0, 1,
 			cfg.mc(hashKey("thm14c"+g.Name()), quadBudget(g.N())))
 		if err != nil {
 			return nil, err
 		}
 		fn := math.Log(math.Log(float64(g.N())))
 		for _, k := range []int{2, 4} { // within O(log^{1-ε} n) at these sizes
-			ck, err := walk.EstimateKCoverTime(g, 0, k,
+			ck, err := eng.EstimateCover(0, k,
 				cfg.mc(hashKey(fmt.Sprintf("thm14k-%s-%d", g.Name(), k)), quadBudget(g.N())))
 			if err != nil {
 				return nil, err
@@ -91,7 +92,7 @@ func RunConjecture11Probe(cfg Config) (*Report, error) {
 		{bar, center},
 	}
 	for _, pr := range probes {
-		points, err := core.SpeedupCurve(pr.g, pr.start, []int{2, 8, 32},
+		points, err := core.SpeedupCurve(cfg.engine(pr.g, nil), pr.start, []int{2, 8, 32},
 			cfg.mc(hashKey("conj11"+pr.g.Name()), 400*int64(pr.g.N())*int64(pr.g.N())))
 		if err != nil {
 			return nil, err
@@ -144,11 +145,11 @@ func RunAblationNonBacktracking(cfg Config) (*Report, error) {
 	}
 	for _, c := range cases {
 		opts := cfg.mc(hashKey(fmt.Sprintf("nbrw-%s-%d", c.g.Name(), c.k)), quadBudget(c.g.N()))
-		simple, err := walk.EstimateKCoverTime(c.g, 0, c.k, opts)
+		simple, err := cfg.engine(c.g, nil).EstimateCover(0, c.k, opts)
 		if err != nil {
 			return nil, err
 		}
-		nb, err := walk.EstimateKernelKCoverTime(c.g, walk.NoBacktrack(), 0, c.k, opts)
+		nb, err := cfg.engine(c.g, walk.NoBacktrack()).EstimateCover(0, c.k, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -76,12 +76,13 @@ func RunKernelSpeedupSweep(cfg Config) (*Report, error) {
 		for _, kern := range walk.Kernels() {
 			mc := cfg.mc(hashKey("kernels"+tc.g.Name()+kern.String()), budget)
 			mc.Trials = trials
-			// MeasureKernelSpeedup decorrelates the C and C^k seeds, so the
-			// two estimates are independent rather than pathwise coupled.
-			p, err := core.MeasureKernelSpeedup(tc.g, kern, tc.start, k, mc)
+			// SpeedupCurve decorrelates the C and C^k seeds, so the two
+			// estimates are independent rather than pathwise coupled.
+			points, err := core.SpeedupCurve(cfg.engine(tc.g, kern), tc.start, []int{k}, mc)
 			if err != nil {
 				return nil, err
 			}
+			p := points[0]
 			if p.Truncated > 0 {
 				rep.Pass = false
 				rep.Notes = append(rep.Notes, fmt.Sprintf(

@@ -93,11 +93,12 @@ func RunCollaborationSweep(cfg Config) (*Report, error) {
 		mc := cfg.mc(hashKey("collab"+tc.g.Name()), budget)
 		mc.Trials = trials
 
-		coal, meet, err := walk.EstimateKCoalescenceTime(tc.g, tc.starts, mc)
+		eng := cfg.engine(tc.g, nil)
+		coal, meet, err := eng.EstimateCoalescence(tc.starts, mc)
 		if err != nil {
 			return nil, err
 		}
-		pcs, err := walk.MeanPartialCoverRounds(tc.g, tc.starts[0], k, fractions, mc)
+		pcs, err := eng.EstimatePartialCover(tc.starts[0], k, fractions, mc)
 		if err != nil {
 			return nil, err
 		}

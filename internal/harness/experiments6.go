@@ -47,13 +47,14 @@ func RunAdaptiveStopping(cfg Config) (*Report, error) {
 	}
 	for i, tc := range graphs {
 		opts := cfg.mc(0x5ADA+uint64(i), 1<<22)
-		fixed, err := walk.EstimateKCoverTime(tc.g, 0, k, opts)
+		eng := cfg.engine(tc.g, nil)
+		fixed, err := eng.EstimateCover(0, k, opts)
 		if err != nil {
 			return nil, err
 		}
 		aopts := opts
 		aopts.Precision = walk.Precision{RTol: rtol, Confidence: 0.95, Wave: 16}
-		adapt, err := walk.EstimateKCoverTime(tc.g, 0, k, aopts)
+		adapt, err := eng.EstimateCover(0, k, aopts)
 		if err != nil {
 			return nil, err
 		}

@@ -57,9 +57,12 @@ func RunHopperKernels(cfg Config) (*Report, error) {
 	target := int32(n / 2)
 	covers := make([]walk.Estimate, len(kernels))
 	for i, kern := range kernels {
+		// One engine per kernel serves its cover and its hitting estimate,
+		// so a hopper's distances and row bank are compiled once.
+		eng := cfg.engine(g, kern)
 		opts := cfg.mc(hashKey("hopper-cover"), 4*int64(n)*int64(n))
 		opts.Trials = hopperTrials(cfg)
-		cover, err := walk.EstimateKernelCoverTime(g, kern, 0, opts)
+		cover, err := eng.EstimateCover(0, 1, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +76,7 @@ func RunHopperKernels(cfg Config) (*Report, error) {
 		if _, _, err := kern.TransitionProbs(g, 0); err == nil {
 			hopts := cfg.mc(hashKey("hopper-hit"+kern.String()), 4*int64(n)*int64(n))
 			hopts.Trials = hopperTrials(cfg)
-			hit, err := walk.EstimateKernelHittingTime(g, kern, 0, target, hopts)
+			hit, err := eng.EstimateHitting(0, target, hopts)
 			if err != nil {
 				return nil, err
 			}

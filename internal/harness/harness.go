@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"manywalks/internal/graph"
 	"manywalks/internal/walk"
 )
 
@@ -41,6 +42,14 @@ func (c Config) mc(salt uint64, maxSteps int64) walk.MCOptions {
 		Seed:     c.Seed ^ salt*0x9e3779b97f4a7c15,
 		MaxSteps: maxSteps,
 	}
+}
+
+// engine compiles g's engine under kern (nil is the uniform walk) on the
+// configured workers; every estimate on one (graph, kernel) shares it. The
+// experiments build their graphs and pick their kernels themselves, so a
+// refusal (an isolated vertex, a bank over the cap) is a bug and panics.
+func (c Config) engine(g *graph.Graph, kern walk.Kernel) *walk.Engine {
+	return walk.NewEngine(g, walk.EngineOptions{Workers: c.Workers, Kernel: kern})
 }
 
 // Report is the printable outcome of one experiment.

@@ -200,7 +200,7 @@ func RunTable1Row(fam Family, cfg Config) (*Table1Row, error) {
 	row := &Table1Row{Family: fam, Graph: g, N: n, MixingTime: -1}
 
 	opts := cfg.mc(hashKey(fam.Key), fam.StepBudget(n))
-	points, err := core.SpeedupCurve(g, start, fam.Ks(n), opts)
+	points, err := core.SpeedupCurve(cfg.engine(g, nil), start, fam.Ks(n), opts)
 	if err != nil {
 		return nil, err
 	}

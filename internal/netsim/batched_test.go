@@ -71,7 +71,7 @@ func TestBatchedAgreesWithMessageSimulator(t *testing.T) {
 	foundMsg, foundBatch := 0, 0
 	eng := walk.NewEngine(g, walk.EngineOptions{})
 	for q := 0; q < trials; q++ {
-		if RunWalkQuery(g, 0, k, ttl, hasItem, rng.NewStream(7, uint64(q))).Found {
+		if runWalkQuery(g, 0, k, ttl, hasItem, rng.NewStream(7, uint64(q))).Found {
 			foundMsg++
 		}
 		if RunWalkQueryEngine(eng, 0, k, ttl, hasItem, uint64(q)).Found {

@@ -28,7 +28,7 @@ func TestIsolatedOriginNoPanic(t *testing.T) {
 	hasItem := make([]bool, g.N())
 	hasItem[2] = true
 
-	res := RunWalkQuery(g, 4, 3, 64, hasItem, rng.New(1))
+	res := runWalkQuery(g, 4, 3, 64, hasItem, rng.New(1))
 	if res.Found || res.Messages != 0 {
 		t.Fatalf("message-sim query from isolated origin: %+v; want not found, 0 messages", res)
 	}
@@ -37,7 +37,7 @@ func TestIsolatedOriginNoPanic(t *testing.T) {
 	// find.
 	atOrigin := make([]bool, g.N())
 	atOrigin[4] = true
-	if res := RunWalkQuery(g, 4, 3, 64, atOrigin, rng.New(1)); !res.Found || res.Rounds != 0 {
+	if res := runWalkQuery(g, 4, 3, 64, atOrigin, rng.New(1)); !res.Found || res.Rounds != 0 {
 		t.Fatalf("item at isolated origin (message sim): %+v", res)
 	}
 

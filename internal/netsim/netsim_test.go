@@ -93,7 +93,7 @@ func TestWalkQueryFindsLocalItem(t *testing.T) {
 	g := graph.Cycle(8)
 	hasItem := make([]bool, 8)
 	hasItem[0] = true
-	res := RunWalkQuery(g, 0, 1, 100, hasItem, rng.New(2))
+	res := runWalkQuery(g, 0, 1, 100, hasItem, rng.New(2))
 	if !res.Found || res.Rounds != 0 || res.Messages != 0 {
 		t.Fatalf("local hit mishandled: %+v", res)
 	}
@@ -106,7 +106,7 @@ func TestWalkQueryHitsNeighborhood(t *testing.T) {
 	hasItem[8] = true
 	found := 0
 	for trial := 0; trial < 50; trial++ {
-		res := RunWalkQuery(g, 0, 2, 4000, hasItem, rng.NewStream(3, uint64(trial)))
+		res := runWalkQuery(g, 0, 2, 4000, hasItem, rng.NewStream(3, uint64(trial)))
 		if res.Found {
 			found++
 			if res.Rounds <= 0 {
@@ -125,7 +125,7 @@ func TestWalkQueryTTLBudget(t *testing.T) {
 	g := graph.Path(5)
 	hasItem := make([]bool, 5)
 	hasItem[4] = true
-	res := RunWalkQuery(g, 0, 3, 1, hasItem, rng.New(4))
+	res := runWalkQuery(g, 0, 3, 1, hasItem, rng.New(4))
 	if res.Found {
 		t.Fatal("TTL-1 walk cannot reach distance 2+")
 	}
@@ -143,7 +143,7 @@ func TestMoreWalkersFindFaster(t *testing.T) {
 		total := 0
 		const trials = 300
 		for trial := 0; trial < trials; trial++ {
-			res := RunWalkQuery(g, 0, k, 1<<16, hasItem, rng.NewStream(5, uint64(k*1000+trial)))
+			res := runWalkQuery(g, 0, k, 1<<16, hasItem, rng.NewStream(5, uint64(k*1000+trial)))
 			if !res.Found {
 				t.Fatal("query failed with huge TTL")
 			}
@@ -185,7 +185,7 @@ func TestFloodDisseminationCostVsWalkProbe(t *testing.T) {
 	g := graph.Torus2D(32)
 	noItem := make([]bool, g.N())
 	flood := RunFloodQuery(g, 0, g.N(), noItem, rng.New(7))
-	walks := RunWalkQuery(g, 0, 8, 100, noItem, rng.New(7))
+	walks := runWalkQuery(g, 0, 8, 100, noItem, rng.New(7))
 	if flood.Found || walks.Found {
 		t.Fatal("found a nonexistent item")
 	}

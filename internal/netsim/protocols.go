@@ -13,59 +13,6 @@ type QueryResult struct {
 	Messages int64 // total messages the protocol consumed
 }
 
-// walkToken is the payload of a random-walk query token.
-type walkToken struct{ ttl int }
-
-// walkQuery implements a k-token random-walk search for nodes where
-// hasItem is true.
-type walkQuery struct {
-	hasItem    []bool
-	found      bool
-	foundRound int
-}
-
-// Deliver forwards the token or stops on a hit.
-func (q *walkQuery) Deliver(net *Network, node NodeID, msg Message) {
-	if q.found {
-		return
-	}
-	if q.hasItem[node] {
-		q.found = true
-		q.foundRound = net.Round()
-		net.Stop()
-		return
-	}
-	tok := msg.Payload.(walkToken)
-	if tok.ttl <= 0 {
-		return
-	}
-	net.SendToRandomNeighbor(node, walkToken{ttl: tok.ttl - 1}, msg.Hops)
-}
-
-// RunWalkQuery launches k random-walk tokens from origin, each with the
-// given TTL, and reports whether any token reached a node with the item.
-// A hit at the origin itself is reported immediately as 0 rounds.
-//
-// This is the message-level reference simulator: every token hop is a
-// delivered Message. The production path for large fleets is
-// RunWalkQueryEngine, which drives the same protocol through the batched
-// k-walk engine.
-func RunWalkQuery(g *graph.Graph, origin NodeID, k, ttl int, hasItem []bool, r *rng.Source) QueryResult {
-	q := &walkQuery{hasItem: hasItem}
-	net := New(g, q, r)
-	if hasItem[origin] {
-		return QueryResult{Found: true, Rounds: 0, Messages: 0}
-	}
-	// An isolated origin launches no tokens (SendToRandomNeighbor is a
-	// no-op there), so the network quiesces immediately: the query fails
-	// with zero messages instead of panicking in the neighbor sampler.
-	for i := 0; i < k; i++ {
-		net.SendToRandomNeighbor(origin, walkToken{ttl: ttl - 1}, -1)
-	}
-	net.Run(ttl + 1)
-	return QueryResult{Found: q.found, Rounds: q.foundRound, Messages: net.MessagesSent()}
-}
-
 // floodQuery implements TTL-bounded flooding search.
 type floodQuery struct {
 	hasItem    []bool
@@ -145,18 +92,17 @@ func RunMembershipSampling(g *graph.Graph, origin NodeID, count, walkLen int, r 
 	return s.samples
 }
 
-// RunWalkQueryEngine answers the same query as RunWalkQuery but drives
-// the k tokens through a caller-held batched k-walk engine instead of
-// per-message delivery: the tokens are k synchronized walkers from origin,
-// and the query succeeds when any walker stands on a node with the item
-// within ttl rounds. Determinism comes from the engine's per-walker
-// streams under seed rather than a shared rng.Source. It is
-// RunWalkQueriesEngine for one seed.
+// RunWalkQueryEngine answers a k-token random-walk search for an item
+// through a caller-held batched k-walk engine: the tokens are k
+// synchronized walkers from origin, and the query succeeds when any walker
+// stands on a node with the item within ttl rounds. Determinism comes from
+// the engine's per-walker streams under seed rather than a shared
+// rng.Source. It is RunWalkQueriesEngine for one seed.
 //
 // Message accounting matches the synchronized protocol: every token
 // forwards once per round until the hit round (or TTL exhaustion), so the
-// query costs k messages per elapsed round. Unlike RunWalkQuery, Rounds
-// reports ttl (not 0) when the query fails.
+// query costs k messages per elapsed round. A failed query reports Rounds
+// ttl.
 func RunWalkQueryEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem []bool, seed uint64) QueryResult {
 	return RunWalkQueriesEngine(eng, origin, k, ttl, hasItem, []uint64{seed})[0]
 }
@@ -192,7 +138,7 @@ func RunWalkQueriesEngine(eng *walk.Engine, origin NodeID, k, ttl int, hasItem [
 		MaxRounds: int64(ttl),
 	}, walk.NewGroupHitObserver(hasItem))
 	if err != nil {
-		panic(err.Error()) // topology mismatch is a caller bug, as in RunWalkQuery
+		panic(err.Error()) // a topology mismatch is a caller bug
 	}
 	for i := range out {
 		out[i] = LaneQueryResult(k, int64(ttl), res.Stopped[i], res.Rounds[i])

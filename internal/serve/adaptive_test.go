@@ -49,10 +49,11 @@ func testServedAdaptiveMatchesStandalone(t *testing.T, workers int) {
 	var jobs []job
 	for _, gid := range []string{"expander64", "complete16"} {
 		g := graphs[gid]
+		eng := walk.NewEngine(g, walk.EngineOptions{})
 		n := int32(g.N())
 		for seed := uint64(1); seed <= 3; seed++ {
 			seed, gid := seed, gid
-			wantHit, err := walk.EstimateHittingTime(g, 0, n/2, opts(seed))
+			wantHit, err := eng.EstimateHitting(0, n/2, opts(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +67,7 @@ func testServedAdaptiveMatchesStandalone(t *testing.T, workers int) {
 				},
 				want: wantHit,
 			})
-			wantCover, err := walk.EstimateKCoverTime(g, 1, 4, opts(seed))
+			wantCover, err := eng.EstimateCover(1, 4, opts(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func testServedAdaptiveMatchesStandalone(t *testing.T, workers int) {
 				want: wantCover,
 			})
 			starts := []int32{0, n / 2}
-			wantMeet, err := walk.EstimateKMeetingTime(g, starts, opts(seed))
+			wantMeet, err := eng.EstimateMeeting(starts, opts(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +184,7 @@ func TestServedAdaptiveProgressStream(t *testing.T) {
 func TestServedAdaptiveSurvivesClose(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	prec := serveAdaptivePrecision()
-	want, err := walk.EstimateHittingTime(testGraphs()["expander64"], 0, 32,
+	want, err := walk.NewEngine(testGraphs()["expander64"], walk.EngineOptions{}).EstimateHitting(0, 32,
 		walk.MCOptions{Trials: serveAdaptiveBudget, Workers: 1, Seed: 21, MaxSteps: 1 << 16, Precision: prec})
 	if err != nil {
 		t.Fatal(err)

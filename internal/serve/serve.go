@@ -8,9 +8,9 @@
 //
 // The determinism contract is the whole point: every served answer is
 // bit-for-bit equal to the standalone call for the same request
-// — netsim.RunWalkQueryEngine for walk queries, the walk.Estimate*
-// functions (EstimateKernelHittingTime, EstimateKernelKCoverTime,
-// EstimateKMeetingTime; fixed or adaptive) for estimates. Every request
+// — netsim.RunWalkQueryEngine for walk queries, the walk.Engine
+// estimator methods (EstimateHitting, EstimateCover, EstimateMeeting;
+// fixed or adaptive) for estimates. Every request
 // is served by the coalescer; the standalone calls are the references it
 // is checked against. Coalescing is pure batching: each request's
 // lanes carry engine seeds derived exactly as the standalone path derives
@@ -192,7 +192,7 @@ type WalkQueryRequest struct {
 
 // HittingTimeRequest estimates h(Start, Target) from Trials single-walker
 // runs, each budgeted MaxSteps rounds; trial t's engine seed derives from
-// (Seed, t) exactly as walk.EstimateHittingTime derives it.
+// (Seed, t) exactly as walk.Engine.EstimateHitting derives it.
 type HittingTimeRequest struct {
 	Graph    string
 	Kernel   walk.Kernel
@@ -203,7 +203,7 @@ type HittingTimeRequest struct {
 	MaxSteps int64
 	// Precision, when enabled, switches the estimate to adaptive
 	// sequential stopping with Trials as the budget cap; the answer is
-	// bit-for-bit walk.EstimateHittingTime with the same Precision.
+	// bit-for-bit walk.Engine.EstimateHitting with the same Precision.
 	Precision walk.Precision
 	// OnProgress, when non-nil on an adaptive request, observes each
 	// wave's running estimate. It is called on a dispatcher pass
@@ -212,7 +212,7 @@ type HittingTimeRequest struct {
 }
 
 // CoverTimeRequest estimates the expected k-walk cover time from Start —
-// the paper's C^k — from Trials runs with the walk.EstimateKCoverTime
+// the paper's C^k — from Trials runs with the walk.Engine.EstimateCover
 // stream derivation.
 type CoverTimeRequest struct {
 	Graph    string
@@ -228,7 +228,7 @@ type CoverTimeRequest struct {
 }
 
 // MeetingTimeRequest estimates the expected first-meeting round of the
-// k-walk from Starts (len >= 2), with the walk.EstimateKMeetingTime stream
+// k-walk from Starts (len >= 2), with the walk.Engine.EstimateMeeting stream
 // derivation. Trials that never meet are censored at MaxSteps and counted
 // as Truncated.
 type MeetingTimeRequest struct {
@@ -423,7 +423,7 @@ func (s *Server) WalkQuery(ctx context.Context, req WalkQueryRequest) (netsim.Qu
 }
 
 // HittingTime answers a hitting-time estimate; its per-trial samples equal
-// walk.EstimateHittingTime's bit for bit.
+// walk.Engine.EstimateHitting's bit for bit.
 func (s *Server) HittingTime(ctx context.Context, req HittingTimeRequest) (walk.Estimate, error) {
 	a, err := s.submit(ctx, request{
 		what: "hitting time", kind: kindEstimate, obs: obsHit,
@@ -435,7 +435,7 @@ func (s *Server) HittingTime(ctx context.Context, req HittingTimeRequest) (walk.
 }
 
 // CoverTime answers a k-walk cover-time estimate; its per-trial samples
-// equal walk.EstimateKCoverTime's bit for bit.
+// equal walk.Engine.EstimateCover's bit for bit.
 func (s *Server) CoverTime(ctx context.Context, req CoverTimeRequest) (walk.Estimate, error) {
 	a, err := s.submit(ctx, request{
 		what: "cover time", kind: kindEstimate, obs: obsCover,
@@ -447,7 +447,7 @@ func (s *Server) CoverTime(ctx context.Context, req CoverTimeRequest) (walk.Esti
 }
 
 // MeetingTime answers a k-walk meeting-time estimate; its per-trial samples
-// equal walk.EstimateKMeetingTime's bit for bit.
+// equal walk.Engine.EstimateMeeting's bit for bit.
 func (s *Server) MeetingTime(ctx context.Context, req MeetingTimeRequest) (walk.Estimate, error) {
 	a, err := s.submit(ctx, request{
 		what: "meeting time", kind: kindEstimate, obs: obsMeet,

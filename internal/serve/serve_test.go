@@ -139,10 +139,11 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 	var jobs []job
 	for _, gid := range []string{"expander64", "complete16"} {
 		g := graphs[gid]
+		eng := walk.NewEngine(g, walk.EngineOptions{})
 		n := int32(g.N())
 		for seed := uint64(1); seed <= 4; seed++ {
 			seed, gid := seed, gid
-			wantHit, err := walk.EstimateHittingTime(g, 0, n/2, opts(seed))
+			wantHit, err := eng.EstimateHitting(0, n/2, opts(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +155,7 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 				},
 				want: wantHit,
 			})
-			wantCover, err := walk.EstimateKCoverTime(g, 1, 4, opts(seed))
+			wantCover, err := eng.EstimateCover(1, 4, opts(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 				want: wantCover,
 			})
 			starts := []int32{0, n / 2}
-			wantMeet, err := walk.EstimateKMeetingTime(g, starts, opts(seed))
+			wantMeet, err := eng.EstimateMeeting(starts, opts(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,9 +184,6 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 	}
 	// Registry-kernel round: the same bit-for-bit contract must hold for a
 	// dense-compiled hopper kernel sharing the pass with the uniform jobs.
-	// walk.EstimateKMeetingTime is uniform-only, so the meeting reference
-	// is that estimator's own body on a hopper engine: one grouped pass of
-	// the collision observer, summarized by walk.EstimateFromTrials.
 	hopper, err := walk.ParseKernel("hopper:power:1")
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +192,7 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 	hopperEng := walk.NewEngine(cyc, walk.EngineOptions{Workers: 1, Kernel: hopper})
 	for seed := uint64(1); seed <= 2; seed++ {
 		seed := seed
-		wantHit, err := walk.EstimateKernelHittingTime(cyc, hopper, 0, 16, opts(seed))
+		wantHit, err := hopperEng.EstimateHitting(0, 16, opts(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +204,7 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 			},
 			want: wantHit,
 		})
-		wantCover, err := walk.EstimateKernelKCoverTime(cyc, hopper, 1, 4, opts(seed))
+		wantCover, err := hopperEng.EstimateCover(1, 4, opts(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,13 +217,10 @@ func testServedEstimatesMatchStandalone(t *testing.T, workers int) {
 			want: wantCover,
 		})
 		starts := []int32{0, 16, 21}
-		res, err := hopperEng.RunGrouped(walk.GroupedRunSpec{
-			Trials: 12, Starts: starts, Seed: seed, MaxRounds: 1 << 16, Workers: 1,
-		}, walk.NewGroupCollisionObserver(false))
+		wantMeet, err := hopperEng.EstimateMeeting(starts, opts(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMeet := walk.EstimateFromTrials(res)
 		if wantMeet.Truncated == 12 || wantMeet.Summary.Max == 0 {
 			t.Fatalf("hopper meeting reference is degenerate: %+v", wantMeet)
 		}

@@ -61,10 +61,12 @@ func TestAdaptiveStopDeterministicGrid(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"barbellCover", func(eng *Engine, opts MCOptions) (GroupedResult, error) {
-			return runCoverTrials(eng, opts, commonStarts(bc, 4), 0, nil)
+			return eng.runCover(opts, commonStarts(bc, 4), 0, nil)
 		}, barbell},
 		{"expanderHit", func(eng *Engine, opts MCOptions) (GroupedResult, error) {
-			return runHitTrials(eng, opts, commonStarts(0, 4), marked)
+			return runTrials(opts, func(base, count int) (GroupedResult, error) {
+				return eng.RunGrouped(opts.pass(base, count, commonStarts(0, 4)), NewGroupHitObserver(marked))
+			})
 		}, expander},
 	}
 	for _, wl := range workloads {
@@ -114,13 +116,13 @@ func TestAdaptiveIsPrefixOfFixed(t *testing.T) {
 	g, c := graph.Barbell(17)
 	eng := NewEngine(g, EngineOptions{Workers: 1})
 	opts := MCOptions{Trials: 1024, Workers: 1, Seed: 11, MaxSteps: 1 << 18}
-	fixed, err := runCoverTrials(eng, opts, commonStarts(c, 4), 0, nil)
+	fixed, err := eng.runCover(opts, commonStarts(c, 4), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aopts := opts
 	aopts.Precision = adaptiveTestPrecision
-	adaptive, err := runCoverTrials(eng, aopts, commonStarts(c, 4), 0, nil)
+	adaptive, err := eng.runCover(aopts, commonStarts(c, 4), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestPrecisionZeroValueFixedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHit, err := EstimateHittingTime(g, 0, 20, opts)
+	gotHit, err := eng.EstimateHitting(0, 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestPrecisionZeroValueFixedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCoal, _, err := EstimateKCoalescenceTime(g, starts, opts)
+	gotCoal, _, err := eng.EstimateCoalescence(starts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestAdaptiveEstimatorsConverge(t *testing.T) {
 
 	// The stationary-placement estimator draws placements off the trial
 	// streams; adaptive waves must reproduce them at the global index.
-	aest, err := EstimateKCoverTimeStationary(g, 8, MCOptions{
+	aest, err := NewEngine(g, EngineOptions{}).EstimateStationaryCover(8, MCOptions{
 		Trials: 1024, Workers: 1, Seed: 5, MaxSteps: 1 << 18, Precision: prec,
 	})
 	if err != nil {
@@ -266,7 +268,7 @@ func TestAdaptiveEstimatorsConverge(t *testing.T) {
 
 	// Meeting + coalescence: adaptive stop watches the coalescence
 	// samples; the meet estimate covers the same trials.
-	coal, meet, err := EstimateKCoalescenceTime(g, []int32{0, 17, 29}, MCOptions{
+	coal, meet, err := NewEngine(g, EngineOptions{}).EstimateCoalescence([]int32{0, 17, 29}, MCOptions{
 		Trials: 2048, Workers: 2, Seed: 9, MaxSteps: 1 << 20, Precision: Precision{RTol: 0.2, Wave: 32},
 	})
 	if err != nil {
@@ -290,13 +292,13 @@ func TestAdaptiveStationaryPlacementMatchesFixed(t *testing.T) {
 		copy(starts, StationaryStarts(g, len(starts), r))
 	}
 	opts := MCOptions{Trials: 256, Workers: 1, Seed: 31, MaxSteps: 1 << 18}
-	fixed, err := runCoverTrials(eng, opts, make([]int32, 6), 0, place)
+	fixed, err := eng.runCover(opts, make([]int32, 6), 0, place)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aopts := opts
 	aopts.Precision = Precision{RTol: 0.15, Wave: 16}
-	adaptive, err := runCoverTrials(eng, aopts, make([]int32, 6), 0, place)
+	adaptive, err := eng.runCover(aopts, make([]int32, 6), 0, place)
 	if err != nil {
 		t.Fatal(err)
 	}

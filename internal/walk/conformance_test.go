@@ -159,7 +159,7 @@ func TestKernelConformanceExactAnchor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := walk.EstimateKernelHittingTime(g, k, start, target,
+			est, err := walk.NewEngine(g, walk.EngineOptions{Kernel: k}).EstimateHitting(start, target,
 				walk.MCOptions{Trials: 600, Seed: 9, MaxSteps: 1 << 20})
 			if err != nil {
 				t.Fatal(err)

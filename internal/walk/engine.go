@@ -46,13 +46,12 @@ import (
 type EngineOptions struct {
 	// Workers caps the goroutines stepping the lane shards of a grouped
 	// pass (the default of GroupedRunSpec.Workers), and the goroutines
-	// NewEngine compiles a hopper's dense row bank on. 0 or negative
-	// selects runtime.NumCPU(). A pass spawns each worker once per chunk of
-	// lanes, and only as many as its width pays for: a pass of a few thin
-	// lanes, or a single run (Run and the KCover/KHit/... wrappers, one
-	// lane), steps on the calling goroutine. A compile likewise takes one
-	// worker per 2^15 bank columns, so a small bank compiles on the calling
-	// goroutine.
+	// Compile builds a hopper's dense row bank on. 0 or negative selects
+	// GOMAXPROCS. A pass spawns each worker once per chunk of lanes, and
+	// only as many as its width pays for: a pass of a few thin lanes, or a
+	// single run (Run and the KCover/KHit/... wrappers, one lane), steps on
+	// the calling goroutine. A compile likewise takes one worker per 2^15
+	// bank columns, so a small bank compiles on the calling goroutine.
 	Workers int
 	// BatchRounds is the number of rounds a worker steps its lanes between
 	// retirements, where it records and compacts out the lanes that have
@@ -116,23 +115,23 @@ const (
 	maxPadEntries = 1 << 21 // 8 MiB of padded table at 4 bytes per slot
 )
 
-// NewEngine returns an engine for g. It panics if any vertex is isolated
-// (a walker there would have no move) or if opts.Kernel is invalid,
-// rejecting impossible configurations up front.
-func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
+// Compile returns an engine for g, or an error if any vertex is isolated
+// (a walker there would have no move) or opts.Kernel is invalid or its
+// table is over the compiler's memory cap.
+func Compile(g *graph.Graph, opts EngineOptions) (*Engine, error) {
 	offsets, adj := g.CSR()
 	n := g.N()
 	vtx := make([]uint64, n)
 	for v := 0; v < n; v++ {
 		off, deg := offsets[v], offsets[v+1]-offsets[v]
 		if deg == 0 {
-			panic(fmt.Sprintf("walk: engine requires min degree 1, vertex %d is isolated", v))
+			return nil, fmt.Errorf("walk: engine requires min degree 1, vertex %d is isolated", v)
 		}
 		vtx[v] = uint64(uint32(off))<<32 | uint64(uint32(deg))
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = defaultWorkers()
 	}
 	retire := opts.BatchRounds
 	if retire <= 0 {
@@ -141,7 +140,7 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	kernel := KernelOrUniform(opts.Kernel)
 	prog, err := compileKernel(g, kernel, workers)
 	if err != nil {
-		panic(err.Error())
+		return nil, err
 	}
 	e := &Engine{g: g, adj: adj, vtx: vtx, workers: workers, kernel: kernel, prog: prog}
 	// Non-uniform kernels draw fresh entropy every round (group 1), so
@@ -168,8 +167,22 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	// a batch boundary and a draw group never straddles a lane's base move.
 	e.retireRounds = (retire + e.group - 1) / e.group * e.group
 	e.window = maxWindowRounds / int64(e.group) * int64(e.group)
+	return e, nil
+}
+
+// NewEngine is Compile for callers that rule its refusals out up front: it
+// panics with Compile's error.
+func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
+	e, err := Compile(g, opts)
+	if err != nil {
+		panic(err.Error())
+	}
 	return e
 }
+
+// defaultWorkers is the worker count that Workers 0 selects, for engines
+// and for MonteCarlo alike.
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // buildPadTable lays out the padded neighbor table of stride 1<<shift: row
 // v repeats v's neighbor list whole (slot s holds neighbor s mod deg) as

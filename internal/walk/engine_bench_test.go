@@ -246,7 +246,11 @@ func BenchmarkEstimateCoverTimeK1(b *testing.B) {
 	for _, workers := range estimatorWorkerGrid {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			benchEstimates(b, trials, func(seed uint64) (Estimate, error) {
-				return EstimateCoverTime(g, 0, MCOptions{
+				eng, err := Compile(g, EngineOptions{Workers: workers})
+				if err != nil {
+					return Estimate{}, err
+				}
+				return eng.EstimateCover(0, 1, MCOptions{
 					Trials: trials, Workers: workers, Seed: seed, MaxSteps: 1 << 24,
 				})
 			})
@@ -266,7 +270,11 @@ func BenchmarkEstimateHittingTime(b *testing.B) {
 	for _, workers := range estimatorWorkerGrid {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			benchEstimates(b, trials, func(seed uint64) (Estimate, error) {
-				return EstimateHittingTime(g, 0, target, MCOptions{
+				eng, err := Compile(g, EngineOptions{Workers: workers})
+				if err != nil {
+					return Estimate{}, err
+				}
+				return eng.EstimateHitting(0, target, MCOptions{
 					Trials: trials, Workers: workers, Seed: seed, MaxSteps: 1 << 20,
 				})
 			})

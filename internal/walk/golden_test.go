@@ -312,11 +312,13 @@ func addEngineCases(t *testing.T, s *goldenSet) {
 	}
 }
 
-// estimatorEntry runs one estimator; its answer is the formatted estimate
-// and its censoring anchor the largest per-trial sample.
+// estimatorEntry runs one estimator on an engine; its answer is the
+// formatted estimate and its censoring anchor the largest per-trial
+// sample. The names are the graph-level functions each case first pinned;
+// the three that remain graph-level run as such.
 type estimatorEntry struct {
 	name string
-	run  func(g *graph.Graph, kern walk.Kernel, opts walk.MCOptions) (string, int64)
+	run  func(e *walk.Engine, opts walk.MCOptions) (string, int64)
 }
 
 func estimateAnswer(e walk.Estimate, err error) (string, int64) {
@@ -329,56 +331,63 @@ func estimateAnswer(e walk.Estimate, err error) (string, int64) {
 func estimatorEntries(n int) []estimatorEntry {
 	starts := spread(n, 3)
 	target := int32(n/2 + 1)
+	partial := func(e *walk.Engine, o walk.MCOptions, fractions ...float64) ([]walk.Estimate, error) {
+		return e.EstimatePartialCover(0, 3, fractions, o)
+	}
 	return []estimatorEntry{
-		{"EstimateCoverTime", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateCoverTime(g, 0, o))
+		{"EstimateCoverTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(e.EstimateCover(0, 1, o))
 		}},
-		{"EstimateKCoverTime/k3", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKCoverTime(g, 0, 3, o))
+		{"EstimateKCoverTime/k3", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(walk.EstimateKCoverTime(e.Graph(), 0, 3, o))
 		}},
-		{"EstimateKCoverTime/k8", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKCoverTime(g, 1, 8, o))
+		{"EstimateKCoverTime/k8", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(walk.EstimateKCoverTime(e.Graph(), 1, 8, o))
 		}},
-		{"EstimateKCoverTimeStationary", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKCoverTimeStationary(g, 4, o))
+		{"EstimateKCoverTimeStationary", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(e.EstimateStationaryCover(4, o))
 		}},
-		{"EstimateHittingTime", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateHittingTime(g, 0, target, o))
+		{"EstimateHittingTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(e.EstimateHitting(0, target, o))
 		}},
-		{"CoverTimeTail", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			p, err := walk.CoverTimeTail(g, 0, o.MaxSteps, o)
+		{"CoverTimeTail", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			p, err := e.EstimateCoverTail(0, o.MaxSteps, o)
 			if err != nil {
 				return errText(err), 0
 			}
 			return fmt.Sprint(p), 0
 		}},
-		{"EstimateKernelCoverTime", func(g *graph.Graph, k walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKernelCoverTime(g, k, 0, o))
+		{"EstimateKernelCoverTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(e.EstimateCover(0, 1, o))
 		}},
-		{"EstimateKernelKCoverTime", func(g *graph.Graph, k walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKernelKCoverTime(g, k, 0, 8, o))
+		{"EstimateKernelKCoverTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(walk.EstimateKernelKCoverTime(e.Graph(), e.Kernel(), 0, 8, o))
 		}},
-		{"EstimateKernelHittingTime", func(g *graph.Graph, k walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKernelHittingTime(g, k, 0, target, o))
+		{"EstimateKernelHittingTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(e.EstimateHitting(0, target, o))
 		}},
-		{"EstimatePartialCoverTime", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimatePartialCoverTime(g, 0, 3, 0.6, o))
+		{"EstimatePartialCoverTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			ests, err := partial(e, o, 0.6)
+			if err != nil {
+				return errText(err), 0
+			}
+			return estimateAnswer(ests[0], nil)
 		}},
-		{"EstimateMeetingTime", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateMeetingTime(g, starts[0], starts[1], o))
+		{"EstimateMeetingTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(e.EstimateMeeting(starts[:2], o))
 		}},
-		{"EstimateKMeetingTime", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			return estimateAnswer(walk.EstimateKMeetingTime(g, starts, o))
+		{"EstimateKMeetingTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			return estimateAnswer(walk.EstimateKMeetingTime(e.Graph(), starts, o))
 		}},
-		{"EstimateKCoalescenceTime", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			c, m, err := walk.EstimateKCoalescenceTime(g, starts, o)
+		{"EstimateKCoalescenceTime", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			c, m, err := e.EstimateCoalescence(starts, o)
 			if err != nil {
 				return errText(err), 0
 			}
 			return fmt.Sprintf("%+v meet=%+v", c, m), int64(c.Summary.Max)
 		}},
-		{"MeanPartialCoverRounds", func(g *graph.Graph, _ walk.Kernel, o walk.MCOptions) (string, int64) {
-			ests, err := walk.MeanPartialCoverRounds(g, 0, 3, []float64{0.75, 0.25, 1}, o)
+		{"MeanPartialCoverRounds", func(e *walk.Engine, o walk.MCOptions) (string, int64) {
+			ests, err := partial(e, o, 0.75, 0.25, 1)
 			if err != nil {
 				return errText(err), 0
 			}
@@ -403,8 +412,8 @@ var estimatorCombos = []struct {
 	{"margulis:8", "nobacktrack", nil},
 }
 
-// kernelEstimator reports whether an estimator takes the combo's kernel;
-// the uniform-only estimators run once per graph.
+// kernelEstimator reports whether an estimator runs on the combo's kernel
+// engine; the others run once per graph, on a uniform engine.
 func kernelEstimator(name string) bool { return strings.HasPrefix(name, "EstimateKernel") }
 
 var goldenPrecisions = []struct {
@@ -419,19 +428,24 @@ func addEstimatorCases(t *testing.T, s *goldenSet) {
 	ranUniform := map[string]bool{}
 	for _, c := range estimatorCombos {
 		g := mustGraph(t, c.graph)
-		kern := mustKernel(t, c.kernel)
+		kernEng := walk.NewEngine(g, walk.EngineOptions{Kernel: mustKernel(t, c.kernel)})
+		uniEng := walk.NewEngine(g, walk.EngineOptions{})
 		first := !ranUniform[c.graph]
 		ranUniform[c.graph] = true
 		for _, ent := range estimatorEntries(g.N()) {
 			if !kernelEstimator(ent.name) && !first || c.only != nil && !slices.Contains(c.only, ent.name) {
 				continue
 			}
+			eng := uniEng
+			if kernelEstimator(ent.name) {
+				eng = kernEng
+			}
 			opts := walk.MCOptions{Trials: 12, Seed: 77, Workers: 1, MaxSteps: bigBudget}
-			_, stop := ent.run(g, kern, opts)
+			_, stop := ent.run(eng, opts)
 			for _, b := range budgets(stop) {
 				for _, w := range goldenWorkers {
 					opts := walk.MCOptions{Trials: 12, Seed: 77, Workers: w, MaxSteps: b}
-					ans, _ := ent.run(g, kern, opts)
+					ans, _ := ent.run(eng, opts)
 					s.add(t, fmt.Sprintf("%s %s %s budget=%d w=%d", ent.name, c.graph, c.kernel, b, w), ans)
 				}
 			}
@@ -444,7 +458,7 @@ func addEstimatorCases(t *testing.T, s *goldenSet) {
 						var waves []string
 						opts := walk.MCOptions{Trials: 64, Seed: 78, Workers: w, MaxSteps: b, Precision: p.prec,
 							OnWave: func(ws walk.WaveStat) { waves = append(waves, fmt.Sprintf("%+v", ws)) }}
-						ans, _ := ent.run(g, kern, opts)
+						ans, _ := ent.run(eng, opts)
 						s.add(t, fmt.Sprintf("%s %s %s precision=%s budget=%d w=%d", ent.name, c.graph, c.kernel, p.name, b, w),
 							ans+" waves="+strings.Join(waves, ";"))
 					}
@@ -455,7 +469,7 @@ func addEstimatorCases(t *testing.T, s *goldenSet) {
 			for _, h := range []int64{0, 1, 10, 40} {
 				for _, k := range []int{1, 8} {
 					for _, w := range goldenWorkers {
-						mean, err := walk.MeanCoverageProfile(g, 0, k, h, walk.MCOptions{Trials: 12, Seed: 79, Workers: w})
+						mean, err := uniEng.EstimateCoverageProfile(0, k, h, walk.MCOptions{Trials: 12, Seed: 79, Workers: w})
 						ans := fmt.Sprint(mean)
 						if err != nil {
 							ans = errText(err)

@@ -763,7 +763,7 @@ func (o *GroupCoverObserver) validateGroup(n, k, trials int) error {
 }
 
 // thresholdTarget maps a cover fraction to its distinct-visit target,
-// matching EstimatePartialCoverTime's convention.
+// matching EstimatePartialCover's convention.
 func thresholdTarget(alpha float64, n int) int {
 	return max(1, int(alpha*float64(n)))
 }

@@ -497,15 +497,15 @@ func TestGroupedRoundsBoundary(t *testing.T) {
 	var estAt, hitAt, meetAt Estimate
 	for i, b := range budgets {
 		opts := MCOptions{Trials: 6, Workers: 1, Seed: 9, MaxSteps: b}
-		est, err := EstimateKCoverTime(g, 0, 2, opts)
+		est, err := eng.EstimateCover(0, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hit, err := EstimateHittingTime(g, 0, 6, opts)
+		hit, err := eng.EstimateHitting(0, 6, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meet, err := EstimateKMeetingTime(g, []int32{0, 6}, opts)
+		meet, err := eng.EstimateMeeting([]int32{0, 6}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestLazyKernelMatchesAbsorbingChain(t *testing.T) {
 		}
 		want := abs.ExpectedSteps()[0]
 
-		est, err := walk.EstimateKernelHittingTime(g, walk.Lazy(stay), 0, target,
+		est, err := walk.NewEngine(g, walk.EngineOptions{Kernel: walk.Lazy(stay)}).EstimateHitting(0, target,
 			walk.MCOptions{Trials: 3000, Seed: 42, MaxSteps: 1 << 22})
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestKernelHittingMatchesChainForKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := walk.EstimateKernelHittingTime(g, kern, 0, target,
+		est, err := walk.NewEngine(g, walk.EngineOptions{Kernel: kern}).EstimateHitting(0, target,
 			walk.MCOptions{Trials: 3000, Seed: 7, MaxSteps: 1 << 22})
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestKernelCoverMatchesChainDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := walk.EstimateKernelCoverTime(g, kern, 0,
+		est, err := walk.NewEngine(g, walk.EngineOptions{Kernel: kern}).EstimateCover(0, 1,
 			walk.MCOptions{Trials: 4000, Seed: 11, MaxSteps: 1 << 22})
 		if err != nil {
 			t.Fatal(err)

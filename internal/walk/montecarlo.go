@@ -2,7 +2,6 @@ package walk
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"manywalks/internal/graph"
@@ -12,8 +11,12 @@ import (
 
 // MCOptions configures a Monte Carlo estimation run.
 type MCOptions struct {
-	Trials   int    // number of independent trials (required, > 0)
-	Workers  int    // goroutines of the pass and of its engine's compile; 0 means GOMAXPROCS
+	Trials int // number of independent trials (required, > 0)
+	// Workers caps the goroutines of the run. In an Engine estimator 0
+	// means the engine's Workers and a positive value caps the pass, as
+	// GroupedRunSpec.Workers does; in MonteCarlo, and in the graph-level
+	// estimators that compile their own engine, 0 means GOMAXPROCS.
+	Workers  int
 	Seed     uint64 // root seed; trial i uses stream (Seed, i)
 	MaxSteps int64  // per-trial step/round budget (required, > 0)
 
@@ -29,21 +32,42 @@ type MCOptions struct {
 	OnWave func(WaveStat)
 }
 
-// normalized fills defaults and validates.
-func (o MCOptions) normalized() (MCOptions, error) {
+// check validates the fields every estimate needs.
+func (o MCOptions) check() error {
 	if o.Trials <= 0 {
-		return o, fmt.Errorf("walk: Trials must be > 0")
+		return fmt.Errorf("walk: Trials must be > 0")
 	}
 	if o.MaxSteps <= 0 {
-		return o, fmt.Errorf("walk: MaxSteps must be > 0")
+		return fmt.Errorf("walk: MaxSteps must be > 0")
+	}
+	return nil
+}
+
+// normalized validates o and resolves Workers for a run that starts its
+// own goroutines: 0 or negative selects the default, and no run takes more
+// workers than trials.
+func (o MCOptions) normalized() (MCOptions, error) {
+	if err := o.check(); err != nil {
+		return o, err
 	}
 	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+		o.Workers = defaultWorkers()
 	}
-	if o.Workers > o.Trials {
-		o.Workers = o.Trials
-	}
+	o.Workers = min(o.Workers, o.Trials)
 	return o, nil
+}
+
+// pass is the grouped pass of trials [base, base+count) of o's schedule
+// with the given starts.
+func (o MCOptions) pass(base, count int, starts []int32) GroupedRunSpec {
+	return GroupedRunSpec{
+		Trials:    count,
+		TrialBase: base,
+		Starts:    starts,
+		Seed:      o.Seed,
+		MaxRounds: o.MaxSteps,
+		Workers:   o.Workers,
+	}
 }
 
 // MonteCarlo runs opts.Trials independent trials of fn in parallel and
@@ -95,23 +119,27 @@ func checkStarts(g *graph.Graph, starts []int32) error {
 	return nil
 }
 
-// checkNoIsolated rejects a graph with an isolated vertex — a walker there
-// would have no move, and NewEngine panics on it.
-func checkNoIsolated(g *graph.Graph) error {
-	if min, _ := g.DegreeStats(); min == 0 {
-		return fmt.Errorf("walk: graph has an isolated vertex; walkers there would have no move")
-	}
-	return nil
-}
-
-// checkConnected rejects a graph on which quantity diverges (a
-// disconnected one) or the walk cannot run: the one-vertex graph without
-// a self-loop is connected but isolated.
+// checkConnected rejects a graph on which quantity diverges: a
+// disconnected one. An engine's graph has no isolated vertex (Compile
+// refuses one), so an estimator method needs no more.
 func checkConnected(g *graph.Graph, quantity string) error {
 	if !g.IsConnected() {
 		return fmt.Errorf("walk: %s diverges on disconnected graphs", quantity)
 	}
-	return checkNoIsolated(g)
+	return nil
+}
+
+// checkGraph is checkConnected for a graph no engine has accepted yet: the
+// one-vertex graph without a self-loop is connected, but its walker has no
+// move.
+func checkGraph(g *graph.Graph, quantity string) error {
+	if err := checkConnected(g, quantity); err != nil {
+		return err
+	}
+	if min, _ := g.DegreeStats(); min == 0 {
+		return fmt.Errorf("walk: graph has an isolated vertex; walkers there would have no move")
+	}
+	return nil
 }
 
 // Estimate holds a Monte Carlo estimate with its uncertainty plus coverage
@@ -134,33 +162,26 @@ func (e Estimate) Mean() float64 { return e.Summary.Mean }
 // CI95 is shorthand for Summary.CI95().
 func (e Estimate) CI95() float64 { return e.Summary.CI95() }
 
-// runCoverTrials runs opts.Trials independent k-walk cover runs on eng as
-// trial-lane passes and returns every trial's (rounds, covered) outcome.
-// target 0 selects full cover. With Precision enabled the same trials run
-// in adaptive waves instead (each wave a TrialBase-offset pass of the
-// identical global schedule), so every trial that does run is bit-for-bit
-// the fixed path's trial.
-func runCoverTrials(eng *Engine, opts MCOptions, starts []int32, target int, place func(int, *rng.Source, []int32)) (GroupedResult, error) {
-	return runTrials(opts, func(base, count int) (GroupedResult, error) {
-		return eng.RunGrouped(GroupedRunSpec{
-			Trials:    count,
-			TrialBase: base,
-			Starts:    starts,
-			Place:     place,
-			Seed:      opts.Seed,
-			MaxRounds: opts.MaxSteps,
-			Workers:   opts.Workers,
-		}, NewGroupCoverObserver(target))
-	})
-}
-
 // runTrials runs trials [0, opts.Trials) through run, in adaptive waves
-// when Precision is enabled.
+// when Precision is enabled: each wave is a TrialBase-offset pass of the
+// identical global schedule, so every trial that does run is bit-for-bit
+// the fixed path's trial.
 func runTrials(opts MCOptions, run func(base, count int) (GroupedResult, error)) (GroupedResult, error) {
 	if !opts.Precision.Enabled() {
 		return run(0, opts.Trials)
 	}
 	return adaptiveTrials(opts, run)
+}
+
+// runCover runs opts.Trials k-walk cover trials from starts (placed by
+// place, when non-nil) and returns every trial's (rounds, covered)
+// outcome. target 0 selects full cover.
+func (e *Engine) runCover(opts MCOptions, starts []int32, target int, place func(int, *rng.Source, []int32)) (GroupedResult, error) {
+	return runTrials(opts, func(base, count int) (GroupedResult, error) {
+		spec := opts.pass(base, count, starts)
+		spec.Place = place
+		return e.RunGrouped(spec, NewGroupCoverObserver(target))
+	})
 }
 
 // EstimateFromTrials summarizes per-trial rounds with truncation
@@ -184,31 +205,42 @@ func EstimateFromTrials(res GroupedResult) Estimate {
 	}
 }
 
-// EstimateCoverTime estimates the expected single-walk cover time from
-// start. Trials run as one trial-fused engine pass (RunGrouped) on the
-// batched engine.
-func EstimateCoverTime(g *graph.Graph, start int32, opts MCOptions) (Estimate, error) {
-	return EstimateKernelKCoverTime(g, nil, start, 1, opts)
+// EstimateCover estimates the expected k-walk cover time C^k (in rounds)
+// from a common start vertex under the engine's kernel; k = 1 is the
+// single-walk cover time C. All trials run as one trial-fused pass: Trials
+// x k walker lanes stepped together, each trial's sample bit-for-bit equal
+// to an Engine run with the MonteCarlo stream derivation.
+func (e *Engine) EstimateCover(start int32, k int, opts MCOptions) (Estimate, error) {
+	if k < 1 {
+		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
+	}
+	if err := checkConnected(e.g, "cover time"); err != nil {
+		return Estimate{}, err
+	}
+	if err := checkStarts(e.g, []int32{start}); err != nil {
+		return Estimate{}, err
+	}
+	if err := opts.check(); err != nil {
+		return Estimate{}, err
+	}
+	res, err := e.runCover(opts, commonStarts(start, k), 0, nil)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return EstimateFromTrials(res), nil
 }
 
 // EstimateKCoverTime estimates the expected k-walk cover time (in rounds)
-// from a common start vertex. All trials run as one trial-fused engine
-// pass: Trials x k walker lanes stepped together, each trial's sample
-// bit-for-bit equal to an Engine run with the MonteCarlo stream
-// derivation.
+// from a common start vertex under the uniform walk, on an engine compiled
+// for this one estimate.
 func EstimateKCoverTime(g *graph.Graph, start int32, k int, opts MCOptions) (Estimate, error) {
 	return EstimateKernelKCoverTime(g, nil, start, k, opts)
 }
 
-// EstimateKernelCoverTime estimates the expected single-walk cover time
-// from start under kernel k, on the batched engine.
-func EstimateKernelCoverTime(g *graph.Graph, k Kernel, start int32, opts MCOptions) (Estimate, error) {
-	return EstimateKernelKCoverTime(g, k, start, 1, opts)
-}
-
-// EstimateKernelKCoverTime estimates the expected k-walk cover time (in
-// rounds) from a common start vertex under kernel kern; a nil kernel is
-// the uniform walk.
+// EstimateKernelKCoverTime is EstimateKCoverTime under kernel kern (nil is
+// the uniform walk). It checks its arguments before it compiles, so each
+// refusal reads as it does for every other graph-level call, and compiles
+// on the normalized opts.Workers.
 func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
@@ -217,7 +249,7 @@ func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, o
 	if err := kern.Validate(g); err != nil {
 		return Estimate{}, err
 	}
-	if err := checkConnected(g, "cover time"); err != nil {
+	if err := checkGraph(g, "cover time"); err != nil {
 		return Estimate{}, err
 	}
 	if err := checkStarts(g, []int32{start}); err != nil {
@@ -227,118 +259,86 @@ func EstimateKernelKCoverTime(g *graph.Graph, kern Kernel, start int32, k int, o
 	if err != nil {
 		return Estimate{}, err
 	}
-	// Trials fuse into one grouped pass (the generic lane driver steps
-	// every kernel; uniform pad-table graphs take the pair-table fast
-	// path).
-	eng := NewEngine(g, EngineOptions{Workers: opts.Workers, Kernel: kern})
-	res, err := runCoverTrials(eng, opts, commonStarts(start, k), 0, nil)
+	eng, err := Compile(g, EngineOptions{Workers: opts.Workers, Kernel: kern})
 	if err != nil {
 		return Estimate{}, err
 	}
-	return EstimateFromTrials(res), nil
+	return eng.EstimateCover(start, k, opts)
 }
 
-// EstimateKCoverTimeStationary estimates the k-walk cover time with the k
+// EstimateStationaryCover estimates the k-walk cover time with the k
 // walkers started at fresh stationary samples each trial — the variant
 // discussed in the paper's §1.1 comparison with Broder et al. The
 // placement draws come off each trial's MonteCarlo stream before its
-// engine seed.
-func EstimateKCoverTimeStationary(g *graph.Graph, k int, opts MCOptions) (Estimate, error) {
+// engine seed. The placement is the uniform walk's stationary law, so the
+// engine must run the uniform kernel.
+func (e *Engine) EstimateStationaryCover(k int, opts MCOptions) (Estimate, error) {
 	if k < 1 {
 		return Estimate{}, fmt.Errorf("walk: k must be >= 1")
 	}
-	if err := checkConnected(g, "cover time"); err != nil {
+	if e.prog.kind != progUniform {
+		return Estimate{}, fmt.Errorf("walk: stationary starts follow the uniform walk, but the engine runs %s", e.kernel)
+	}
+	if err := checkConnected(e.g, "cover time"); err != nil {
 		return Estimate{}, err
 	}
-	opts, err := opts.normalized()
-	if err != nil {
+	if err := opts.check(); err != nil {
 		return Estimate{}, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
-	res, err := runCoverTrials(eng, opts, make([]int32, k), 0,
-		func(_ int, r *rng.Source, starts []int32) {
-			copy(starts, StationaryStarts(g, k, r))
-		})
-	if err != nil {
-		return Estimate{}, err
-	}
-	return EstimateFromTrials(res), nil
-}
-
-// EstimateHittingTime estimates h(start, target) by simulation; it is used
-// to cross-validate the exact fundamental-matrix solver on mid-size
-// graphs. Trials run as one trial-fused engine pass of single-walker
-// lanes.
-func EstimateHittingTime(g *graph.Graph, start, target int32, opts MCOptions) (Estimate, error) {
-	return EstimateKernelHittingTime(g, nil, start, target, opts)
-}
-
-// EstimateKernelHittingTime estimates h(start, target) under kernel k (nil
-// is the uniform walk); the kernel cross-validation tests compare it
-// against the absorbing-chain expectation of markov.ChainForKernel.
-func EstimateKernelHittingTime(g *graph.Graph, k Kernel, start, target int32, opts MCOptions) (Estimate, error) {
-	k = KernelOrUniform(k)
-	if err := k.Validate(g); err != nil {
-		return Estimate{}, err
-	}
-	if err := checkConnected(g, "hitting time"); err != nil {
-		return Estimate{}, err
-	}
-	if err := checkStarts(g, []int32{start, target}); err != nil {
-		return Estimate{}, err
-	}
-	opts, err := opts.normalized()
-	if err != nil {
-		return Estimate{}, err
-	}
-	eng := NewEngine(g, EngineOptions{Workers: opts.Workers, Kernel: k})
-	marked := make([]bool, g.N())
-	marked[target] = true
-	res, err := runHitTrials(eng, opts, []int32{start}, marked)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return EstimateFromTrials(res), nil
-}
-
-// runHitTrials is runCoverTrials' counterpart for marked-vertex searches.
-func runHitTrials(eng *Engine, opts MCOptions, starts []int32, marked []bool) (GroupedResult, error) {
-	return runTrials(opts, func(base, count int) (GroupedResult, error) {
-		return eng.RunGrouped(GroupedRunSpec{
-			Trials:    count,
-			TrialBase: base,
-			Starts:    starts,
-			Seed:      opts.Seed,
-			MaxRounds: opts.MaxSteps,
-			Workers:   opts.Workers,
-		}, NewGroupHitObserver(marked))
+	res, err := e.runCover(opts, make([]int32, k), 0, func(_ int, r *rng.Source, starts []int32) {
+		copy(starts, StationaryStarts(e.g, k, r))
 	})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return EstimateFromTrials(res), nil
 }
 
-// CoverTimeTail estimates Pr[τ > t] for the provided horizon t by running
-// fresh trials — one trial-fused pass — as used by the
-// Aldous-concentration experiment (Theorem 17).
-func CoverTimeTail(g *graph.Graph, start int32, horizon int64, opts MCOptions) (float64, error) {
+// EstimateHitting estimates h(start, target) under the engine's kernel by
+// simulation; trials run as one trial-fused pass of single-walker lanes.
+// The tests cross-validate it against the exact fundamental-matrix solver
+// and the absorbing-chain expectation of markov.ChainForKernel.
+func (e *Engine) EstimateHitting(start, target int32, opts MCOptions) (Estimate, error) {
+	if err := checkConnected(e.g, "hitting time"); err != nil {
+		return Estimate{}, err
+	}
+	if err := checkStarts(e.g, []int32{start, target}); err != nil {
+		return Estimate{}, err
+	}
+	if err := opts.check(); err != nil {
+		return Estimate{}, err
+	}
+	marked := make([]bool, e.g.N())
+	marked[target] = true
+	res, err := runTrials(opts, func(base, count int) (GroupedResult, error) {
+		return e.RunGrouped(opts.pass(base, count, []int32{start}), NewGroupHitObserver(marked))
+	})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return EstimateFromTrials(res), nil
+}
+
+// EstimateCoverTail estimates Pr[τ > horizon] for the single-walk cover
+// time τ from start by running fresh trials — one trial-fused pass — as
+// used by the Aldous-concentration experiment (Theorem 17). Under
+// Precision the tail averages over the trials the adaptive run used.
+func (e *Engine) EstimateCoverTail(start int32, horizon int64, opts MCOptions) (float64, error) {
 	if horizon <= 0 {
 		return 0, fmt.Errorf("walk: horizon must be > 0")
 	}
-	if err := checkNoIsolated(g); err != nil {
-		return 0, err
-	}
-	if err := checkStarts(g, []int32{start}); err != nil {
+	if err := checkStarts(e.g, []int32{start}); err != nil {
 		return 0, err
 	}
 	opts.MaxSteps = horizon
-	opts, err := opts.normalized()
+	if err := opts.check(); err != nil {
+		return 0, err
+	}
+	res, err := e.runCover(opts, []int32{start}, 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	eng := NewEngine(g, EngineOptions{Workers: opts.Workers})
-	res, err := runCoverTrials(eng, opts, []int32{start}, 0, nil)
-	if err != nil {
-		return 0, err
-	}
-	samples := make([]float64, opts.Trials)
+	samples := make([]float64, len(res.Stopped))
 	for i, covered := range res.Stopped {
 		if !covered {
 			samples[i] = 1

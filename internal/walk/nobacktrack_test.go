@@ -82,11 +82,11 @@ func TestNBCoverCycleIsBallistic(t *testing.T) {
 func TestNBCoverBeatsSimpleOnTorus(t *testing.T) {
 	g := graph.Torus2D(8)
 	opts := MCOptions{Trials: 400, Seed: 7, MaxSteps: 1 << 22}
-	nb, err := EstimateKernelCoverTime(g, NoBacktrack(), 0, opts)
+	nb, err := NewEngine(g, EngineOptions{Kernel: NoBacktrack()}).EstimateCover(0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simple, err := EstimateCoverTime(g, 0, opts)
+	simple, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,12 @@ func TestNBCoverBeatsSimpleOnTorus(t *testing.T) {
 func TestKNBCoverScalesWithK(t *testing.T) {
 	g := graph.Torus2D(8)
 	opts := MCOptions{Trials: 300, Seed: 9, MaxSteps: 1 << 22}
-	c1, err := EstimateKernelKCoverTime(g, NoBacktrack(), 0, 1, opts)
+	eng := NewEngine(g, EngineOptions{Kernel: NoBacktrack()})
+	c1, err := eng.EstimateCover(0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c8, err := EstimateKernelKCoverTime(g, NoBacktrack(), 0, 8, opts)
+	c8, err := eng.EstimateCover(0, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

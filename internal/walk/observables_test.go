@@ -7,12 +7,21 @@ import (
 	"manywalks/internal/graph"
 )
 
+// partialCover is the one-fraction EstimatePartialCover from vertex 0.
+func partialCover(eng *Engine, k int, alpha float64, opts MCOptions) (Estimate, error) {
+	ests, err := eng.EstimatePartialCover(0, k, []float64{alpha}, opts)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return ests[0], nil
+}
+
 func TestPartialCoverMonotoneInAlpha(t *testing.T) {
-	g := graph.Torus2D(8)
+	eng := NewEngine(graph.Torus2D(8), EngineOptions{})
 	opts := MCOptions{Trials: 400, Seed: 31, MaxSteps: 1 << 22}
 	prev := 0.0
 	for _, alpha := range []float64{0.25, 0.5, 0.75, 1.0} {
-		est, err := EstimatePartialCoverTime(g, 0, 2, alpha, opts)
+		est, err := partialCover(eng, 2, alpha, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,13 +33,13 @@ func TestPartialCoverMonotoneInAlpha(t *testing.T) {
 }
 
 func TestPartialCoverFullMatchesKCover(t *testing.T) {
-	g := graph.Cycle(16)
+	eng := NewEngine(graph.Cycle(16), EngineOptions{})
 	opts := MCOptions{Trials: 600, Seed: 33, MaxSteps: 1 << 22}
-	full, err := EstimatePartialCoverTime(g, 0, 3, 1.0, opts)
+	full, err := partialCover(eng, 3, 1.0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc, err := EstimateKCoverTime(g, 0, 3, opts)
+	kc, err := eng.EstimateCover(0, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +53,13 @@ func TestPartialCoverFullMatchesKCover(t *testing.T) {
 func TestPartialCoverTailDominates(t *testing.T) {
 	// On the torus the last 10% of vertices must cost a disproportionate
 	// share of the cover time: t(1.0) should far exceed t(0.9)·10/9.
-	g := graph.Torus2D(8)
+	eng := NewEngine(graph.Torus2D(8), EngineOptions{})
 	opts := MCOptions{Trials: 400, Seed: 35, MaxSteps: 1 << 22}
-	t90, err := EstimatePartialCoverTime(g, 0, 1, 0.9, opts)
+	t90, err := partialCover(eng, 1, 0.9, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t100, err := EstimatePartialCoverTime(g, 0, 1, 1.0, opts)
+	t100, err := partialCover(eng, 1, 1.0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +69,15 @@ func TestPartialCoverTailDominates(t *testing.T) {
 }
 
 func TestPartialCoverValidation(t *testing.T) {
-	g := graph.Cycle(8)
+	eng := NewEngine(graph.Cycle(8), EngineOptions{})
 	opts := MCOptions{Trials: 5, Seed: 1, MaxSteps: 100}
-	if _, err := EstimatePartialCoverTime(g, 0, 1, 0, opts); err == nil {
+	if _, err := partialCover(eng, 1, 0, opts); err == nil {
 		t.Fatal("alpha=0 accepted")
 	}
-	if _, err := EstimatePartialCoverTime(g, 0, 1, 1.5, opts); err == nil {
+	if _, err := partialCover(eng, 1, 1.5, opts); err == nil {
 		t.Fatal("alpha>1 accepted")
 	}
-	if _, err := EstimatePartialCoverTime(g, 0, 0, 0.5, opts); err == nil {
+	if _, err := partialCover(eng, 0, 0.5, opts); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -123,7 +132,7 @@ func TestMeetingTimeBasics(t *testing.T) {
 	if res, err := NewEngine(g, EngineOptions{}).KMeetingTime([]int32{3, 3}, 1, 10); err != nil || !res.Met || res.Rounds != 0 {
 		t.Fatalf("co-located walkers must meet at 0: %+v, %v", res, err)
 	}
-	est, err := EstimateMeetingTime(g, 0, 5, MCOptions{Trials: 2000, Seed: 45, MaxSteps: 1 << 20})
+	est, err := NewEngine(g, EngineOptions{}).EstimateMeeting([]int32{0, 5}, MCOptions{Trials: 2000, Seed: 45, MaxSteps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +183,14 @@ func TestCoverageProfileShape(t *testing.T) {
 }
 
 func TestMeanCoverageProfileMoreWalkersFaster(t *testing.T) {
-	g := graph.Torus2D(6)
+	eng := NewEngine(graph.Torus2D(6), EngineOptions{})
 	opts := MCOptions{Trials: 100, Seed: 51, MaxSteps: 1}
 	horizon := int64(200)
-	p1, err := MeanCoverageProfile(g, 0, 1, horizon, opts)
+	p1, err := eng.EstimateCoverageProfile(0, 1, horizon, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p8, err := MeanCoverageProfile(g, 0, 8, horizon, opts)
+	p8, err := eng.EstimateCoverageProfile(0, 8, horizon, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestMeanCoverageProfileMoreWalkersFaster(t *testing.T) {
 	if p8[mid] <= p1[mid] {
 		t.Fatalf("8 walkers not ahead at t=%d: %v vs %v", mid, p8[mid], p1[mid])
 	}
-	if _, err := MeanCoverageProfile(g, 0, 0, 10, opts); err == nil {
+	if _, err := eng.EstimateCoverageProfile(0, 0, 10, opts); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

@@ -109,7 +109,7 @@ type Observer interface {
 //   - Thresholds: nondecreasing cover fractions in (0,1]; the exact round
 //     each fraction was reached is recorded (partial-cover curve in one
 //     pass). A fraction α maps to the count target max(1, ⌊α·n⌋),
-//     matching EstimatePartialCoverTime.
+//     matching EstimatePartialCover.
 //   - RecordFirst: record every vertex's first-visit round (the
 //     first-visit log / coverage-profile sampler); implied by Targets.
 //

@@ -86,72 +86,6 @@ func TestRunValidationErrors(t *testing.T) {
 	}
 }
 
-// TestEstimatorValidationErrors pins the estimator-level bounds checks: a
-// bad vertex id must come back as an error, not crash a worker goroutine.
-func TestEstimatorValidationErrors(t *testing.T) {
-	g := graph.Cycle(8)
-	opts := MCOptions{Trials: 2, Seed: 1, MaxSteps: 10}
-	for name, err := range map[string]error{
-		"cover":       errOf2(EstimateCoverTime(g, 99, opts)),
-		"kcover":      errOf2(EstimateKCoverTime(g, -3, 2, opts)),
-		"hit":         errOf2(EstimateHittingTime(g, 0, 99, opts)),
-		"kernelcover": errOf2(EstimateKernelCoverTime(g, Uniform(), 99, opts)),
-		"partial":     errOf2(EstimatePartialCoverTime(g, 99, 1, 0.5, opts)),
-		"meeting":     errOf2(EstimateKMeetingTime(g, []int32{0, 99}, opts)),
-	} {
-		if err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("%s: want out-of-range error, got %v", name, err)
-		}
-	}
-	if _, err := CoverTimeTail(g, 99, 10, opts); err == nil {
-		t.Fatal("tail: want out-of-range error")
-	}
-	// Vertex 2 is isolated: the estimators that accept disconnected graphs
-	// must still refuse it with an error, not an engine panic.
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1)
-	iso := b.Build("isolated")
-	if _, err := MeanCoverageProfile(iso, 0, 1, 10, opts); err == nil || !strings.Contains(err.Error(), "isolated") {
-		t.Fatalf("coverage profile: want isolated-vertex error, got %v", err)
-	}
-	if _, err := CoverTimeTail(iso, 0, 10, opts); err == nil || !strings.Contains(err.Error(), "isolated") {
-		t.Fatalf("tail: want isolated-vertex error, got %v", err)
-	}
-	// One vertex without a self-loop passes IsConnected, yet its walker has
-	// no move: every connectivity-guarded estimator must refuse it too.
-	one := graph.NewBuilder(1).Build("one")
-	for name, err := range map[string]error{
-		"cover":         errOf2(EstimateCoverTime(one, 0, opts)),
-		"kcover":        errOf2(EstimateKCoverTime(one, 0, 2, opts)),
-		"kernelcover":   errOf2(EstimateKernelCoverTime(one, Uniform(), 0, opts)),
-		"kernelkcover":  errOf2(EstimateKernelKCoverTime(one, Uniform(), 0, 2, opts)),
-		"stationary":    errOf2(EstimateKCoverTimeStationary(one, 2, opts)),
-		"hit":           errOf2(EstimateHittingTime(one, 0, 0, opts)),
-		"kernelhit":     errOf2(EstimateKernelHittingTime(one, Uniform(), 0, 0, opts)),
-		"partial":       errOf2(EstimatePartialCoverTime(one, 0, 1, 0.5, opts)),
-		"partialrounds": lastErr(MeanPartialCoverRounds(one, 0, 1, []float64{0.5}, opts)),
-		"meeting":       errOf2(EstimateMeetingTime(one, 0, 0, opts)),
-		"kmeeting":      errOf2(EstimateKMeetingTime(one, []int32{0, 0}, opts)),
-		"coalescence":   lastErr(EstimateKCoalescenceTime(one, []int32{0, 0}, opts)),
-	} {
-		if err == nil || !strings.Contains(err.Error(), "isolated") {
-			t.Fatalf("%s on one vertex: want isolated-vertex error, got %v", name, err)
-		}
-	}
-	// Options are validated before anything is sized by Trials.
-	if _, err := MeanPartialCoverRounds(g, 0, 2, []float64{0.5}, MCOptions{Trials: -1, MaxSteps: 10}); err == nil {
-		t.Fatal("partial rounds: want an error for Trials < 0")
-	}
-}
-
-func errOf2(_ Estimate, err error) error { return err }
-
-// lastErr keeps the error of a call whose other results are ignored.
-func lastErr(results ...any) error {
-	err, _ := results[len(results)-1].(error)
-	return err
-}
-
 // TestObserverDeterministicAcrossConfigs extends the engine's determinism
 // guarantee to the new observables: meeting, coalescence, multi-target hit,
 // and the partial-cover curve must be bit-for-bit identical regardless of

@@ -69,7 +69,7 @@ func TestCoverMatchesExactDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateCoverTime(c.g, c.start, MCOptions{
+		est, err := NewEngine(c.g, EngineOptions{}).EstimateCover(c.start, 1, MCOptions{
 			Trials: 4000, Seed: 11, MaxSteps: 1 << 20,
 		})
 		if err != nil {
@@ -120,7 +120,7 @@ func TestHittingMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateHittingTime(g, 0, 4, MCOptions{
+	est, err := NewEngine(g, EngineOptions{}).EstimateHitting(0, 4, MCOptions{
 		Trials: 4000, Seed: 17, MaxSteps: 1 << 20,
 	})
 	if err != nil {
@@ -145,12 +145,12 @@ func TestHitFromSelf(t *testing.T) {
 
 func TestReproducibilityAcrossWorkerCounts(t *testing.T) {
 	g := graph.Torus2D(5)
-	base, err := EstimateCoverTime(g, 0, MCOptions{Trials: 200, Seed: 5, MaxSteps: 1 << 20, Workers: 1})
+	base, err := NewEngine(g, EngineOptions{Workers: 1}).EstimateCover(0, 1, MCOptions{Trials: 200, Seed: 5, MaxSteps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 23} {
-		est, err := EstimateCoverTime(g, 0, MCOptions{Trials: 200, Seed: 5, MaxSteps: 1 << 20, Workers: workers})
+		est, err := NewEngine(g, EngineOptions{Workers: workers}).EstimateCover(0, 1, MCOptions{Trials: 200, Seed: 5, MaxSteps: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestReproducibilityAcrossWorkerCounts(t *testing.T) {
 
 func TestDifferentSeedsDiffer(t *testing.T) {
 	g := graph.Cycle(12)
-	a, _ := EstimateCoverTime(g, 0, MCOptions{Trials: 50, Seed: 1, MaxSteps: 1 << 20})
-	b, _ := EstimateCoverTime(g, 0, MCOptions{Trials: 50, Seed: 2, MaxSteps: 1 << 20})
+	a, _ := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 50, Seed: 1, MaxSteps: 1 << 20})
+	b, _ := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 50, Seed: 2, MaxSteps: 1 << 20})
 	if a.Mean() == b.Mean() {
 		t.Fatal("distinct seeds produced identical means (suspicious)")
 	}
@@ -173,7 +173,7 @@ func TestTruncationAccounting(t *testing.T) {
 	// With an absurdly small budget every trial truncates and the flag
 	// must say so.
 	g := graph.Cycle(64)
-	est, err := EstimateCoverTime(g, 0, MCOptions{Trials: 20, Seed: 3, MaxSteps: 5})
+	est, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 20, Seed: 3, MaxSteps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +187,10 @@ func TestTruncationAccounting(t *testing.T) {
 
 func TestMCOptionValidation(t *testing.T) {
 	g := graph.Cycle(5)
-	if _, err := EstimateCoverTime(g, 0, MCOptions{Trials: 0, MaxSteps: 10}); err == nil {
+	if _, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 0, MaxSteps: 10}); err == nil {
 		t.Fatal("Trials=0 accepted")
 	}
-	if _, err := EstimateCoverTime(g, 0, MCOptions{Trials: 10, MaxSteps: 0}); err == nil {
+	if _, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 10, MaxSteps: 0}); err == nil {
 		t.Fatal("MaxSteps=0 accepted")
 	}
 	if _, err := EstimateKCoverTime(g, 0, 0, MCOptions{Trials: 10, MaxSteps: 10}); err == nil {
@@ -203,13 +203,13 @@ func TestDisconnectedRejected(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build("disc")
-	if _, err := EstimateCoverTime(g, 0, MCOptions{Trials: 5, MaxSteps: 10}); err == nil {
+	if _, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 5, MaxSteps: 10}); err == nil {
 		t.Fatal("disconnected accepted")
 	}
 	if _, err := EstimateKCoverTime(g, 0, 2, MCOptions{Trials: 5, MaxSteps: 10}); err == nil {
 		t.Fatal("disconnected accepted for k-walk")
 	}
-	if _, err := EstimateHittingTime(g, 0, 3, MCOptions{Trials: 5, MaxSteps: 10}); err == nil {
+	if _, err := NewEngine(g, EngineOptions{}).EstimateHitting(0, 3, MCOptions{Trials: 5, MaxSteps: 10}); err == nil {
 		t.Fatal("disconnected accepted for hitting")
 	}
 }
@@ -273,7 +273,7 @@ func TestKCoverSpeedupDirection(t *testing.T) {
 	// with a comfortable margin at these sizes.
 	g := graph.Torus2D(6)
 	opts := MCOptions{Trials: 400, Seed: 21, MaxSteps: 1 << 22}
-	c1, err := EstimateCoverTime(g, 0, opts)
+	c1, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestKCoverSpeedupDirection(t *testing.T) {
 func TestCoverTimeTail(t *testing.T) {
 	g := graph.Cycle(8)
 	// Horizon far beyond the mean: tail must be small. Exact C = 28.
-	tail, err := CoverTimeTail(g, 0, 2000, MCOptions{Trials: 500, Seed: 23, MaxSteps: 10})
+	tail, err := NewEngine(g, EngineOptions{}).EstimateCoverTail(0, 2000, MCOptions{Trials: 500, Seed: 23, MaxSteps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,21 +297,21 @@ func TestCoverTimeTail(t *testing.T) {
 		t.Fatalf("tail at 2000 steps is %v", tail)
 	}
 	// Horizon of 1 step: cycle(8) cannot be covered, tail = 1.
-	tail1, err := CoverTimeTail(g, 0, 1, MCOptions{Trials: 100, Seed: 23, MaxSteps: 10})
+	tail1, err := NewEngine(g, EngineOptions{}).EstimateCoverTail(0, 1, MCOptions{Trials: 100, Seed: 23, MaxSteps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tail1 != 1 {
 		t.Fatalf("tail at 1 step should be 1, got %v", tail1)
 	}
-	if _, err := CoverTimeTail(g, 0, 0, MCOptions{Trials: 5, MaxSteps: 5}); err == nil {
+	if _, err := NewEngine(g, EngineOptions{}).EstimateCoverTail(0, 0, MCOptions{Trials: 5, MaxSteps: 5}); err == nil {
 		t.Fatal("horizon 0 accepted")
 	}
 }
 
 func TestEstimateSummaryConsistency(t *testing.T) {
 	g := graph.Complete(6, false)
-	est, err := EstimateCoverTime(g, 0, MCOptions{Trials: 100, Seed: 29, MaxSteps: 1 << 16})
+	est, err := NewEngine(g, EngineOptions{}).EstimateCover(0, 1, MCOptions{Trials: 100, Seed: 29, MaxSteps: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,16 +110,22 @@ func NewCycleWithChords(p int) *Graph { return graph.CycleWithChords(p) }
 // the trial lanes of a grouped pass sharded across a worker pool. Results
 // are bit-for-bit reproducible for a fixed (graph, starts, seed, budget)
 // regardless of EngineOptions. An Engine is immutable and safe for
-// concurrent use; construct one per graph and reuse it across runs.
+// concurrent use; construct one per (graph, kernel) and reuse it across
+// runs and estimates. Every Monte Carlo estimate is a method, one per
+// quantity, on the engine's kernel: EstimateCover (C^k, and C at k = 1),
+// EstimateStationaryCover, EstimateHitting, EstimateMeeting,
+// EstimateCoalescence, EstimatePartialCover, EstimateCoverageProfile and
+// EstimateCoverTail.
 type Engine = walk.Engine
 
 // EngineOptions tunes Engine performance and selects the step law
 // (Kernel); the zero value selects sensible defaults and the uniform
-// kernel. Workers caps the goroutines of a grouped pass: each is spawned
-// once per chunk of lanes and owns its lanes until the chunk ends, and a
-// pass of a few thin lanes (or a single run) steps on the calling
-// goroutine. Workers also caps the goroutines NewEngine compiles a dense
-// hopper row bank on; a small bank compiles on the calling goroutine.
+// kernel. Workers (0 = GOMAXPROCS) caps the goroutines of a grouped pass:
+// each is spawned once per chunk of lanes and owns its lanes until the
+// chunk ends, and a pass of a few thin lanes (or a single run) steps on the
+// calling goroutine. Workers also caps the goroutines CompileEngine builds
+// a dense hopper row bank on; a small bank compiles on the calling
+// goroutine.
 // BatchRounds is the rounds a worker steps between retiring its finished
 // lanes. Workers and BatchRounds never affect results.
 type EngineOptions = walk.EngineOptions
@@ -228,8 +234,12 @@ type CoverResult = walk.CoverResult
 // walker index.
 type HitResult = walk.HitResult
 
-// NewEngine returns a batched k-walk engine for g. It panics if g has an
-// isolated vertex.
+// CompileEngine returns a batched k-walk engine for g, or an error if g has
+// an isolated vertex or opts.Kernel is invalid or over the memory cap.
+func CompileEngine(g *Graph, opts EngineOptions) (*Engine, error) { return walk.Compile(g, opts) }
+
+// NewEngine is CompileEngine for callers that rule its refusals out up
+// front: it panics with CompileEngine's error.
 func NewEngine(g *Graph, opts EngineOptions) *Engine { return walk.NewEngine(g, opts) }
 
 // RunKWalk runs one synchronized k-walk from start until full cover (or
@@ -330,12 +340,12 @@ type MultiHitResult = walk.MultiHitResult
 // PartialCoverResult reports a partial-cover-curve run.
 type PartialCoverResult = walk.PartialCoverResult
 
-// MCOptions configures Monte Carlo estimation: Trials, Workers (0 =
-// GOMAXPROCS; it caps the estimator's pass and its engine's compile alike),
-// root Seed, and the per-trial MaxSteps budget. Estimator
-// trials run as one trial-fused engine pass (all trials' walkers stepped
-// together, finished trials retiring at the end of a batch); results are
-// bit-for-bit identical to running the trials sequentially.
+// MCOptions configures Monte Carlo estimation: Trials, Workers (0 = the
+// engine's Workers; a positive value caps the estimate's pass), root Seed,
+// and the per-trial MaxSteps budget. Estimator trials run as one
+// trial-fused engine pass (all trials' walkers stepped together, finished
+// trials retiring at the end of a batch); results are bit-for-bit
+// identical to running the trials sequentially.
 type MCOptions = walk.MCOptions
 
 // Estimate is a Monte Carlo mean with CI and truncation accounting.
@@ -355,70 +365,6 @@ type Precision = walk.Precision
 // so far, running mean and CI half-width, and the stop decision. Serving
 // requests stream them through their OnProgress callbacks.
 type WaveStat = walk.WaveStat
-
-// CoverTime estimates the expected single-walk cover time from start.
-func CoverTime(g *Graph, start int32, opts MCOptions) (Estimate, error) {
-	return walk.EstimateCoverTime(g, start, opts)
-}
-
-// KCoverTime estimates the expected k-walk cover time (in rounds) with all
-// k walkers started at start — the paper's C^k.
-func KCoverTime(g *Graph, start int32, k int, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKCoverTime(g, start, k, opts)
-}
-
-// KCoverTimeStationary starts the k walkers from fresh stationary samples
-// each trial (the §1.1 Broder et al. setting).
-func KCoverTimeStationary(g *Graph, k int, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKCoverTimeStationary(g, k, opts)
-}
-
-// HittingTime estimates h(start, target) by simulation.
-func HittingTime(g *Graph, start, target int32, opts MCOptions) (Estimate, error) {
-	return walk.EstimateHittingTime(g, start, target, opts)
-}
-
-// KernelCoverTime estimates the expected single-walk cover time from start
-// under kernel k.
-func KernelCoverTime(g *Graph, k Kernel, start int32, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKernelCoverTime(g, k, start, opts)
-}
-
-// KernelKCoverTime estimates the expected k-walk cover time (in rounds)
-// from a common start vertex under kernel kern.
-func KernelKCoverTime(g *Graph, kern Kernel, start int32, k int, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKernelKCoverTime(g, kern, start, k, opts)
-}
-
-// KernelHittingTime estimates h(start, target) under kernel k; compare
-// against NewMarkovChainForKernel's absorbing-chain expectation for an
-// exact cross-check.
-func KernelHittingTime(g *Graph, k Kernel, start, target int32, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKernelHittingTime(g, k, start, target, opts)
-}
-
-// KMeetingTime estimates the expected first-meeting round of the k-walk
-// from the given starts (any two walkers sharing a vertex after a round);
-// see also MeetingTime in extras.go for the classic two-walker shape. On
-// bipartite graphs walkers started on opposite sides never meet under
-// simultaneous moves; such trials count as Truncated.
-func KMeetingTime(g *Graph, starts []int32, opts MCOptions) (Estimate, error) {
-	return walk.EstimateKMeetingTime(g, starts, opts)
-}
-
-// KCoalescenceTime estimates the expected full-coalescence round of the
-// k-walk (walkers that have met merge into one class), together with the
-// expected first-meeting round of the same runs.
-func KCoalescenceTime(g *Graph, starts []int32, opts MCOptions) (coalesce, meet Estimate, err error) {
-	return walk.EstimateKCoalescenceTime(g, starts, opts)
-}
-
-// PartialCoverRounds estimates, per cover fraction, the expected round the
-// k-walk from start first reaches it — the whole partial-cover curve from
-// single runs.
-func PartialCoverRounds(g *Graph, start int32, k int, fractions []float64, opts MCOptions) ([]Estimate, error) {
-	return walk.MeanPartialCoverRounds(g, start, k, fractions, opts)
-}
 
 // Corpus generation: bulk truncated walks from every vertex, streamed out
 // in deterministic order through the grouped engine. GenerateCorpus is a
@@ -462,9 +408,9 @@ func ParseGraphSpec(spec string) (*Graph, error) { return graph.ParseSpec(spec) 
 type KernelTablePlan = walk.KernelTablePlan
 
 // PlanKernelTable computes the compiled-table plan of kernel k on g — the
-// capacity-planning view cmd/graphinfo surfaces. It fails exactly when
-// NewEngine would refuse the kernel (e.g. a dense hopper bank over the
-// memory cap).
+// capacity-planning view cmd/graphinfo surfaces. It compiles the table to
+// measure it, and fails exactly when CompileEngine would refuse the kernel
+// (e.g. a dense hopper bank over the memory cap).
 func PlanKernelTable(g *Graph, k Kernel) (KernelTablePlan, error) {
 	return walk.PlanKernelTable(g, k)
 }
@@ -513,25 +459,11 @@ func NewServer(opts ServerOptions) *Server { return serve.NewServer(opts) }
 // SpeedupPoint is one measured (k, S^k) with provenance and CI band.
 type SpeedupPoint = core.SpeedupPoint
 
-// Speedup measures S^k(G) = Ĉ(G)/Ĉ^k(G) from start.
-func Speedup(g *Graph, start int32, k int, opts MCOptions) (SpeedupPoint, error) {
-	return core.MeasureSpeedup(g, start, k, opts)
-}
-
-// SpeedupSweep measures S^k for each k, sharing one single-walk estimate.
-func SpeedupSweep(g *Graph, start int32, ks []int, opts MCOptions) ([]SpeedupPoint, error) {
-	return core.SpeedupCurve(g, start, ks, opts)
-}
-
-// KernelSpeedup measures S^k(G) with both the single walk and the k-walk
-// running kernel kern, isolating the parallelism gain from the step law.
-func KernelSpeedup(g *Graph, kern Kernel, start int32, k int, opts MCOptions) (SpeedupPoint, error) {
-	return core.MeasureKernelSpeedup(g, kern, start, k, opts)
-}
-
-// KernelSpeedupSweep is SpeedupSweep under an arbitrary walk kernel.
-func KernelSpeedupSweep(g *Graph, kern Kernel, start int32, ks []int, opts MCOptions) ([]SpeedupPoint, error) {
-	return core.KernelSpeedupCurve(g, kern, start, ks, opts)
+// SpeedupSweep measures S^k = Ĉ/Ĉ^k for each k from start on eng, sharing
+// one single-walk estimate; both run the engine's kernel, so S^k isolates
+// the parallelism gain from the step law.
+func SpeedupSweep(eng *Engine, start int32, ks []int, opts MCOptions) ([]SpeedupPoint, error) {
+	return core.SpeedupCurve(eng, start, ks, opts)
 }
 
 // Regime labels a speed-up curve's asymptotic shape.

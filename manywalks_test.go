@@ -9,18 +9,20 @@ import (
 
 func TestPublicAPICoverAndSpeedup(t *testing.T) {
 	g := manywalks.NewTorus2D(6)
+	eng := manywalks.NewEngine(g, manywalks.EngineOptions{})
 	opts := manywalks.MCOptions{Trials: 300, Seed: 42, MaxSteps: 1 << 22}
-	cov, err := manywalks.CoverTime(g, 0, opts)
+	cov, err := eng.EstimateCover(0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cov.Mean() <= float64(g.N()) {
 		t.Fatalf("cover time %v below n", cov.Mean())
 	}
-	p, err := manywalks.Speedup(g, 0, 4, opts)
+	points, err := manywalks.SpeedupSweep(eng, 0, []int{4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := points[0]
 	if p.Speedup < 2 || p.Speedup > 7 {
 		t.Fatalf("torus S^4 = %v, expected near 4", p.Speedup)
 	}
@@ -35,7 +37,7 @@ func TestPublicAPIExactMatchesMonteCarlo(t *testing.T) {
 	if math.Abs(want-15) > 1e-9 { // n(n-1)/2
 		t.Fatalf("exact cycle cover %v", want)
 	}
-	est, err := manywalks.CoverTime(g, 0, manywalks.MCOptions{Trials: 3000, Seed: 7, MaxSteps: 1 << 20})
+	est, err := manywalks.NewEngine(g, manywalks.EngineOptions{}).EstimateCover(0, 1, manywalks.MCOptions{Trials: 3000, Seed: 7, MaxSteps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestPublicAPIBoundsAndMixing(t *testing.T) {
 
 func TestPublicAPIClassify(t *testing.T) {
 	g := manywalks.NewComplete(64, false)
-	points, err := manywalks.SpeedupSweep(g, 0, []int{2, 4, 8, 16},
+	points, err := manywalks.SpeedupSweep(manywalks.NewEngine(g, manywalks.EngineOptions{}), 0, []int{2, 4, 8, 16},
 		manywalks.MCOptions{Trials: 200, Seed: 3, MaxSteps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +92,7 @@ func TestPublicAPIBarbell(t *testing.T) {
 	if g.Degree(center) != 2 {
 		t.Fatal("center degree")
 	}
-	est, err := manywalks.KCoverTimeStationary(g, 4,
+	est, err := manywalks.NewEngine(g, manywalks.EngineOptions{}).EstimateStationaryCover(4,
 		manywalks.MCOptions{Trials: 100, Seed: 9, MaxSteps: 1 << 22})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +119,7 @@ func TestPublicAPIWalkerAndBuilder(t *testing.T) {
 	if math.Abs(ht.At(0, 1)-2) > 1e-9 {
 		t.Fatalf("triangle hitting %v", ht.At(0, 1))
 	}
-	hit, err := manywalks.HittingTime(g, 0, 1, manywalks.MCOptions{Trials: 2000, Seed: 11, MaxSteps: 1 << 16})
+	hit, err := manywalks.NewEngine(g, manywalks.EngineOptions{}).EstimateHitting(0, 1, manywalks.MCOptions{Trials: 2000, Seed: 11, MaxSteps: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestPublicEngineAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := manywalks.KCoverTime(manywalks.NewCycle(5), 0, 2,
+	est, err := manywalks.NewEngine(manywalks.NewCycle(5), manywalks.EngineOptions{}).EstimateCover(0, 2,
 		manywalks.MCOptions{Trials: 3000, Seed: 9, MaxSteps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +225,7 @@ func TestFacadeServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := manywalks.HittingTime(g, 0, 40, manywalks.MCOptions{Trials: 8, Workers: 1, Seed: 3, MaxSteps: 1 << 16})
+	want, err := eng.EstimateHitting(0, 40, manywalks.MCOptions{Trials: 8, Workers: 1, Seed: 3, MaxSteps: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
